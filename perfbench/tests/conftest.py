@@ -1,0 +1,6 @@
+import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
