@@ -10,8 +10,8 @@ truncated expansion of g(x) dx/dy approaches the real thing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import mpmath
@@ -25,6 +25,72 @@ from .jets import (Jet, jet_compose, jet_differentiate, jet_map, jet_mul,
                    jet_revert, jet_truncate, jet_variable)
 
 SCAN_POINTS = 512  # sign-change scan density; CLI-overridable
+
+
+def grid_jet(e: Expr, xs: np.ndarray, degree: int, bindings: dict) -> tuple:
+    """[k][i] = e^(k)(xs[i])/k! from one walk; overflow is silent, as in the
+    scalar walk, whose real parts these equal bit for bit."""
+    with np.errstate(all="ignore"):
+        return eval_jet(e, jet_variable(xs, degree), bindings).coeffs
+
+
+def grid_sup(values: np.ndarray) -> float:
+    """max(0, values) skipping NaN, as a running max(...) does.  Rounding is
+    monotone: the sup times positive constants is the sup of the products."""
+    return float(np.fmax.reduce(values, initial=0.0))
+
+
+class GridSample:
+    """A problem's f (to degree 2n+3) and g (to 2n+1) on one scan grid, each
+    walked on first use only, so a scan that reads f never evaluates g; plus
+    the stationary point once located.  The sample of the negated problem
+    reads the original's: -f has exactly the negated coefficients."""
+
+    def __init__(self, p: "PhaseProblem", scan_points: int,
+                 negates: "GridSample | None" = None):
+        self.xs = np.linspace(p.alpha, p.beta, scan_points)
+        self.gamma = negates.gamma if negates else None
+        # No reference to p, which holds this sample: a cycle would keep
+        # every problem's arrays alive until the garbage collector runs.
+        self._f, self._g = (p.f, 2 * p.n + 3), (p.g, 2 * p.n + 1)
+        self._bindings, self._negates = p.bindings, negates
+
+    @cached_property
+    def f(self) -> tuple:
+        if self._negates:
+            return tuple(-c for c in self._negates.f)
+        return grid_jet(self._f[0], self.xs, self._f[1], self._bindings)
+
+    @cached_property
+    def g(self) -> tuple:
+        if self._negates:
+            return self._negates.g
+        return grid_jet(self._g[0], self.xs, self._g[1], self._bindings)
+
+    def sign_changes(self) -> list[tuple[float, float, float]]:
+        """(x_lo, x_hi, f'(x_lo)) for each sign change of f' between
+        consecutive grid points where f' is nonzero."""
+        d1 = self.f[1]
+        signs = (d1 > 0).astype(np.int8) - (d1 < 0)
+        nonzero = np.flatnonzero(signs)
+        flip = signs[nonzero[1:]] != signs[nonzero[:-1]]
+        return [(float(self.xs[i]), float(self.xs[j]), float(d1[i]))
+                for i, j in zip(nonzero[:-1][flip], nonzero[1:][flip])]
+
+
+def bisect_fprime(p: "PhaseProblem", lo: float, hi: float, flo: float,
+                  steps: int) -> float:
+    """Halve a bracketed sign change of f' `steps` times; returns the middle."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = p.fprime(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -45,6 +111,8 @@ class PhaseProblem:
     N: float = 1.0
     U: float = 1.0
     params: dict = field(default_factory=dict)
+    _samples: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -63,7 +131,16 @@ class PhaseProblem:
                 "N": self.N, "U": self.U}
 
     def negated(self) -> "PhaseProblem":
-        return replace(self, f=Neg(self.f))
+        neg = replace(self, f=Neg(self.f))
+        for scan_points, sample in self._samples.items():
+            neg._samples[scan_points] = GridSample(neg, scan_points, sample)
+        return neg
+
+    def sample(self, scan_points: int = SCAN_POINTS) -> GridSample:
+        """The problem's f and g on its scan grid, built once per grid."""
+        if scan_points not in self._samples:
+            self._samples[scan_points] = GridSample(self, scan_points)
+        return self._samples[scan_points]
 
     # -- pointwise helpers -------------------------------------------------
 
@@ -111,10 +188,8 @@ def make_problem(f: str, g: str, alpha: float, beta: float, n: int,
 def infer_T(f_expr: Expr, alpha: float, beta: float, bindings: dict,
             M: float, scan_points: int = SCAN_POINTS) -> float:
     """Default phase scale: max |f''| over the scan grid, times M^2."""
-    worst = 0.0
-    for x in np.linspace(alpha, beta, scan_points):
-        jet = eval_jet(f_expr, jet_variable(float(x), 2), bindings)
-        worst = max(worst, abs(2.0 * scalars.real_part(jet.coeffs[2])))
+    xs = np.linspace(alpha, beta, scan_points)
+    worst = 2.0 * grid_sup(abs(grid_jet(f_expr, xs, 2, bindings)[2]))
     if worst == 0.0:
         raise ValueError("cannot infer T: f'' vanishes on the grid")
     return worst * M * M
@@ -124,42 +199,22 @@ def find_stationary_point(p: PhaseProblem,
                           scan_points: int = SCAN_POINTS) -> float:
     """Locate the single interior zero of f', or raise.
 
-    Scans f' on a uniform grid, then refines the bracketed sign change by
-    bisection followed by Newton (f'' from jets).  Newton runs to stagnation,
-    well past the guaranteed |f'(gamma)| <= 1e-12 * max(1, T/M).
+    Reads f' from the problem's grid sample, then refines the bracketed sign
+    change by bisection followed by Newton (f'' from jets).  Newton runs to
+    stagnation, well past the guaranteed |f'(gamma)| <= 1e-12 * max(1, T/M).
+    The sample keeps the result, so a second call returns it at once.
     """
-    xs = np.linspace(p.alpha, p.beta, scan_points)
-    vals = [p.fprime(float(x)) for x in xs]
-    brackets = []
-    last_sign = 0
-    last_idx = 0
-    for i, v in enumerate(vals):
-        s = (v > 0) - (v < 0)
-        if s == 0:
-            continue
-        if last_sign != 0 and s != last_sign:
-            brackets.append((last_idx, i))
-        last_sign, last_idx = s, i
+    sample = p.sample(scan_points)
+    if sample.gamma is not None:
+        return sample.gamma
+    brackets = sample.sign_changes()
     if not brackets:
         raise NoSignChange("f' does not change sign on the scan grid")
     if len(brackets) > 1:
         raise MultipleSignChanges(
             f"f' changes sign {len(brackets)} times on the scan grid")
 
-    i, j = brackets[0]
-    lo, hi = float(xs[i]), float(xs[j])
-    flo = vals[i]
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        fm = p.fprime(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    gamma = 0.5 * (lo + hi)
+    gamma = bisect_fprime(p, *brackets[0], steps=48)
     for _ in range(60):
         d1, d2 = p.fprime2(gamma)
         if d2 == 0.0:
@@ -182,6 +237,7 @@ def find_stationary_point(p: PhaseProblem,
     if abs(p.fprime(gamma)) > tol:
         raise NewtonError(
             f"|f'(gamma)| = {abs(p.fprime(gamma)):.3e} exceeds tolerance {tol:.3e}")
+    sample.gamma = gamma
     return gamma
 
 
@@ -267,6 +323,10 @@ def recursion_coefficients(lam: Sequence, eta: Sequence, order: int):
     check sequence is varpi_k = sum_l eta'_l rho_{k-l} with rho taken from
     amplitude_series.
     """
+    return _recursion_route(lam, eta, order, amplitude_series(lam, eta, order)[1])
+
+
+def _recursion_route(lam: Sequence, eta: Sequence, order: int, rho: Sequence):
     lam2 = lam[2]
     mp_mode = scalars.is_mp(lam2)
     bracket = _bracket_series(lam, order)
@@ -285,7 +345,6 @@ def recursion_coefficients(lam: Sequence, eta: Sequence, order: int):
             total = total - eta_prime[k] * mu[k][m - k]
         eta_prime.append(total)
 
-    _, rho, _ = amplitude_series(lam, eta, order)
     varpi_check = []
     for k in range(order + 1):
         s = eta_prime[0] * rho[k]
@@ -318,13 +377,14 @@ class CoefficientSet:
 
 
 def compute_coefficients(p: PhaseProblem, gamma: float | None = None) -> CoefficientSet:
-    """Full coefficient pipeline for a minimum-orientation problem."""
+    """Full coefficient pipeline for a minimum-orientation problem (over
+    mpmath numbers when gamma is an mpf)."""
     if gamma is None:
         gamma = find_stationary_point(p)
     lam, eta = taylor_data(p, gamma)
     order = 2 * p.n
     x_of_y, rho, varpi = amplitude_series(lam, eta, order)
-    mu, eta_prime, varpi_check = recursion_coefficients(lam, eta, order)
+    mu, eta_prime, varpi_check = _recursion_route(lam, eta, order, rho)
     return CoefficientSet(gamma=gamma, order=order, lam=lam, eta=eta,
                           rho=rho, eta_prime=eta_prime, mu=mu, varpi=varpi,
                           varpi_check=varpi_check, x_of_y=x_of_y)
@@ -437,13 +497,5 @@ def mp_coefficients(p: PhaseProblem, dps: int = 40) -> CoefficientSet:
     resolution long before the asymptotic slope is measurable.
     """
     with mpmath.workdps(dps):
-        gamma_f = find_stationary_point(p)
-        gamma = mp_refine_gamma(p, gamma_f)
-        lam, eta = taylor_data(p, gamma)
-        order = 2 * p.n
-        x_of_y, rho, varpi = amplitude_series(lam, eta, order)
-        mu, eta_prime, varpi_check = recursion_coefficients(lam, eta, order)
-        return CoefficientSet(gamma=gamma, order=order, lam=lam, eta=eta,
-                              rho=rho, eta_prime=eta_prime, mu=mu,
-                              varpi=varpi, varpi_check=varpi_check,
-                              x_of_y=x_of_y)
+        gamma = mp_refine_gamma(p, find_stationary_point(p))
+        return compute_coefficients(p, gamma)

@@ -15,7 +15,7 @@ defect being measured sits far below double-precision resolution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import ddmath, scalars
 from .coefficients import (SCAN_POINTS, CoefficientSet, PhaseProblem,
                            compute_coefficients, find_stationary_point,
-                           mp_coefficients)
+                           grid_sup, mp_coefficients)
 from .errors import (DegenerateStationaryPoint, SignChangeDetected,
                      StationaryPointError, StationaryTooCloseToEndpoint)
 from .exprs import Call, Expr, eval_array, eval_dd
@@ -90,10 +90,6 @@ class AuditReport:
     warnings: tuple = ()
 
 
-def _grid(p: PhaseProblem, scan_points: int) -> np.ndarray:
-    return np.linspace(p.alpha, p.beta, scan_points)
-
-
 def _weight_scale(p: PhaseProblem, s_max: int,
                   scan_points: int = SCAN_POINTS) -> float:
     """Effective weight size: U capped by the fitted sup of |g^(s)| N^s.
@@ -101,12 +97,9 @@ def _weight_scale(p: PhaseProblem, s_max: int,
     Keeps the error scale honest when the weight is much smaller than the
     declared U (a weight that is identically zero has zero error scale).
     """
-    fitted = 0.0
-    for x in _grid(p, scan_points):
-        jet = p.g_jet(float(x), s_max)
-        for s in range(s_max + 1):
-            val = abs(scalars.real_part(jet.coeffs[s])) * math.factorial(s)
-            fitted = max(fitted, val * p.N ** s)
+    g = p.sample(scan_points).g
+    fitted = max(grid_sup(abs(g[s])) * math.factorial(s) * p.N ** s
+                 for s in range(s_max + 1))
     return min(p.U, fitted)
 
 
@@ -162,28 +155,22 @@ def fdt_error_terms(p: PhaseProblem, min_fprime: float,
 def first_derivative_test(p: PhaseProblem, scan_points: int = SCAN_POINTS,
                           mp_dps: int | None = None) -> ExpansionResult:
     """Boundary-only expansion, valid when f' and f'' keep constant signs."""
-    xs = _grid(p, scan_points)
-    d1_signs, d2_signs = set(), set()
-    for x in xs:
-        d1, d2 = p.fprime2(float(x))
-        d1_signs.add((d1 > 0) - (d1 < 0))
-        d2_signs.add((d2 > 0) - (d2 < 0))
-    if 0 in d1_signs or len(d1_signs) != 1:
+    f = p.sample(scan_points).f
+    if not (np.all(f[1] > 0) or np.all(f[1] < 0)):
         raise SignChangeDetected(
             "f' changes sign or vanishes on the grid; use the stationary path")
-    d2_strict = d2_signs - {0}
-    if len(d2_strict) > 1:
+    if np.any(f[2] > 0) and np.any(f[2] < 0):
         raise SignChangeDetected("f'' changes sign on the grid")
+    orientation = "min" if np.any(f[2] > 0) else "max"
 
-    mp_mode = mp_dps is not None
-    if mp_mode:
-        with mpmath.workdps(mp_dps):
-            return _fdt_core(p, scan_points, True, d2_strict)
-    return _fdt_core(p, scan_points, False, d2_strict)
+    if mp_dps is None:
+        return _fdt_core(p, scan_points, False, orientation)
+    with mpmath.workdps(mp_dps):
+        return _fdt_core(p, scan_points, True, orientation)
 
 
 def _fdt_core(p: PhaseProblem, scan_points: int, mp_mode: bool,
-              d2_strict: set) -> ExpansionResult:
+              orientation: str) -> ExpansionResult:
     h_beta = boundary_terms(p, p.beta, p.n, mp_mode)
     h_alpha = boundary_terms(p, p.alpha, p.n, mp_mode)
     e_beta = unit_phase(p, p.beta, mp_mode=mp_mode)
@@ -194,7 +181,6 @@ def _fdt_core(p: PhaseProblem, scan_points: int, mp_mode: bool,
     min_fp = min(abs(p.fprime(p.alpha)), abs(p.fprime(p.beta)))
     error_scale = float(sum(fdt_error_terms(p, min_fp, scan_points)))
     warnings = ("n = 1: the expansion is certified for n >= 2 only",) if p.n == 1 else ()
-    orientation = "min" if d2_strict == {1} else "max"
     return ExpansionResult(value=value, main_term=0j if not mp_mode else mpmath.mpc(0),
                            boundary_alpha=b_alpha, boundary_beta=b_beta,
                            per_order_main=(), error_scale=error_scale,
@@ -258,14 +244,12 @@ def stationary_phase_expand(p: PhaseProblem, scan_points: int = SCAN_POINTS,
             warnings += ("audit: T^(1/(2n+3)) * Delta <= 1 "
                          "(asymptotic regime not certified)",)
         conj = mpmath.conj if mp_dps is not None else (lambda z: z.conjugate())
-        return ExpansionResult(
-            value=conj(neg.value), main_term=conj(neg.main_term),
+        return replace(
+            neg, value=conj(neg.value), main_term=conj(neg.main_term),
             boundary_alpha=conj(neg.boundary_alpha),
             boundary_beta=conj(neg.boundary_beta),
             per_order_main=tuple(conj(t) for t in neg.per_order_main),
-            error_scale=neg.error_scale, orientation="max", theorem="wsp",
-            gamma=neg.gamma, coefficients=neg.coefficients, audit=audit,
-            warnings=warnings)
+            orientation="max", audit=audit, warnings=warnings)
 
     audit = hypothesis_audit(p, scan_points) if run_audit else None
     warnings = []
@@ -286,14 +270,7 @@ def stationary_phase_expand(p: PhaseProblem, scan_points: int = SCAN_POINTS,
     else:
         cs = compute_coefficients(p, gamma=gamma)
         result = _wsp_core(p, cs, False, scan_points)
-    return ExpansionResult(value=result.value, main_term=result.main_term,
-                           boundary_alpha=result.boundary_alpha,
-                           boundary_beta=result.boundary_beta,
-                           per_order_main=result.per_order_main,
-                           error_scale=result.error_scale,
-                           orientation="min", theorem="wsp", gamma=float(cs.gamma),
-                           coefficients=cs, audit=audit,
-                           warnings=tuple(warnings))
+    return replace(result, audit=audit, warnings=tuple(warnings))
 
 
 def _wsp_core(p: PhaseProblem, cs: CoefficientSet, mp_mode: bool,
@@ -358,32 +335,16 @@ def hypothesis_audit(p: PhaseProblem,
     """Fit the theorem's size constants on the scan grid and evaluate the
     smallness radius Delta, the validity condition, and the y-ranges r1, r2."""
     n, M, N, T, U = p.n, p.M, p.N, p.T, p.U
-    xs = _grid(p, scan_points)
-    deg_f, deg_g = 2 * n + 3, 2 * n + 1
-    c_f = {r: 0.0 for r in range(2, deg_f + 1)}
-    c_g = {s: 0.0 for s in range(0, deg_g + 1)}
-    fpp_min = math.inf
-    fpp_lower_fit = 0.0
-    fprime_signs = []
-    for x in xs:
-        fj = p.f_jet(float(x), deg_f)
-        gj = p.g_jet(float(x), deg_g)
-        for r in range(2, deg_f + 1):
-            val = abs(scalars.real_part(fj.coeffs[r])) * math.factorial(r)
-            c_f[r] = max(c_f[r], val * M ** r / T)
-        for s in range(0, deg_g + 1):
-            val = abs(scalars.real_part(gj.coeffs[s])) * math.factorial(s)
-            c_g[s] = max(c_g[s], val * N ** s / U)
-        fpp = 2.0 * scalars.real_part(fj.coeffs[2])
-        fpp_min = min(fpp_min, fpp)
-        if fpp > 0:
-            fpp_lower_fit = max(fpp_lower_fit, T / (M * M * fpp))
-        d1 = scalars.real_part(fj.coeffs[1])
-        fprime_signs.append((d1 > 0) - (d1 < 0))
-
-    c2_lower_ok = fpp_min > 0
+    sample = p.sample(scan_points)
+    f, g = sample.f, sample.g
+    c_f = {r: grid_sup(abs(f[r])) * math.factorial(r) * M ** r / T
+           for r in range(2, 2 * n + 4)}
+    c_g = {s: grid_sup(abs(g[s])) * math.factorial(s) * N ** s / U
+           for s in range(0, 2 * n + 2)}
+    c2_lower_ok = not np.any(f[2] <= 0)
     if c2_lower_ok:
-        c_f[2] = max(c_f[2], fpp_lower_fit)
+        fpp_min = 2.0 * float(np.fmin.reduce(f[2], initial=math.inf))
+        c_f[2] = max(c_f[2], T / (M * M * fpp_min))
     c_max = max(c_f.values())
     if c_f[2] > 0 and c_max > 0:
         delta = min(math.log(2.0) / c_f[2], 1.0 / (c_f[2] ** 2 * c_max))
@@ -392,23 +353,15 @@ def hypothesis_audit(p: PhaseProblem,
     validity_ok = bool(T ** (1.0 / (2 * n + 3)) * delta > 1.0)
 
     # sign profile and the substitution ranges r1, r2
-    changes = []
-    last = 0
-    for x, s in zip(xs, fprime_signs):
-        if s == 0:
-            continue
-        if last != 0 and s != last:
-            changes.append((last, s, float(x)))
-        last = s
+    changes = sample.sign_changes()
     r1 = r2 = r_val = math.nan
-    gamma = None
     if len(changes) == 0:
-        sign_profile = ("f' > 0 on [alpha, beta]" if last > 0
-                        else "f' < 0 on [alpha, beta]" if last < 0
+        sign_profile = ("f' > 0 on [alpha, beta]" if np.any(f[1] > 0)
+                        else "f' < 0 on [alpha, beta]" if np.any(f[1] < 0)
                         else "f' vanishes identically on the grid")
     elif len(changes) == 1:
-        frm, to, near = changes[0]
-        direction = "- to +" if to > 0 else "+ to -"
+        _, near, f_lo = changes[0]
+        direction = "- to +" if f_lo < 0 else "+ to -"
         try:
             gamma = find_stationary_point(p, scan_points)
             sign_profile = f"f' changes sign once ({direction}) at gamma = {gamma!r}"
@@ -426,8 +379,8 @@ def hypothesis_audit(p: PhaseProblem,
         sign_profile = f"f' changes sign {len(changes)} times on the grid"
 
     warnings = []
-    warnings += _abs_kink_warnings(p, p.f, "f", xs)
-    warnings += _abs_kink_warnings(p, p.g, "g", xs)
+    warnings += _abs_kink_warnings(p, p.f, "f", sample.xs)
+    warnings += _abs_kink_warnings(p, p.g, "g", sample.xs)
     if p.n == 1:
         warnings.append("n = 1: the expansion is certified for n >= 2 only")
 

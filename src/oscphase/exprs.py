@@ -350,14 +350,18 @@ def eval_array(e: Expr, x: np.ndarray, params: dict | None = None) -> np.ndarray
 
 
 def eval_jet(e: Expr, x_jet: Jet, params: dict | None = None) -> Jet:
-    """Jet of the expression as a function of x at x_jet's base point."""
+    """Jet of the expression as a function of x at x_jet's base point (at
+    every point at once for a grid jet; a domain error at any point raises)."""
     params = params or {}
     x0, deg = x_jet.base_point, x_jet.degree
     mp_mode = scalars.is_mp(x_jet.coeffs[0])
+    grid_mode = isinstance(x0, np.ndarray)
 
     def const(v):
         if mp_mode and not scalars.is_mp(v):
             v = mpmath.mpf(v)
+        elif grid_mode:
+            v = np.full(x0.shape, float(v))
         return jet_constant(v, x0, deg)
 
     def ev(node) -> Jet:
@@ -374,8 +378,10 @@ def eval_jet(e: Expr, x_jet: Jet, params: dict | None = None) -> Jet:
             c0 = v.coeffs[0]
             if node.fn == "abs":
                 r = scalars.real_part(c0)
-                if r == 0.0:
+                if np.any(r == 0.0):
                     raise ExprDomainError("abs kink at the expansion point", node.offset)
+                if grid_mode:
+                    return Jet(x0, tuple(np.where(r > 0, c, -c) for c in v.coeffs))
                 return v if r > 0 else -v
             try:
                 return jet_map(v, node.fn)

@@ -4,7 +4,8 @@ A jet stores the coefficients c_k = h^(k)(x0)/k! of a function h at a base
 point x0, up to a fixed degree D.  All arithmetic truncates silently at D,
 which is exactly the formal-power-series semantics the coefficient machinery
 needs.  Coefficients are complex doubles in normal use; any field-like carrier
-(e.g. mpmath numbers) works because the algorithms only use +, -, *, /.
+(e.g. mpmath numbers, or float64 arrays over a scan grid, which is then the
+base point) works because the algorithms only use +, -, *, /.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import scalars
 from .errors import JetDomainError, JetShapeError
@@ -34,6 +37,8 @@ class Jet:
         return len(self.coeffs) - 1
 
     def __repr__(self) -> str:  # compact float view for debugging
+        if isinstance(self.base_point, np.ndarray):
+            return f"Jet(grid of {self.base_point.size} points, degree {self.degree})"
         cs = ", ".join(format(complex(c), ".6g") for c in self.coeffs)
         return f"Jet(x0={self.base_point}, [{cs}])"
 
@@ -73,24 +78,24 @@ def jet_variable(x0: float, degree: int) -> Jet:
     """Jet of the identity function x -> x at x0: [x0, 1, 0, ..., 0]."""
     if degree < 1:
         raise JetShapeError("jet_variable requires degree >= 1")
-    if scalars.is_mp(x0):
+    if scalars.is_mp(x0) or isinstance(x0, np.ndarray):
         zero, one = scalars.zero_like(x0), scalars.one_like(x0)
         coeffs = (x0, one) + (zero,) * (degree - 1)
-        return Jet(float(x0), coeffs)
+        return Jet(x0 if isinstance(x0, np.ndarray) else float(x0), coeffs)
     coeffs = (complex(x0), 1 + 0j) + (0j,) * (degree - 1)
     return Jet(float(x0), coeffs)
 
 
 def jet_constant(value, x0: float, degree: int) -> Jet:
-    zero = scalars.zero_like(value) if scalars.is_mp(value) else 0j
-    val = value if scalars.is_mp(value) else complex(value)
-    return Jet(x0, (val,) + (zero,) * degree)
+    if scalars.is_mp(value) or isinstance(value, np.ndarray):
+        return Jet(x0, (value,) + (scalars.zero_like(value),) * degree)
+    return Jet(x0, (complex(value),) + (0j,) * degree)
 
 
 def _check_compatible(a: Jet, b: Jet) -> None:
     if a.degree != b.degree:
         raise JetShapeError(f"degree mismatch: {a.degree} != {b.degree}")
-    if a.base_point != b.base_point:
+    if a.base_point is not b.base_point and np.any(a.base_point != b.base_point):
         raise JetShapeError(
             f"base-point mismatch: {a.base_point} != {b.base_point}")
 
@@ -122,7 +127,7 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 def jet_div(a: Jet, b: Jet) -> Jet:
     """Formal long division; requires b's constant term to be nonzero."""
     _check_compatible(a, b)
-    if b.coeffs[0] == 0:
+    if np.any(b.coeffs[0] == 0):
         raise JetDomainError("division by a jet with zero constant term")
     ac, bc = a.coeffs, b.coeffs
     q = [ac[0] / bc[0]]
@@ -153,7 +158,8 @@ def jet_differentiate(a: Jet) -> Jet:
 
 def jet_integrate(a: Jet, constant=0.0) -> Jet:
     """Termwise antiderivative with the given constant term; degree grows."""
-    val = constant if scalars.is_mp(constant) else complex(constant)
+    keep = scalars.is_mp(constant) or isinstance(constant, np.ndarray)
+    val = constant if keep else complex(constant)
     out = (val,) + tuple(a.coeffs[k] / (k + 1) for k in range(a.degree + 1))
     return Jet(a.base_point, out)
 
@@ -226,14 +232,19 @@ def jet_revert(a: Jet) -> Jet:
     return b
 
 
+def _require_positive(c0, fn: str) -> None:
+    real, imag = scalars.real_part(c0), scalars.imag_part(c0)
+    if np.any(real <= 0.0) or np.any(abs(imag) > 1e-12 * (1 + abs(real))):
+        raise JetDomainError(f"{fn} requires a positive constant term")
+
+
 def _taylor_of_function(fn: str, c0, degree: int, exponent=None) -> Sequence:
     """Taylor coefficients of the elementary function `fn` about c0."""
     if fn == "exp":
         e0 = scalars.exp(c0)
         return [e0 / math.factorial(k) for k in range(degree + 1)]
     if fn == "log":
-        if scalars.real_part(c0) <= 0.0 or abs(scalars.imag_part(c0)) > 1e-12 * (1 + abs(scalars.real_part(c0))):
-            raise JetDomainError("log requires a positive constant term")
+        _require_positive(c0, fn)
         out = [scalars.log(c0)]
         inv = 1 / c0
         p = inv
@@ -247,8 +258,7 @@ def _taylor_of_function(fn: str, c0, degree: int, exponent=None) -> Sequence:
         return [cycle[k % 4] / math.factorial(k) for k in range(degree + 1)]
     if fn in ("sqrt", "pow"):
         p = 0.5 if fn == "sqrt" else exponent
-        if scalars.real_part(c0) <= 0.0 or abs(scalars.imag_part(c0)) > 1e-12 * (1 + abs(scalars.real_part(c0))):
-            raise JetDomainError(f"{fn} requires a positive constant term")
+        _require_positive(c0, fn)
         if fn == "sqrt":
             base = scalars.sqrt(c0)
         else:

@@ -23,7 +23,8 @@ import mpmath
 import numpy as np
 
 from . import ddmath, ddnumba
-from .coefficients import PhaseProblem, mp_refine_gamma, solve_x_of_y
+from .coefficients import (SCAN_POINTS, PhaseProblem, bisect_fprime,
+                           mp_refine_gamma, solve_x_of_y)
 from .errors import OracleFitError, QuadratureNonConvergence
 from .exprs import Expr, eval_array, eval_dd, eval_real
 from .expansion import hypothesis_audit
@@ -52,34 +53,6 @@ class QuadratureSettings:
             raise ValueError("nodes_per_panel must be at least 8")
         if self.max_panels < 8:
             raise ValueError("max_panels must be at least 8")
-
-
-def _fprime_sign_roots(p: PhaseProblem, scan_points: int = 512) -> list[float]:
-    """Zeros of f' bracketed on the scan grid, refined by bisection."""
-    xs = np.linspace(p.alpha, p.beta, scan_points)
-    vals = [p.fprime(float(x)) for x in xs]
-    roots = []
-    last_sign, last_idx = 0, 0
-    for i, v in enumerate(vals):
-        s = (v > 0) - (v < 0)
-        if s == 0:
-            continue
-        if last_sign != 0 and s != last_sign:
-            lo, hi = float(xs[last_idx]), float(xs[i])
-            flo = vals[last_idx]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = p.fprime(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-        last_sign, last_idx = s, i
-    return roots
 
 
 def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
@@ -111,9 +84,12 @@ def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
     return edges
 
 
-def build_breakpoints(p: PhaseProblem, scan_points: int = 512) -> np.ndarray:
+def build_breakpoints(p: PhaseProblem,
+                      scan_points: int = SCAN_POINTS) -> np.ndarray:
     """Initial panel edges: split at f' sign changes, then by phase."""
-    cuts = [p.alpha] + _fprime_sign_roots(p, scan_points) + [p.beta]
+    roots = [bisect_fprime(p, *bracket, steps=60)
+             for bracket in p.sample(scan_points).sign_changes()]
+    cuts = [p.alpha] + roots + [p.beta]
     parts = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b <= a:
@@ -205,7 +181,7 @@ class QuadratureResult:
 
 def oscillatory_quadrature_detail(p: PhaseProblem,
                                   settings: QuadratureSettings | None = None,
-                                  scan_points: int = 512) -> QuadratureResult:
+                                  scan_points: int = SCAN_POINTS) -> QuadratureResult:
     """Full-detail quadrature result (dd parts exposed for the studies)."""
     settings = settings or QuadratureSettings()
     edges = build_breakpoints(p, scan_points)

@@ -1,11 +1,11 @@
 """Scalar elementary functions that work over both the complex-double carrier
-and mpmath numbers.
+and mpmath numbers (and over float64 arrays, element by element).
 
 Jet arithmetic only needs +, -, *, / (duck-typed), but `jet_map` must apply
 exp/log/sin/... to the constant term, which may be a Python complex, an mpf,
-or an mpc.  Pure-real complex inputs are routed through `math` so that a jet's
-constant coefficient is bit-identical to the plain real evaluation of the same
-expression.
+an mpc, or an array.  Real inputs are routed through `math` so that a jet's
+constant coefficient is bit-identical to the plain real evaluation of the
+same expression (numpy's exp and log differ from `math` in the last ulp).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 
 
 def is_mp(value) -> bool:
@@ -32,6 +33,8 @@ def _real_or_none(z):
 def _dispatch(z, real_fn, complex_fn, mp_fn):
     if is_mp(z):
         return mp_fn(z)
+    if isinstance(z, np.ndarray):
+        return np.array([real_fn(v) for v in z.tolist()])
     r = _real_or_none(z)
     if r is not None:
         return complex(real_fn(r))
@@ -65,26 +68,26 @@ def atan(z):
 def real_part(z) -> float:
     if is_mp(z):
         return float(mpmath.re(z))
-    return complex(z).real
+    return z.real if isinstance(z, np.ndarray) else complex(z).real
 
 
 def imag_part(z) -> float:
     if is_mp(z):
         return float(mpmath.im(z))
-    return complex(z).imag
+    return z.imag if isinstance(z, np.ndarray) else complex(z).imag
 
 
 def zero_like(z):
     """Additive identity in the carrier of `z`."""
     if is_mp(z):
         return mpmath.mpf(0)
-    return 0j
+    return np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
 
 
 def one_like(z):
     if is_mp(z):
         return mpmath.mpf(1)
-    return complex(1.0)
+    return np.ones_like(z) if isinstance(z, np.ndarray) else complex(1.0)
 
 
 def powi(z, n: int):

@@ -43,6 +43,17 @@ class TestFindStationaryPoint:
         assert find_stationary_point(p) == pytest.approx(0.3, abs=1e-13)
 
 
+    def test_weight_undefined_at_an_end_is_not_evaluated(self):
+        # log(x+0.5) has no value at alpha; locating gamma reads only f'.
+        p = make_problem("x^2", "log(x+0.5)", -0.5, 0.5, n=2, T=1.0)
+        assert find_stationary_point(p) == 0.0
+
+    def test_monotone_with_weight_undefined_at_an_end(self):
+        p = make_problem("T*x", "sqrt(x-1)", 1.0, 2.0, n=2, T=16.0)
+        with pytest.raises(NoSignChange):
+            find_stationary_point(p)
+
+
 class TestTaylorData:
     def test_cubic(self, cubic_problem):
         lam, eta = taylor_data(cubic_problem, 0.0)

@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import pathlib
+import sys
 
 import pytest
 
+from oscphase import exprs
+from oscphase.cli import parse_config
 from oscphase.coefficients import make_problem
 from oscphase.errors import (SignChangeDetected, StationaryPointError,
                              StationaryTooCloseToEndpoint)
@@ -161,6 +165,38 @@ class TestStationaryPhaseExpand:
         res_f = stationary_phase_expand(p)
         res_mp = stationary_phase_expand(p, mp_dps=35)
         assert complex(res_mp.value) == pytest.approx(res_f.value, rel=1e-13)
+
+
+class TestWalkCount:
+    """Scans read the problem's grid sample instead of walking per point."""
+
+    CONFIG = (pathlib.Path(__file__).resolve().parents[1]
+              / "configs" / "stationary_cubic.cfg")
+
+    @pytest.mark.parametrize("mp_dps", [None, 30])
+    @pytest.mark.parametrize("orientation", ["min", "max"])
+    def test_expand_walks_each_expression_few_times(self, monkeypatch,
+                                                    orientation, mp_dps):
+        cfg = parse_config(self.CONFIG.read_text())
+        if orientation == "max":
+            cfg.f = f"-({cfg.f})"
+        p = cfg.to_problem()
+        calls = []
+        original = exprs.eval_jet
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # Wrap every binding, as a name imported into another module is one.
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "oscphase":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        res = stationary_phase_expand(p, mp_dps=mp_dps)
+        assert res.orientation == orientation
+        assert len(calls) <= 100
 
 
 class TestErrorScaleTerms:

@@ -106,6 +106,42 @@ class TestEvalJet:
                 assert scalar == c0.real
 
 
+class TestGridJet:
+    """A grid jet (float64-array coefficients) equals the scalar walks."""
+
+    XS = np.linspace(-0.5, 0.5, 512)
+    DEGREE = 2 * 2 + 3  # 2n+3 at n = 2, the degree the audit samples f to
+    PARAMS = {"a": 1.25, "b": 3.0, "T": 7.5}
+
+    @pytest.mark.parametrize("text", [
+        "exp(-x)*sin(3*x) + cos(x)^2",
+        "log(2+x)/sqrt(1+x^2) - atan(2*x)",
+        "abs(x-0.1)*(x+2)^-1.5 + (1+x)^0.5",
+        "x^7 - 3*x^4 + (x+2)^-3 + x^0",
+        "a*pi*x/(b - x) + T*x^2/(1+x^2)",
+    ])
+    def test_equals_scalar_walk_at_every_point(self, text):
+        expr = parse(text)
+        grid = eval_jet(expr, jet_variable(self.XS, self.DEGREE), self.PARAMS)
+        scalar = np.empty((self.DEGREE + 1, len(self.XS)))
+        for i, x in enumerate(self.XS):
+            jet = eval_jet(expr, jet_variable(float(x), self.DEGREE), self.PARAMS)
+            assert all(c.imag == 0.0 for c in jet.coeffs)
+            scalar[:, i] = [c.real for c in jet.coeffs]
+        assert len(grid.coeffs) == self.DEGREE + 1
+        for k, column in enumerate(grid.coeffs):
+            assert column.dtype == np.float64
+            assert np.array_equal(column, scalar[k])
+
+    @pytest.mark.parametrize("text", [
+        "log(x)", "sqrt(x-0.2)", "(x-0.2)^0.5", f"1/(x-({float(XS[100])!r}))",
+        f"abs(x-({float(XS[7])!r}))",
+    ])
+    def test_domain_error_at_any_point_raises(self, text):
+        with pytest.raises(ExprDomainError):
+            eval_jet(parse(text), jet_variable(self.XS, self.DEGREE))
+
+
 class TestEvalArray:
     def test_matches_scalar(self):
         expr = parse("T*(x + x^2/10) + sin(x)")

@@ -146,6 +146,14 @@ class TestOscillatoryQuadrature:
             got = oscillatory_quadrature(p)
             assert abs(got - complex(ref)) < 1e-9
 
+    def test_weight_undefined_at_an_end(self):
+        # The panel split reads only f'; the Gauss nodes never touch x = 1.
+        p = make_problem("T*x", "sqrt(x-1)", 1.0, 2.0, n=2, T=16.0)
+        value = oscillatory_quadrature(p, QuadratureSettings(tol=1e-6))
+        assert math.isfinite(value.real) and math.isfinite(value.imag)
+        q = make_problem("x^2", "log(x+0.5)", -0.5, 0.5, n=2, T=1.0)
+        assert list(build_breakpoints(q)[[0, -1]]) == [-0.5, 0.5]
+
 
 class TestFdDerivatives:
     def test_cube(self):
