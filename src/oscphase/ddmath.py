@@ -78,6 +78,13 @@ def add(a: DD, b: DD) -> DD:
     return _quick_two_sum(s1, s2)
 
 
+def add_f(a: DD, s) -> DD:
+    """dd plus a float64 array/scalar; the same bits as add(a, (s, 0))."""
+    s1, s2 = _two_sum(a[0], s)
+    s1, s2 = _quick_two_sum(s1, s2 + a[1])
+    return _quick_two_sum(s1, s2)
+
+
 def sub(a: DD, b: DD) -> DD:
     return add(a, neg(b))
 
@@ -86,6 +93,16 @@ def mul(a: DD, b: DD) -> DD:
     p1, p2 = _two_prod(a[0], b[0])
     p2 = p2 + (a[0] * b[1] + a[1] * b[0])
     return _quick_two_sum(p1, p2)
+
+
+def sqr(a: DD) -> DD:
+    """a * a with one split; the same bits as mul(a, a)."""
+    p = a[0] * a[0]
+    ah, al = _split(a[0])
+    cross = ah * al
+    err = (((ah * ah - p) + cross) + cross) + al * al
+    err = err + 2.0 * (a[0] * a[1])
+    return _quick_two_sum(p, err)
 
 
 def _mul_f(a: DD, s) -> DD:
@@ -123,7 +140,7 @@ def powi(a: DD, n: int) -> DD:
             result = base if result is None else mul(result, base)
         n >>= 1
         if n:
-            base = mul(base, base)
+            base = sqr(base)
     if result is None:
         return from_float(np.ones_like(a[0]))
     return result
@@ -137,7 +154,7 @@ def _dd_of_mp(v) -> tuple[float, float]:
 
 # The turn [-1/2, 1/2] splits into a tabulated multiple of 1/4096 plus a
 # residual |theta| <= 2*pi/8192, for which 5-term Taylor kernels reach
-# double-double accuracy.
+# double-double accuracy (see sincos_turns for which terms need dd).
 _TAB_DIV = 4096
 
 with mpmath.workdps(40):
@@ -168,22 +185,37 @@ def frac_half(a: DD) -> DD:
 
 
 def sincos_turns(frac: DD) -> tuple[DD, DD]:
-    """(sin, cos) of 2*pi*frac for frac in [-1/2, 1/2], each as DD."""
+    """(sin, cos) of 2*pi*frac for frac in [-1/2, 1/2], each as DD.
+
+    frac = m/4096 + r with the residual angle theta = 2*pi*r, |theta| <=
+    2*pi/8192, so u = theta^2 < 5.9e-7.  The 5-term Taylor kernels are
+
+        sin(theta) = theta * (1 + u * (-1/6 + tail_s)),
+        tail_s = u * (1/120 + u * (-1/5040 + u/362880)),
+        cos(theta) = 1 + u * (-1/2 + u * (1/24 + tail_c)),
+        tail_c = u * (-1/720 + u/40320).
+
+    theta, u, the coefficients -1/6, -1/2, 1/24 and every product and sum
+    outside the tails are carried in dd; tail_s and tail_c are evaluated in
+    float64 from the high part of u.  The tails contribute at most 2.3e-18
+    (theta * u * tail_s) and 2.9e-22 (u^2 * tail_c) to the results, so their
+    float64 rounding adds about 1e-33; the truncated Taylor terms are below
+    2e-38.  Combined with the tabulated sin and cos of 2*pi*m/4096, the
+    results stay within a few 1e-32 of the exact values.
+    """
     m = np.rint(frac[0] * _TAB_DIV)
-    r = sub(frac, (m / _TAB_DIV, np.zeros_like(m)))  # m/4096 is exact
+    r = add_f(frac, -(m / _TAB_DIV))  # m/4096 is exact
     theta = mul(r, TWO_PI)
-    u = mul(theta, theta)
+    u = sqr(theta)
+    uh = u[0]
 
-    def horner(coefs) -> DD:
-        acc: DD = (np.full_like(frac[0], coefs[-1][0]),
-                   np.full_like(frac[0], coefs[-1][1]))
-        for c in reversed(coefs[:-1]):
-            acc = mul(acc, u)
-            acc = add(acc, c)
-        return acc
+    s = _SIN_COEF
+    tail_s = uh * (s[2][0] + uh * (s[3][0] + uh * s[4][0]))
+    sin_t = mul(theta, add_f(mul(add_f(s[1], tail_s), u), s[0][0]))
 
-    sin_t = mul(theta, horner(_SIN_COEF))
-    cos_t = horner(_COS_COEF)
+    c = _COS_COEF
+    tail_c = uh * (c[3][0] + uh * c[4][0])
+    cos_t = add_f(mul(add_f(mul(add_f(c[2], tail_c), u), c[1][0]), u), c[0][0])
 
     idx = (m + _TAB_DIV // 2).astype(np.int64)
     tab_s: DD = (TAB_SIN_HI[idx], TAB_SIN_LO[idx])

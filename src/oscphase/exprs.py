@@ -29,8 +29,8 @@ import mpmath
 import numpy as np
 
 from . import ddmath, scalars
-from .errors import (ExprDomainError, ExprSyntaxError, UnboundSymbolError,
-                     UnknownFunctionError)
+from .errors import (ExprDomainError, ExprSyntaxError, JetDomainError,
+                     UnboundSymbolError, UnknownFunctionError)
 from .jets import Jet, jet_constant, jet_div, jet_map, jet_mul, jet_powi
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs", "atan")
@@ -394,7 +394,11 @@ def eval_jet(e: Expr, x_jet: Jet, params: dict | None = None) -> Jet:
                     "jet evaluation needs a numeric-literal exponent", node.offset)
             base = ev(node.left)
             if exponent == int(exponent):
-                return jet_powi(base, int(exponent))
+                try:
+                    return jet_powi(base, int(exponent))
+                except JetDomainError as exc:
+                    raise ExprDomainError("zero to a negative power",
+                                          node.offset) from exc
             try:
                 return jet_map(base, "pow", exponent=exponent)
             except Exception as exc:

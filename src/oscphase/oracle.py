@@ -143,10 +143,9 @@ def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int):
         x = ddmath.add(mid2, ddmath.mul(half2, (xi_hi, xi_lo)))
         f = eval_dd(p.f, x, bindings)
         e_re, e_im = ddmath.e_unit_dd(f)
-        g = eval_dd(p.g, x, bindings)
-        w = (w_hi, w_lo)
-        node_re = ddmath.mul(ddmath.mul(g, e_re), w)
-        node_im = ddmath.mul(ddmath.mul(g, e_im), w)
+        gw = ddmath.mul(eval_dd(p.g, x, bindings), (w_hi, w_lo))
+        node_re = ddmath.mul(gw, e_re)
+        node_im = ddmath.mul(gw, e_im)
         panel_re = ddmath.mul(ddmath.sum_nodes(node_re), half)
         panel_im = ddmath.mul(ddmath.sum_nodes(node_im), half)
         s_re = ddmath.sum_pairwise(panel_re)

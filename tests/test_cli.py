@@ -139,6 +139,15 @@ class TestCmdExpand:
         assert main(["expand", "--config", cfg]) == 1
         assert "missing key: f" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["audit", "expand"])
+    def test_zero_to_negative_power_in_weight_exits_1(self, tmp_path, capsys,
+                                                       command):
+        cfg = write(tmp_path, "pole.cfg",
+                    "f = T*(x - 0.75)^2\ng = (x - 0.5)^-1\nalpha = 0.5\n"
+                    "beta = 1\nn = 2\nT = 100\n")
+        assert main([command, "--config", cfg]) == 1
+        assert "zero to a negative power (offset 9)" in capsys.readouterr().err
+
     def test_n_override(self, tmp_path, capsys):
         cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
         assert main(["expand", "--config", cfg, "--n", "3"]) == 0

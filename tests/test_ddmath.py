@@ -92,3 +92,45 @@ def test_gauss_legendre_dd():
         w = mpmath.mpf(float(wh[i])) + mpmath.mpf(float(wl[i]))
         acc += w * x ** 46
     assert abs(acc - mpmath.mpf(2) / 47) < 1e-28
+
+
+def _random_dd(rng, n):
+    hi = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 5, n)
+    lo = hi * rng.uniform(-1.0, 1.0, n) * 2.0 ** -53
+    return ddmath.add(ddmath.from_float(hi), ddmath.from_float(lo))
+
+
+def _same_bits(a, b):
+    return all(np.array_equal(np.asarray(x).view(np.int64),
+                              np.asarray(y).view(np.int64))
+               for x, y in zip(a, b))
+
+
+def test_sqr_and_add_f_match_mul_and_add_bit_for_bit():
+    rng = np.random.default_rng(5)
+    a = _random_dd(rng, 4000)
+    s = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-3, 5, 4000)
+    s[:500] = -a[0][:500] * (1.0 + rng.uniform(-1e-15, 1e-15, 500))  # cancellation
+    assert _same_bits(ddmath.sqr(a), ddmath.mul(a, a))
+    assert _same_bits(ddmath.add_f(a, s), ddmath.add(a, (s, np.zeros_like(s))))
+
+
+def test_e_unit_dense_over_reduced_phases_and_table_cells():
+    # The table cells m/4096 at both ends and the centre of the turn, plus
+    # random ones, each swept across its residual |r| <= 1/8192 including
+    # both cell edges.
+    rng = np.random.default_rng(6)
+    cells = np.concatenate([[-2048, -2047, -1, 0, 1, 2047, 2048],
+                            rng.integers(-2048, 2049, 9)])
+    r = np.concatenate([np.linspace(-1.0, 1.0, 81), rng.uniform(-1.0, 1.0, 40)]) / 8192
+    frac = (cells[:, None] / 4096 + r[None, :]).ravel()
+    lo = frac * rng.uniform(-1.0, 1.0, frac.size) * 2.0 ** -54
+    turns = rng.integers(-100000, 100000, frac.size).astype(np.float64)
+    turns[::2] = 0.0  # these keep the cell edges exact after the reduction
+    f = ddmath.add_f(ddmath.add(ddmath.from_float(frac), ddmath.from_float(lo)), turns)
+    re_dd, im_dd = ddmath.e_unit_dd(f)
+    worst = mpmath.mpf(0)
+    for i in range(frac.size):
+        truth = mpmath.expjpi(2 * to_mp(f, i))
+        worst = max(worst, abs((to_mp(re_dd, i) + 1j * to_mp(im_dd, i)) - truth))
+    assert worst <= 1e-30

@@ -94,6 +94,15 @@ class TestEvalJet:
         with pytest.raises(ExprDomainError):
             eval_jet(parse("abs(x)"), jet_variable(0.0, 2))
 
+    def test_zero_to_negative_power_is_positioned_like_eval_real(self):
+        expr = parse("(x - 0.5)^-1")
+        with pytest.raises(ExprDomainError) as real_err:
+            eval_real(expr, 0.5)
+        with pytest.raises(ExprDomainError) as jet_err:
+            eval_jet(expr, jet_variable(0.5, 2))
+        assert jet_err.value.offset == real_err.value.offset == 9
+        assert str(jet_err.value) == str(real_err.value)
+
     def test_constant_term_matches_eval_real_exactly(self):
         rng = np.random.default_rng(3)
         for text in ("x^2+1", "exp(x)*sin(x)", "log(1+x^2)/sqrt(4+x)",
@@ -135,7 +144,7 @@ class TestGridJet:
 
     @pytest.mark.parametrize("text", [
         "log(x)", "sqrt(x-0.2)", "(x-0.2)^0.5", f"1/(x-({float(XS[100])!r}))",
-        f"abs(x-({float(XS[7])!r}))",
+        f"abs(x-({float(XS[7])!r}))", f"(x-({float(XS[300])!r}))^-2",
     ])
     def test_domain_error_at_any_point_raises(self, text):
         with pytest.raises(ExprDomainError):
