@@ -51,7 +51,7 @@ def _two_prod(a, b):
     return p, err
 
 
-def from_float(value, like=None) -> DD:
+def from_float(value) -> DD:
     hi = np.asarray(value, dtype=np.float64)
     return hi, np.zeros_like(hi)
 
@@ -105,8 +105,8 @@ def sqr(a: DD) -> DD:
     return _quick_two_sum(p, err)
 
 
-def _mul_f(a: DD, s) -> DD:
-    """dd times a float64 array/scalar."""
+def mul_f(a: DD, s) -> DD:
+    """dd times a float64 array/scalar; the same bits as mul(a, (s, 0))."""
     p1, p2 = _two_prod(a[0], s)
     p2 = p2 + a[1] * s
     return _quick_two_sum(p1, p2)
@@ -114,12 +114,11 @@ def _mul_f(a: DD, s) -> DD:
 
 def div(a: DD, b: DD) -> DD:
     q1 = a[0] / b[0]
-    r = sub(a, _mul_f(b, q1))
+    r = sub(a, mul_f(b, q1))
     q2 = r[0] / b[0]
-    r = sub(r, _mul_f(b, q2))
+    r = sub(r, mul_f(b, q2))
     q3 = r[0] / b[0]
-    s, e = _quick_two_sum(q1, q2)
-    return add((s, e), from_float(q3))
+    return add_f(_quick_two_sum(q1, q2), q3)
 
 
 def sqrt(a: DD) -> DD:
@@ -255,10 +254,10 @@ def sum_pairwise(a: DD) -> DD:
 
 
 def sum_nodes(a: DD) -> DD:
-    """dd sum over the last axis of a 2-D dd array (panel-node reduction)."""
-    acc: DD = (a[0][:, 0].copy(), a[1][:, 0].copy())
-    for j in range(1, a[0].shape[1]):
-        acc = add(acc, (a[0][:, j], a[1][:, j]))
+    """dd sum over the last axis of a dd array (panel-node reduction)."""
+    acc: DD = (a[0][..., 0].copy(), a[1][..., 0].copy())
+    for j in range(1, a[0].shape[-1]):
+        acc = add(acc, (a[0][..., j], a[1][..., j]))
     return acc
 
 
@@ -291,3 +290,66 @@ def gauss_legendre_dd(order: int) -> tuple[DD, DD]:
     result = ((xs_hi, xs_lo), (ws_hi, ws_lo))
     _GL_CACHE[order] = result
     return result
+
+
+def _subset_ratios(x: list, w: list, keep: list[int]) -> list:
+    """w~_j / w_j of the interpolatory rule on a subset of the Gauss-Legendre
+    nodes x (weights w), zero off the subset; in the arithmetic of x and w
+    (float or mpf).
+
+    The weights follow from the Gauss rule's own exactness: the subset's
+    Lagrange polynomial l_j has degree below len(x), so
+
+        w~_j = sum_i w_i l_j(x_i) = w_j + sum_{i dropped} w_i l_j(x_i).
+    """
+    drop = [i for i in range(len(x)) if i not in keep]
+    # prod_k (x_i - x_k) over the kept nodes, for each dropped node i
+    node_poly = {i: math.prod(x[i] - x[k] for k in keep) for i in drop}
+    ratios = [0.0] * len(x)
+    for j in keep:
+        den = math.prod(x[j] - x[k] for k in keep if k != j)
+        extra = sum(w[i] * node_poly[i] / (x[i] - x[j]) for i in drop)
+        ratios[j] = 1 + extra / (den * w[j])
+    return ratios
+
+
+_EMBEDDED_CACHE: dict[int, DD] = {}
+_COARSE_CACHE: dict[int, np.ndarray] = {}
+
+
+def embedded_null_weights(order: int) -> DD:
+    """Null-rule weights d_j = 1 - w~_j / w_j of the rule embedded in the
+    order-point Gauss-Legendre nodes, as dd: sum_j d_j g_j w_j e_j is the
+    Gauss sum minus the embedded sum, from the node products the Gauss sum
+    already computes.
+
+    The embedded rule is interpolatory on the symmetric subset left after
+    dropping nodes 1, 3, order-4 and order-2 (0-based, ascending; d_j = 1
+    there), so it is exact for polynomials of degree below order-4.  Its
+    weights w~_j are positive for orders 8 to 22 and the even orders up to
+    30 (order 24: smallest 0.021).
+    """
+    if order not in _EMBEDDED_CACHE:
+        (xs_hi, xs_lo), (ws_hi, ws_lo) = gauss_legendre_dd(order)
+        drop = (1, 3, order - 4, order - 2)
+        keep = [j for j in range(order) if j not in drop]
+        with mpmath.workdps(40):  # from the dd nodes and weights, exactly
+            x = [mpmath.mpf(h) + l for h, l in zip(xs_hi.tolist(), xs_lo.tolist())]
+            w = [mpmath.mpf(h) + l for h, l in zip(ws_hi.tolist(), ws_lo.tolist())]
+            parts = [_dd_of_mp(1 - r) for r in _subset_ratios(x, w, keep)]
+        _EMBEDDED_CACHE[order] = (np.array([h for h, _ in parts]),
+                                  np.array([l for _, l in parts]))
+    return _EMBEDDED_CACHE[order]
+
+
+def coarse_null_weights(order: int) -> np.ndarray:
+    """Null-rule weights 1 - w^_j / w_j (float64) of the coarse rule on
+    every other node counted from each end (order 24: 12 nodes, degree 11):
+    sum_j c_j g_j w_j e_j is the Gauss sum minus the coarse sum.
+    """
+    if order not in _COARSE_CACHE:
+        (xs, _), (ws, _) = gauss_legendre_dd(order)
+        keep = [j for j in range(order) if min(j, order - 1 - j) % 2 == 0]
+        ratios = _subset_ratios(xs.tolist(), ws.tolist(), keep)
+        _COARSE_CACHE[order] = 1.0 - np.array(ratios)
+    return _COARSE_CACHE[order]

@@ -4,7 +4,9 @@ The numpy dd evaluator makes hundreds of elementwise passes per integrand
 evaluation, which is memory-bound at millions of nodes.  Here the expression
 trees for f and g are compiled to straight-line scalar dd code (source
 generated from the AST, then jitted), fused with node generation, phase
-reduction, the sin/cos kernels, and the weighted panel sum.  Everything is
+reduction, the sin/cos kernels, and the weighted panel sums of the
+Gauss-Legendre rule, of the rule embedded in its nodes and of the coarse
+null rule.  Everything is
 semantically identical to the numpy path; if numba is unavailable the caller
 falls back to that path.
 """
@@ -276,12 +278,15 @@ def _literal(node) -> float | None:
 _KERNEL_CACHE: dict = {}
 
 _TEMPLATE = '''
-def _integrand_kernel(edges, xi_h, xi_l, w_h, w_l, pv,
+def _integrand_kernel(edges, xi_h, xi_l, w_h, w_l, d_h, d_l, c_w, pv,
                       tab_sin_h, tab_sin_l, tab_cos_h, tab_cos_l):
     n_panels = edges.shape[0] - 1
     n_nodes = xi_h.shape[0]
     out_re_h = np.empty(n_panels); out_re_l = np.empty(n_panels)
     out_im_h = np.empty(n_panels); out_im_l = np.empty(n_panels)
+    out_dre_h = np.empty(n_panels); out_dre_l = np.empty(n_panels)
+    out_dim_h = np.empty(n_panels); out_dim_l = np.empty(n_panels)
+    out_c_re = np.empty(n_panels); out_c_im = np.empty(n_panels)
     for i in range(n_panels):
         ea = edges[i]; eb = edges[i + 1]
         sm = ea + eb
@@ -293,6 +298,8 @@ def _integrand_kernel(edges, xi_h, xi_l, w_h, w_l, pv,
         de = (eb - (dm - bb)) + ((-ea) - bb)
         h_h = 0.5 * dm; h_l = 0.5 * de
         acc_re_h = 0.0; acc_re_l = 0.0; acc_im_h = 0.0; acc_im_l = 0.0
+        acc_dre_h = 0.0; acc_dre_l = 0.0; acc_dim_h = 0.0; acc_dim_l = 0.0
+        acc_c_re = 0.0; acc_c_im = 0.0
         for q in range(n_nodes):
             t_h, t_l = _dd_mul(h_h, h_l, xi_h[q], xi_l[q])
             x_h, x_l = _dd_add(m_h, m_l, t_h, t_l)
@@ -305,11 +312,20 @@ def _integrand_kernel(edges, xi_h, xi_l, w_h, w_l, pv,
             acc_re_h, acc_re_l = _dd_add(acc_re_h, acc_re_l, vr_h, vr_l)
             vi_h, vi_l = _dd_mul(p_h, p_l, e_s_h, e_s_l)
             acc_im_h, acc_im_l = _dd_add(acc_im_h, acc_im_l, vi_h, vi_l)
-        r_h, r_l = _dd_mul(acc_re_h, acc_re_l, h_h, h_l)
-        out_re_h[i] = r_h; out_re_l[i] = r_l
-        r_h, r_l = _dd_mul(acc_im_h, acc_im_l, h_h, h_l)
-        out_im_h[i] = r_h; out_im_l[i] = r_l
-    return out_re_h, out_re_l, out_im_h, out_im_l
+            acc_c_re += c_w[q] * vr_h
+            acc_c_im += c_w[q] * vi_h
+            vr_h, vr_l = _dd_mul(vr_h, vr_l, d_h[q], d_l[q])
+            acc_dre_h, acc_dre_l = _dd_add(acc_dre_h, acc_dre_l, vr_h, vr_l)
+            vi_h, vi_l = _dd_mul(vi_h, vi_l, d_h[q], d_l[q])
+            acc_dim_h, acc_dim_l = _dd_add(acc_dim_h, acc_dim_l, vi_h, vi_l)
+        out_re_h[i], out_re_l[i] = _dd_mul(acc_re_h, acc_re_l, h_h, h_l)
+        out_im_h[i], out_im_l[i] = _dd_mul(acc_im_h, acc_im_l, h_h, h_l)
+        out_dre_h[i], out_dre_l[i] = _dd_mul(acc_dre_h, acc_dre_l, h_h, h_l)
+        out_dim_h[i], out_dim_l[i] = _dd_mul(acc_dim_h, acc_dim_l, h_h, h_l)
+        out_c_re[i] = acc_c_re * h_h
+        out_c_im[i] = acc_c_im * h_h
+    return (out_re_h, out_re_l, out_im_h, out_im_l,
+            out_dre_h, out_dre_l, out_dim_h, out_dim_l, out_c_re, out_c_im)
 '''
 
 

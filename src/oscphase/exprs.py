@@ -435,46 +435,60 @@ def eval_dd(e: Expr, x: ddmath.DD, params: dict | None = None) -> ddmath.DD:
     Transcendental nodes fall back to float64 on the collapsed argument; the
     phase accuracy then degrades gracefully to single-double.  Polynomial and
     rational phases (the convergence-study convention) stay fully accurate.
+
+    Numbers, parameters and the float64 fallbacks stay plain floats (a dd
+    value with a zero low part) until they meet a dd operand: sums and
+    products with one such operand go through ddmath.add_f and ddmath.mul_f,
+    which give the same bits as the full dd operations on (c, 0).
     """
     params = params or {}
 
-    def ev(node) -> ddmath.DD:
+    def dd(v) -> ddmath.DD:
+        return v if isinstance(v, tuple) else ddmath.from_float(v)
+
+    def flt(v):
+        return ddmath.to_float(v) if isinstance(v, tuple) else v
+
+    def ev(node):
         if isinstance(node, Num):
-            return ddmath.from_float(node.value, like=x)
+            return np.float64(node.value)
         if isinstance(node, Sym):
             if node.name == "x":
                 return x
             if node.name == "pi" and node.name not in params:
                 return (np.float64(ddmath.TWO_PI[0] / 2),
                         np.float64(ddmath.TWO_PI[1] / 2))
-            return ddmath.from_float(_resolve(node.name, params, node.offset), like=x)
+            return np.float64(_resolve(node.name, params, node.offset))
         if isinstance(node, Neg):
-            return ddmath.neg(ev(node.child))
+            v = ev(node.child)
+            return ddmath.neg(v) if isinstance(v, tuple) else -v
         if isinstance(node, Call):
             v = ev(node.arg)
             if node.fn == "abs":
-                return ddmath.abs_(v)
+                return ddmath.abs_(v) if isinstance(v, tuple) else np.abs(v)
             if node.fn == "sqrt":
-                return ddmath.sqrt(v)
+                return ddmath.sqrt(dd(v))
             fn = {"exp": np.exp, "log": np.log, "sin": np.sin,
                   "cos": np.cos, "atan": np.arctan}[node.fn]
-            return ddmath.from_float(fn(ddmath.to_float(v)), like=x)
+            return fn(flt(v))
         if node.op == "^":
             exponent = _literal_value(node.right)
             base = ev(node.left)
             if exponent is not None and exponent == int(exponent):
-                return ddmath.powi(base, int(exponent))
-            b = ev(node.right)
-            return ddmath.from_float(
-                np.power(ddmath.to_float(base), ddmath.to_float(b)), like=x)
+                return ddmath.powi(dd(base), int(exponent))
+            return np.power(flt(base), flt(ev(node.right)))
         a = ev(node.left)
         b = ev(node.right)
-        if node.op == "+":
-            return ddmath.add(a, b)
-        if node.op == "-":
-            return ddmath.sub(a, b)
-        if node.op == "*":
-            return ddmath.mul(a, b)
-        return ddmath.div(a, b)
+        if node.op in "+-*" and isinstance(a, tuple) != isinstance(b, tuple):
+            float_first = not isinstance(a, tuple)
+            d, c = (b, a) if float_first else (a, b)
+            if node.op == "*":
+                return ddmath.mul_f(d, c)
+            if node.op == "-":
+                d, c = (ddmath.neg(d), c) if float_first else (d, -c)
+            return ddmath.add_f(d, c)
+        op = {"+": ddmath.add, "-": ddmath.sub, "*": ddmath.mul, "/": ddmath.div}[node.op]
+        hi, lo = op(dd(a), dd(b))
+        return hi if np.ndim(lo) == 0 and lo == 0 else (hi, lo)  # exact: a float
 
-    return ev(e)
+    return dd(ev(e))

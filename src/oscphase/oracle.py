@@ -7,6 +7,10 @@ Three oracles live here:
   phase variation.  Deliberately free of any asymptotic machinery.  The
   integrand is evaluated in double-double so the result stays trustworthy
   at phase scales (T ~ 2^18) where plain float64 drowns in phase jitter.
+  Each pass certifies itself from the nodes it already evaluated: a rule
+  embedded in the 24 Gauss nodes (20 of them) gives the error estimate, in
+  the manner of Gauss-Kronrod pairs, and panels are halved only when that
+  estimate misses the tolerance.
 * fd_derivatives -- central finite differences, the classic cross-check for
   the jet engine.
 * numeric_reversion_oracle -- brute-force recovery of the varpi coefficients
@@ -32,14 +36,19 @@ from .expansion import hypothesis_audit
 _PHASE_PER_PANEL = 0.45  # units of f (turns); contract cap is 1/2
 _MAX_WIDTH_FRACTION = 1 / 16  # panels also stay narrow so g is resolved
 _CHUNK_NODES = 1 << 14  # one chunk's dd temporaries stay resident in a 2 MB L2
+_SMOOTH_DECAY = 1e-3  # null-value ratio that marks a panel resolved
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Adaptive-quadrature knobs.
 
-    tol is the absolute Richardson stopping tolerance; values much below
-    1e-14 are generally unattainable and end in QuadratureNonConvergence.
+    tol bounds the embedded-rule certificate of each pass: |Q - Q~|, the
+    absolute difference between the Gauss-Legendre sum Q and the sum Q~ of
+    the rule embedded in the same nodes, plus a coarse-rule term on panels
+    that rule does not resolve (see oscillatory_quadrature_detail).  Values
+    much below 1e-14 are generally unattainable and end in
+    QuadratureNonConvergence.
     """
 
     tol: float = 1e-12
@@ -99,8 +108,39 @@ def build_breakpoints(p: PhaseProblem,
     return np.concatenate(parts)
 
 
-def _panels_dd(p: PhaseProblem, edges: np.ndarray, order: int):
-    """Integrate over the given panels; returns (re, im) as dd scalars."""
+def _require_finite(*values) -> None:
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise QuadratureNonConvergence(
+            "integrand produced non-finite values (domain violation?)")
+
+
+def _unresolved_excess(d: ddmath.DD, c: np.ndarray) -> float:
+    """Sum of the coarse null values |c| over the panels whose embedded null
+    value |d| is not below _SMOOTH_DECAY of it.
+
+    d (dd) and c (float64) hold per-panel null sums, real and imaginary
+    parts on a leading axis of length 2: d = q - q~ against the embedded
+    rule, c = q - q^ against the coarse rule.  On a smooth panel the null
+    values fall by orders of magnitude from degree 11 to degree 19; where
+    they do not (a kink or an endpoint singularity inside the panel), the
+    Gauss and embedded rules share most nodes, and |d| can sit far below
+    the error of q.
+    """
+    n1 = np.hypot(*ddmath.to_float(d))
+    n2 = np.hypot(*c)
+    return float(n2[n1 > _SMOOTH_DECAY * n2].sum())
+
+
+def _panels_dd(p: PhaseProblem, edges: np.ndarray, order: int,
+               embedded: bool = False):
+    """Integrate over the given panels; returns (re, im) as dd scalars.
+
+    With embedded=True, returns ((re, im), (d_re, d_im), excess): the
+    Gauss-Legendre sums, their difference from the sums of the rule
+    embedded in the same nodes (ddmath.embedded_null_weights) and the
+    coarse null excess of the panels that rule does not resolve
+    (_unresolved_excess).
+    """
     (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(order)
     param_names = tuple(sorted(p.bindings))
     kernel = None
@@ -108,28 +148,42 @@ def _panels_dd(p: PhaseProblem, edges: np.ndarray, order: int):
         kernel = ddnumba.get_kernel(p.f, p.g, param_names)
     except Exception:
         kernel = None  # any codegen hiccup falls back to the numpy path
-    if kernel is not None:
-        pv = np.array([float(p.bindings[name]) for name in param_names])
-        re_h, re_l, im_h, im_l = kernel(
-            edges, xi_hi, xi_lo, w_hi, w_lo, pv,
-            ddmath.TAB_SIN_HI, ddmath.TAB_SIN_LO,
-            ddmath.TAB_COS_HI, ddmath.TAB_COS_LO)
-        if not (np.all(np.isfinite(re_h)) and np.all(np.isfinite(im_h))):
-            raise QuadratureNonConvergence(
-                "integrand produced non-finite values (domain violation?)")
-        return (ddmath.sum_pairwise((re_h, re_l)),
-                ddmath.sum_pairwise((im_h, im_l)))
-    return _panels_dd_numpy(p, edges, order)
+    if kernel is None:
+        return _panels_dd_numpy(p, edges, order, embedded)
+    d_hi, d_lo = ddmath.embedded_null_weights(order)
+    pv = np.array([float(p.bindings[name]) for name in param_names])
+    parts = kernel(edges, xi_hi, xi_lo, w_hi, w_lo, d_hi, d_lo,
+                   ddmath.coarse_null_weights(order), pv,
+                   ddmath.TAB_SIN_HI, ddmath.TAB_SIN_LO,
+                   ddmath.TAB_COS_HI, ddmath.TAB_COS_LO)
+    _require_finite(parts[0], parts[2])
+    re, im, d_re, d_im = (ddmath.sum_pairwise((parts[k], parts[k + 1]))
+                          for k in range(0, 8, 2))
+    if not embedded:
+        return re, im
+    d = (np.stack(parts[4:8:2]), np.stack(parts[5:8:2]))
+    return (re, im), (d_re, d_im), _unresolved_excess(d, np.stack(parts[8:]))
 
 
-def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int):
-    """Pure-numpy dd panel integration (reference / fallback path)."""
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
+def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
+                     embedded: bool = False):
+    """Pure-numpy dd panel integration (reference / fallback path).
+
+    Real and imaginary parts travel stacked on a leading axis of length 2.
+    Non-finite phases or sums raise QuadratureNonConvergence instead of
+    numpy's warnings.
+    """
     (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(order)
+    if embedded:
+        d_w = ddmath.embedded_null_weights(order)
+        c_w = ddmath.coarse_null_weights(order)
     bindings = p.bindings
     n_panels = len(edges) - 1
     chunk = max(1, _CHUNK_NODES // order)
-    re_parts_hi, re_parts_lo = [], []
-    im_parts_hi, im_parts_lo = [], []
+    sums = []  # per chunk: the dd sums of re and im
+    d_panels = []  # per chunk, if embedded: the panels' (d_re, d_im)
+    excess = 0.0
     for start in range(0, n_panels, chunk):
         stop = min(start + chunk, n_panels)
         a = edges[start:stop]
@@ -142,19 +196,27 @@ def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int):
         half2 = (half[0][:, None], half[1][:, None])
         x = ddmath.add(mid2, ddmath.mul(half2, (xi_hi, xi_lo)))
         f = eval_dd(p.f, x, bindings)
+        _require_finite(f[0])
         e_re, e_im = ddmath.e_unit_dd(f)
+        e = (np.stack((e_re[0], e_im[0])), np.stack((e_re[1], e_im[1])))
         gw = ddmath.mul(eval_dd(p.g, x, bindings), (w_hi, w_lo))
-        node_re = ddmath.mul(gw, e_re)
-        node_im = ddmath.mul(gw, e_im)
-        panel_re = ddmath.mul(ddmath.sum_nodes(node_re), half)
-        panel_im = ddmath.mul(ddmath.sum_nodes(node_im), half)
-        s_re = ddmath.sum_pairwise(panel_re)
-        s_im = ddmath.sum_pairwise(panel_im)
-        re_parts_hi.append(s_re[0]); re_parts_lo.append(s_re[1])
-        im_parts_hi.append(s_im[0]); im_parts_lo.append(s_im[1])
-    total_re = ddmath.sum_pairwise((np.array(re_parts_hi), np.array(re_parts_lo)))
-    total_im = ddmath.sum_pairwise((np.array(im_parts_hi), np.array(im_parts_lo)))
-    return total_re, total_im
+        node = ddmath.mul(gw, e)
+        q = ddmath.mul(ddmath.sum_nodes(node), half)
+        sums.append([ddmath.sum_pairwise((q[0][k], q[1][k])) for k in (0, 1)])
+        if embedded:
+            d = ddmath.mul(ddmath.sum_nodes(ddmath.mul(node, d_w)), half)
+            d_panels.append(d)
+            excess += _unresolved_excess(d, (node[0] * c_w).sum(axis=-1) * half[0])
+    re, im = (ddmath.sum_pairwise((np.array([s[k][0] for s in sums]),
+                                   np.array([s[k][1] for s in sums])))
+              for k in (0, 1))
+    _require_finite(re[0], im[0])
+    if not embedded:
+        return re, im
+    d_hi = np.concatenate([d[0] for d in d_panels], axis=1)
+    d_lo = np.concatenate([d[1] for d in d_panels], axis=1)
+    d_re, d_im = (ddmath.sum_pairwise((d_hi[k], d_lo[k])) for k in (0, 1))
+    return (re, im), (d_re, d_im), excess
 
 
 def _double_edges(edges: np.ndarray) -> np.ndarray:
@@ -172,6 +234,7 @@ class QuadratureResult:
     im_dd: tuple
     panels: int
     doublings: int
+    diff: float = math.nan  # the certificate of the returned pass, < tol
 
     def mp_value(self) -> mpmath.mpc:
         return (mpmath.mpf(float(self.re_dd[0])) + mpmath.mpf(float(self.re_dd[1]))
@@ -181,45 +244,52 @@ class QuadratureResult:
 def oscillatory_quadrature_detail(p: PhaseProblem,
                                   settings: QuadratureSettings | None = None,
                                   scan_points: int = SCAN_POINTS) -> QuadratureResult:
-    """Full-detail quadrature result (dd parts exposed for the studies)."""
+    """Full-detail quadrature result (dd parts exposed for the studies).
+
+    Starts on the phase-split panels halved once.  Each pass is certified
+    without further integrand evaluations: diff = |Q - Q~|, the dd
+    difference between the Gauss-Legendre sum Q and the sum Q~ of the rule
+    embedded in the same nodes (ddmath.embedded_null_weights), plus the
+    coarse null values of the panels where the two null rules do not decay
+    like a smooth integrand's (_unresolved_excess).  The panels are halved
+    until diff < tol; Q is returned.
+    """
     settings = settings or QuadratureSettings()
-    edges = build_breakpoints(p, scan_points)
-    prev = None
-    prev_diff = None
+    edges = _double_edges(build_breakpoints(p, scan_points))
+    doublings = 1
+    best_diff = None
     stagnant = 0
-    doublings = 0
     while True:
         if len(edges) - 1 > settings.max_panels:
             raise QuadratureNonConvergence(
                 f"needed more than max_panels = {settings.max_panels} panels "
                 f"to reach tol = {settings.tol:g}")
-        re_dd, im_dd = _panels_dd(p, edges, settings.nodes_per_panel)
+        (re_dd, im_dd), (d_re, d_im), excess = _panels_dd(
+            p, edges, settings.nodes_per_panel, embedded=True)
         value = complex(ddmath.to_float(re_dd), ddmath.to_float(im_dd))
-        if prev is not None:
-            # Compare at dd precision; the collapsed doubles would agree
-            # exactly long before fine tolerances are actually certified.
-            d_re = ddmath.to_float(ddmath.add(re_dd, (-prev[0][0], -prev[0][1])))
-            d_im = ddmath.to_float(ddmath.add(im_dd, (-prev[1][0], -prev[1][1])))
-            diff = float(np.hypot(d_re, d_im))
-            floor = 1e-28 * max(1.0, abs(value))
-            if settings.tol < floor:
+        # The difference is summed in dd; the collapsed doubles of the two
+        # rules would agree long before fine tolerances are certified.
+        diff = float(np.hypot(ddmath.to_float(d_re), ddmath.to_float(d_im))) + excess
+        floor = 1e-28 * max(1.0, abs(value))
+        if settings.tol < floor:
+            raise QuadratureNonConvergence(
+                f"tol = {settings.tol:g} is below the attainable "
+                f"certification floor {floor:.1e}")
+        if diff < settings.tol:
+            return QuadratureResult(value=value, re_dd=re_dd, im_dd=im_dd,
+                                    panels=len(edges) - 1,
+                                    doublings=doublings, diff=diff)
+        # Against the smallest diff so far: a certificate that alternates
+        # (a pole inside the interval) must not reset the count.
+        if best_diff is not None and diff >= 0.5 * best_diff:
+            stagnant += 1
+            if stagnant >= 2:
                 raise QuadratureNonConvergence(
-                    f"tol = {settings.tol:g} is below the attainable "
-                    f"certification floor {floor:.1e}")
-            if diff < settings.tol:
-                return QuadratureResult(value=value, re_dd=re_dd, im_dd=im_dd,
-                                        panels=len(edges) - 1,
-                                        doublings=doublings)
-            if prev_diff is not None and diff >= 0.5 * prev_diff:
-                stagnant += 1
-                if stagnant >= 2:
-                    raise QuadratureNonConvergence(
-                        f"panel doubling stagnated at diff = {diff:.3e} "
-                        f"(tol = {settings.tol:g} unattainable)")
-            else:
-                stagnant = 0
-            prev_diff = diff
-        prev = (re_dd, im_dd)
+                    f"panel doubling stagnated at diff = {diff:.3e} "
+                    f"(tol = {settings.tol:g} unattainable)")
+        else:
+            stagnant = 0
+        best_diff = diff if best_diff is None else min(best_diff, diff)
         edges = _double_edges(edges)
         doublings += 1
 

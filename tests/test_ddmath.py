@@ -134,3 +134,48 @@ def test_e_unit_dense_over_reduced_phases_and_table_cells():
         truth = mpmath.expjpi(2 * to_mp(f, i))
         worst = max(worst, abs((to_mp(re_dd, i) + 1j * to_mp(im_dd, i)) - truth))
     assert worst <= 1e-30
+
+
+def test_float_operand_helpers_match_the_full_dd_operations():
+    # eval_dd sends numbers, parameters and float64 fallbacks through add_f
+    # and mul_f, on either side of the operator.
+    rng = np.random.default_rng(7)
+    a = _random_dd(rng, 4000)
+    s = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-3, 5, 4000)
+    s[:500] = -a[0][:500] * (1.0 + rng.uniform(-1e-15, 1e-15, 500))  # cancellation
+    c = (s, np.zeros_like(s))
+    assert _same_bits(ddmath.mul_f(a, s), ddmath.mul(a, c))
+    assert _same_bits(ddmath.mul_f(a, s), ddmath.mul(c, a))
+    assert _same_bits(ddmath.add_f(a, s), ddmath.add(c, a))
+    assert _same_bits(ddmath.add_f(a, -s), ddmath.sub(a, c))
+    assert _same_bits(ddmath.add_f(ddmath.neg(a), s), ddmath.sub(c, a))
+
+
+@pytest.mark.parametrize("order", [16, 24])
+def test_embedded_rule_integrates_legendre_polynomials_exactly(order):
+    (xh, xl), (wh, wl) = ddmath.gauss_legendre_dd(order)
+    d = ddmath.embedded_null_weights(order)
+    kept = [j for j in range(order) if not (d[0][j] == 1.0 and d[1][j] == 0.0)]
+    assert kept == [j for j in range(order) if j not in (1, 3, order - 4, order - 2)]
+    x = [to_mp((xh, xl), j) for j in range(order)]
+    w = [to_mp((wh, wl), j) * (1 - to_mp(d, j)) for j in range(order)]
+    assert min(w[j] for j in kept) > 0
+    for k in range(len(kept)):
+        got = mpmath.fsum(wj * mpmath.legendre(k, xj) for wj, xj in zip(w, x))
+        assert abs(got - (2 if k == 0 else 0)) < 1e-30
+    # ... and it is a different rule from the Gauss one, which is exact
+    # for P_len(kept) as well.
+    beyond = mpmath.fsum(wj * mpmath.legendre(len(kept), xj) for wj, xj in zip(w, x))
+    assert abs(beyond) > 1e-3
+
+
+@pytest.mark.parametrize("order", [16, 24])
+def test_coarse_null_rule_annihilates_the_low_degrees(order):
+    (xh, _), (wh, _) = ddmath.gauss_legendre_dd(order)
+    c = ddmath.coarse_null_weights(order)
+    kept = np.flatnonzero(c != 1.0)
+    assert len(kept) == order // 2 and np.array_equal(kept, order - 1 - kept[::-1])
+    assert np.all((1.0 - c[kept]) * wh[kept] > 0)
+    vander = np.polynomial.legendre.legvander(xh, len(kept) - 1)
+    assert np.max(np.abs((c * wh) @ vander)) < 1e-13
+    assert abs((c * wh) @ np.polynomial.legendre.legvander(xh, len(kept))[:, -1]) > 1e-3

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from oscphase.errors import (ExprDomainError, ExprSyntaxError,
                              UnboundSymbolError, UnknownFunctionError)
-from oscphase.exprs import (Bin, Call, Neg, Num, Sym, eval_array, eval_jet,
-                            eval_real, format_expr, parse, symbols)
+from oscphase import ddmath
+from oscphase.exprs import (Bin, Call, Neg, Num, Sym, eval_array, eval_dd,
+                            eval_jet, eval_real, format_expr, parse, symbols)
 from oscphase.jets import jet_variable
 
 
@@ -207,3 +208,39 @@ def test_format_parse_round_trip(tree):
         assert got == pytest.approx(expected, rel=1e-15, abs=1e-300)
         checked += 1
     assert checked > 0 or True
+
+
+def _eval_dd_pairs(e, x, params):
+    """eval_dd with every number and parameter a (c, 0) pair and every + - *
+    / a full dd operation: the reference for its float-operand shortcuts."""
+    def ev(node):
+        if isinstance(node, Num):
+            return ddmath.from_float(node.value)
+        if isinstance(node, Sym):
+            return x if node.name == "x" else ddmath.from_float(params[node.name])
+        if isinstance(node, Neg):
+            return ddmath.neg(ev(node.child))
+        if isinstance(node, Call):
+            fn = {"exp": np.exp, "sin": np.sin, "cos": np.cos,
+                  "atan": np.arctan}[node.fn]
+            return ddmath.from_float(fn(ddmath.to_float(ev(node.arg))))
+        if node.op == "^":
+            return ddmath.powi(ev(node.left), int(node.right.value))
+        op = {"+": ddmath.add, "-": ddmath.sub, "*": ddmath.mul, "/": ddmath.div}
+        return op[node.op](ev(node.left), ev(node.right))
+    return ev(e)
+
+
+@given(_exprs(3))
+@settings(max_examples=150, deadline=None)
+def test_eval_dd_float_operands_give_the_full_dd_values(tree):
+    rng = np.random.default_rng(12)
+    hi = rng.uniform(0.1, 2.5, 64)
+    x = ddmath.add(ddmath.from_float(hi), ddmath.from_float(hi * 1e-17))
+    params = {"a": 1.3, "T": 2.7}
+    with np.errstate(all="ignore"):
+        want = tuple(np.broadcast_to(v, hi.shape) for v in _eval_dd_pairs(tree, x, params))
+        got = tuple(np.broadcast_to(v, hi.shape) for v in eval_dd(tree, x, params))
+    finite = np.isfinite(want[0]) & np.isfinite(want[1])
+    for g, w in zip(got, want):
+        assert np.array_equal(g[finite], w[finite])

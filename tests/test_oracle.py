@@ -6,7 +6,7 @@ import pytest
 from oscphase.coefficients import compute_coefficients, make_problem
 from oscphase.errors import QuadratureNonConvergence
 from oscphase.exprs import parse
-from oscphase import ddmath
+from oscphase import ddmath, ddnumba, oracle
 from oscphase.oracle import (_CHUNK_NODES, QuadratureSettings, _double_edges,
                              _panels_dd, _panels_dd_numpy, build_breakpoints,
                              fd_derivatives, numeric_reversion_oracle,
@@ -179,6 +179,97 @@ class TestOscillatoryQuadrature:
         assert math.isfinite(value.real) and math.isfinite(value.imag)
         q = make_problem("x^2", "log(x+0.5)", -0.5, 0.5, n=2, T=1.0)
         assert list(build_breakpoints(q)[[0, -1]]) == [-0.5, 0.5]
+
+
+def _mp(dd):
+    return mpmath.mpf(float(dd[0])) + mpmath.mpf(float(dd[1]))
+
+
+class TestEmbeddedCertificate:
+    def test_numba_template_runs_as_python_and_matches_numpy(self, monkeypatch):
+        # Without numba, njit is the identity, so the generated kernel runs
+        # as plain Python: this checks the template's source on any machine.
+        monkeypatch.setattr(ddnumba, "HAVE_NUMBA", True)
+        monkeypatch.setattr(ddnumba, "_KERNEL_CACHE", {})
+        p = make_problem("T*(x^2 + x^3/3)", "abs(x + 0.45)/(1 + x^2)", -0.5, 0.5,
+                         n=2, T=64.0)
+        edges = build_breakpoints(p)[:9]
+        assert ddnumba.get_kernel(p.f, p.g, tuple(sorted(p.bindings))) is not None
+        (re_a, im_a), (dre_a, dim_a), excess_a = _panels_dd(p, edges, 24, embedded=True)
+        (re_b, im_b), (dre_b, dim_b), excess_b = _panels_dd_numpy(
+            p, edges, 24, embedded=True)
+        with mpmath.workdps(40):
+            for a, b in ((re_a, re_b), (im_a, im_b), (dre_a, dre_b), (dim_a, dim_b)):
+                assert abs(_mp(a) - _mp(b)) < 1e-28
+        assert excess_a > 0  # the kink at -0.45 lies in these panels
+        assert excess_a == pytest.approx(excess_b, rel=1e-12)
+        plain = _panels_dd(p, edges, 24)
+        assert [float(v[0]) for v in plain] == [float(re_a[0]), float(im_a[0])]
+
+    def test_converging_input_evaluates_each_node_once(self, monkeypatch, canonical_family):
+        monkeypatch.setattr(ddnumba, "HAVE_NUMBA", False)
+        elements = []
+        e_unit_dd = ddmath.e_unit_dd
+
+        def counting(f):
+            elements.append(f[0].size)
+            return e_unit_dd(f)
+
+        monkeypatch.setattr(ddmath, "e_unit_dd", counting)
+        p = canonical_family(64.0)
+        settings = QuadratureSettings()
+        r = oscillatory_quadrature_detail(p, settings)
+        assert r.doublings == 1
+        assert r.panels == len(_double_edges(build_breakpoints(p))) - 1
+        assert sum(elements) == r.panels * settings.nodes_per_panel
+        assert 0 < r.diff < settings.tol
+
+    @pytest.mark.parametrize("f, g, alpha, beta, split", [
+        ("T*x", "abs(x - 1.3)", 1.0, 2.0, 1.3),
+        ("T*(x^2 + x^3/3)", "abs(x - 0.123)", -0.5, 0.5, 0.123),
+        ("T*x", "sqrt(x-1)", 1.0, 2.0, None),
+    ])
+    def test_certificate_holds_at_a_kink_and_an_endpoint_singularity(
+            self, f, g, alpha, beta, split):
+        # The Gauss and embedded rules share 20 nodes, so at a kink their
+        # errors nearly agree; the coarse null rule must catch such panels.
+        tol = 1e-8
+        p = make_problem(f, g, alpha, beta, n=2, T=16.0)
+        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=tol))
+        assert r.diff < tol
+        with mpmath.workdps(20):
+            def integrand(x):
+                phase = 16 * x if f == "T*x" else 16 * (x ** 2 + x ** 3 / 3)
+                weight = (mpmath.sqrt(x - 1) if split is None
+                          else abs(x - mpmath.mpf(str(split))))
+                return weight * mpmath.expjpi(2 * phase)
+
+            points = list(mpmath.linspace(alpha, beta, 33))
+            if split is not None:
+                points = sorted(points + [mpmath.mpf(str(split))])
+            ref = complex(mpmath.quad(integrand, points))
+        assert abs(r.value - ref) <= tol
+
+    def test_non_finite_integrand_raises_on_the_first_pass(self, monkeypatch):
+        passes = []
+        panels_dd = oracle._panels_dd
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return panels_dd(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_panels_dd", counting)
+        p = make_problem("T*x", "sqrt(x-1.5)", 1.0, 2.0, n=2, T=16.0)
+        with pytest.raises(QuadratureNonConvergence, match="non-finite"):
+            oscillatory_quadrature(p)
+        assert len(passes) == 1
+
+    def test_interior_pole_stagnates(self):
+        # The certificate alternates between two values as the pole moves
+        # between panels; the stagnation count must not reset on the way down.
+        p = make_problem("T*x", "1/(x-1.4)", 1.0, 2.0, n=2, T=16.0)
+        with pytest.raises(QuadratureNonConvergence, match="stagnated"):
+            oscillatory_quadrature(p, QuadratureSettings(max_panels=20_000))
 
 
 class TestFdDerivatives:
