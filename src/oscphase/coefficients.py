@@ -25,6 +25,7 @@ from .jets import (Jet, jet_compose, jet_differentiate, jet_map, jet_mul,
                    jet_revert, jet_truncate, jet_variable)
 
 SCAN_POINTS = 512  # sign-change scan density; CLI-overridable
+NEWTON_STEPS = 60  # cap on the Newton polish of the stationary point
 
 
 def grid_jet(e: Expr, xs: np.ndarray, degree: int, bindings: dict) -> tuple:
@@ -215,7 +216,12 @@ def find_stationary_point(p: PhaseProblem,
             f"f' changes sign {len(brackets)} times on the scan grid")
 
     gamma = bisect_fprime(p, *brackets[0], steps=48)
-    for _ in range(60):
+    # Each step depends on the iterate alone, so once an iterate repeats
+    # (a 2-cycle between adjacent floats, say) the rest of the 60 steps go
+    # round that cycle without stopping: jump to the iterate they end on.
+    iterates = [gamma]
+    seen = {gamma.hex(): 0}
+    for _ in range(NEWTON_STEPS):
         d1, d2 = p.fprime2(gamma)
         if d2 == 0.0:
             break
@@ -228,6 +234,12 @@ def find_stationary_point(p: PhaseProblem,
         gamma = new
         if abs(step) <= 1e-17 * max(abs(gamma), p.beta - p.alpha):
             break
+        first = seen.setdefault(gamma.hex(), len(iterates))
+        if first < len(iterates):
+            cycle = iterates[first:]
+            gamma = cycle[(NEWTON_STEPS - first) % len(cycle)]
+            break
+        iterates.append(gamma)
 
     width = p.beta - p.alpha
     if min(gamma - p.alpha, p.beta - gamma) < 1e-9 * width:

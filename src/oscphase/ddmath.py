@@ -8,6 +8,14 @@ polynomial/rational phases regardless of T.  All kernels operate elementwise
 on numpy arrays.
 
 A DD value is a plain (hi, lo) tuple of float64 arrays with hi = fl(hi+lo).
+
+The module's constants are built once per process, at import or on first
+use, from 40- to 60-digit mpmath values rounded to dd, as in Hida, Li &
+Bailey's QD library: the sin/cos tables of sincos_turns from one computed
+quarter wave, the Gauss-Legendre rules from their nonnegative half (see
+gauss_legendre_dd).  Both use symmetries that hold exactly in dd, so they
+have the same bits as computing every entry on its own, at a fraction of the
+cost of a fresh interpreter's set-up.
 """
 
 from __future__ import annotations
@@ -156,21 +164,34 @@ def _dd_of_mp(v) -> tuple[float, float]:
 # double-double accuracy (see sincos_turns for which terms need dd).
 _TAB_DIV = 4096
 
+_QUARTER = _TAB_DIV // 4
+
 with mpmath.workdps(40):
     TWO_PI: DD = _dd_of_mp(2 * mpmath.pi)
     _SIN_COEF = [_dd_of_mp(mpmath.mpf((-1) ** k) / mpmath.factorial(2 * k + 1))
                  for k in range(5)]
     _COS_COEF = [_dd_of_mp(mpmath.mpf((-1) ** k) / mpmath.factorial(2 * k))
                  for k in range(5)]
-    _half = _TAB_DIV // 2
-    TAB_SIN_HI = np.empty(_TAB_DIV + 1)
-    TAB_SIN_LO = np.empty(_TAB_DIV + 1)
-    TAB_COS_HI = np.empty(_TAB_DIV + 1)
-    TAB_COS_LO = np.empty(_TAB_DIV + 1)
-    for _m in range(-_half, _half + 1):
-        _arg = mpmath.mpf(2 * _m) / _TAB_DIV
-        TAB_SIN_HI[_m + _half], TAB_SIN_LO[_m + _half] = _dd_of_mp(mpmath.sinpi(_arg))
-        TAB_COS_HI[_m + _half], TAB_COS_LO[_m + _half] = _dd_of_mp(mpmath.cospi(_arg))
+    # sin(2*pi*m/4096) for m = 0..1024; _wave fills in the rest.
+    _q_hi, _q_lo = np.array(
+        [_dd_of_mp(mpmath.sinpi(mpmath.mpf(2 * _m) / _TAB_DIV))
+         for _m in range(_QUARTER + 1)]).T
+
+
+def _wave(q: np.ndarray):
+    """sin and cos of 2*pi*m/4096, m = -2048..2048, from the quarter wave
+    q[k] = sin(2*pi*k/4096), k = 0..1024, by sin(pi - t) = sin(t),
+    cos(t) = sin(pi/2 - |t|) and negation.  Applied to the hi and lo parts
+    separately: rounding to dd commutes with negation, so each entry has the
+    bits of its own correctly rounded value."""
+    rise = np.concatenate((q, q[-2::-1]))  # sin on m = 0..2048
+    sin = np.concatenate((-rise[:0:-1], rise)) + 0.0  # + 0.0: no -0.0 entries
+    cos = np.concatenate((-q[:0:-1], q, q[-2::-1], -q[1:]))
+    return sin, cos + 0.0
+
+
+TAB_SIN_HI, TAB_COS_HI = _wave(_q_hi)
+TAB_SIN_LO, TAB_COS_LO = _wave(_q_lo)
 
 
 def frac_half(a: DD) -> DD:
@@ -201,6 +222,12 @@ def sincos_turns(frac: DD) -> tuple[DD, DD]:
     float64 rounding adds about 1e-33; the truncated Taylor terms are below
     2e-38.  Combined with the tabulated sin and cos of 2*pi*m/4096, the
     results stay within a few 1e-32 of the exact values.
+
+    The tables TAB_SIN_* and TAB_COS_* hold sin and cos of 2*pi*m/4096 for
+    m = -2048..2048 (index m + 2048), each the 40-digit mpmath value rounded
+    to dd.  Only the quarter wave m = 0..1024 is computed (1,025 mpmath
+    calls instead of 8,194); reflection and negation give the rest exactly,
+    and zeros are stored as +0.0.
     """
     m = np.rint(frac[0] * _TAB_DIV)
     r = add_f(frac, -(m / _TAB_DIV))  # m/4096 is exact
@@ -264,29 +291,50 @@ def sum_nodes(a: DD) -> DD:
 _GL_CACHE: dict[int, tuple[DD, DD]] = {}
 
 
+def _legendre_pair(n: int, x):
+    """(P_n(x), P_{n-1}(x)) by the three-term recurrence, in x's arithmetic."""
+    p_prev, p = 1, x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, p_prev
+
+
 def gauss_legendre_dd(order: int) -> tuple[DD, DD]:
-    """Gauss-Legendre nodes/weights on [-1, 1] to double-double accuracy."""
+    """Gauss-Legendre nodes/weights on [-1, 1] to double-double accuracy.
+
+    Newton's method on P_order at 60 digits, seeded with numpy's float64
+    nodes, solves only the nonnegative half: the rule is symmetric, so the
+    other half is its exact negation.  For odd orders the middle seed is
+    exactly 0, where the recurrence gives P_order = 0 exactly, so that node
+    stays 0.  P_order and P_order-1 come from the three-term recurrence, and
+    Newton stops once its step is below 1e-58 of the node.  The nodes and
+    weights agree with a full solve with mpmath.legendre far beyond the 32
+    digits that their dd rounding keeps, so every bit of the rule is the
+    same.
+    """
     if order in _GL_CACHE:
         return _GL_CACHE[order]
     seeds, _ = np.polynomial.legendre.leggauss(order)
-    xs_hi = np.empty(order)
-    xs_lo = np.empty(order)
-    ws_hi = np.empty(order)
-    ws_lo = np.empty(order)
+    half = order // 2  # seeds[half:] are the nonnegative nodes, ascending
+    xs = []
+    ws = []
     with mpmath.workdps(60):
-        for i, seed in enumerate(seeds):
+        eps = mpmath.mpf(10) ** -58
+        for seed in seeds[half:]:
             x = mpmath.mpf(float(seed))
-            for _ in range(6):
-                p = mpmath.legendre(order, x)
-                pm = mpmath.legendre(order - 1, x)
-                dp = order * (x * p - pm) / (x * x - 1)
-                x = x - p / dp
-            p = mpmath.legendre(order, x)
-            pm = mpmath.legendre(order - 1, x)
+            for _ in range(8):
+                p, pm = _legendre_pair(order, x)
+                step = p / (order * (x * p - pm) / (x * x - 1))
+                x = x - step
+                if abs(step) <= eps * abs(x):
+                    break
+            p, pm = _legendre_pair(order, x)
             dp = order * (x * p - pm) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            xs_hi[i], xs_lo[i] = _dd_of_mp(x)
-            ws_hi[i], ws_lo[i] = _dd_of_mp(w)
+            xs.append(_dd_of_mp(x))
+            ws.append(_dd_of_mp(2 / ((1 - x * x) * dp * dp)))
+    xs, ws = np.array(xs), np.array(ws)  # rows (hi, lo), nonnegative half
+    xs_hi, xs_lo = np.concatenate((-xs[::-1][:half], xs)).T.copy()
+    ws_hi, ws_lo = np.concatenate((ws[::-1][:half], ws)).T.copy()
     result = ((xs_hi, xs_lo), (ws_hi, ws_lo))
     _GL_CACHE[order] = result
     return result

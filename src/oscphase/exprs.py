@@ -263,7 +263,10 @@ def eval_real(e: Expr, x: float, params: dict | None = None) -> float:
                 return math.sqrt(v)
             if node.fn == "abs":
                 return abs(v)
-            return getattr(math, node.fn)(v)
+            try:
+                return getattr(math, node.fn)(v)
+            except (OverflowError, ValueError) as exc:  # exp overflow, sin(inf)
+                raise ExprDomainError(str(exc), node.offset) from exc
         a = ev(node.left)
         b = ev(node.right)
         if node.op == "+":
@@ -286,7 +289,10 @@ def eval_real(e: Expr, x: float, params: dict | None = None) -> float:
             return 1.0 / scalars.powi(a, -n)
         if a < 0.0:
             raise ExprDomainError("negative base with non-integer exponent", node.offset)
-        return math.pow(a, b)
+        try:
+            return math.pow(a, b)
+        except OverflowError as exc:
+            raise ExprDomainError(str(exc), node.offset) from exc
 
     return ev(e)
 

@@ -64,6 +64,12 @@ class QuadratureSettings:
             raise ValueError("max_panels must be at least 8")
 
 
+def _drop_repeats(edges: np.ndarray) -> np.ndarray:
+    """np.unique of non-decreasing edges, without its sort (and without the
+    numpy.ma import that a process's first np.unique costs)."""
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+
+
 def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
     """Panel edges on a monotone-phase piece: equal phase increments."""
     fa = p.f_value(a)
@@ -81,7 +87,7 @@ def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
     levels = np.linspace(0.0, cum[-1], n_panels + 1)
     edges = np.interp(levels, cum, xs)
     edges[0], edges[-1] = a, b
-    edges = np.unique(edges)
+    edges = _drop_repeats(edges)
     # Enforce the width cap (phase-flat stretches can make wide panels).
     widths = np.diff(edges)
     if np.any(widths > max_width):

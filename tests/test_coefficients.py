@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from oscphase.coefficients import (amplitude_series, compute_coefficients,
+from oscphase.coefficients import (PhaseProblem, amplitude_series,
+                                   bisect_fprime, compute_coefficients,
                                    find_stationary_point, make_problem,
                                    mp_coefficients, recursion_coefficients,
                                    residual_Q, solve_x_of_y, taylor_data)
@@ -52,6 +53,46 @@ class TestFindStationaryPoint:
         p = make_problem("T*x", "sqrt(x-1)", 1.0, 2.0, n=2, T=16.0)
         with pytest.raises(NoSignChange):
             find_stationary_point(p)
+
+    def test_newton_two_cycle_stops_on_the_iterate_sixty_steps_reach(
+            self, monkeypatch):
+        # Newton alternates between two adjacent floats on this cubic.
+        spec = ("2048.0*(x*(0.57284522 + x*(1.11382 + 0.14*x)))",
+                "1/(1 + 1.46*x^2)", -0.758, 0.204)
+
+        # The Newton loop as it ran before cycles were detected: all 60 steps.
+        p = make_problem(*spec, n=2)
+        gamma = bisect_fprime(p, *p.sample().sign_changes()[0], steps=48)
+        iterates = []
+        for _ in range(60):
+            d1, d2 = p.fprime2(gamma)
+            step = d1 / d2
+            new = gamma - step
+            assert d2 != 0.0 and p.alpha <= new <= p.beta and new != gamma
+            gamma = new
+            assert abs(step) > 1e-17 * max(abs(gamma), p.beta - p.alpha)
+            iterates.append(gamma)
+        assert len(set(iterates)) == 2
+
+        calls = []
+        fprime2 = PhaseProblem.fprime2
+        monkeypatch.setattr(PhaseProblem, "fprime2",
+                            lambda self, x: calls.append(x) or fprime2(self, x))
+        found = find_stationary_point(make_problem(*spec, n=2))
+        assert len(calls) < 60
+        assert found.hex() == gamma.hex() == "-0x1.15810624dd2f2p-2"
+
+    def test_newton_cycle_entered_late_ends_where_sixty_steps_would(
+            self, monkeypatch):
+        # A stub Newton map 0 -> 1/8 -> 1/4 -> 3/8 -> 1/8 -> ...: the cycle
+        # starts after one step, so the 60th iterate is 3/8, not the 1/8
+        # that repeats first.  Bisection stops at once on the zero stub f'.
+        after = {0.0: 0.125, 0.125: 0.25, 0.25: 0.375, 0.375: 0.125}
+        monkeypatch.setattr(PhaseProblem, "fprime", lambda self, x: 0.0)
+        monkeypatch.setattr(PhaseProblem, "fprime2",
+                            lambda self, x: (x - after[x], 1.0))
+        p = make_problem("x^2", "1", -1.0, 1.0, n=2, T=1.0)
+        assert find_stationary_point(p, scan_points=513) == 0.375
 
 
 class TestTaylorData:

@@ -94,6 +94,44 @@ def test_gauss_legendre_dd():
     assert abs(acc - mpmath.mpf(2) / 47) < 1e-28
 
 
+def _dd_of_mp(v):
+    hi = float(v)
+    return hi, float(v - hi)
+
+
+def test_tables_match_the_full_wave_built_point_by_point():
+    # Every entry from its own 40-digit sinpi / cospi, as the tables were
+    # built before only the quarter wave was computed.
+    with mpmath.workdps(40):
+        parts = [(_dd_of_mp(mpmath.sinpi(mpmath.mpf(2 * m) / 4096)),
+                  _dd_of_mp(mpmath.cospi(mpmath.mpf(2 * m) / 4096)))
+                 for m in range(-2048, 2049)]
+    sin_hi, sin_lo = np.array([s for s, _ in parts]).T
+    cos_hi, cos_lo = np.array([c for _, c in parts]).T
+    assert _same_bits((ddmath.TAB_SIN_HI, ddmath.TAB_SIN_LO, ddmath.TAB_COS_HI,
+                       ddmath.TAB_COS_LO), (sin_hi, sin_lo, cos_hi, cos_lo))
+
+
+@pytest.mark.parametrize("order", [8, 9, 16, 17, 24, 30])
+def test_gauss_legendre_dd_matches_the_full_newton_solve(order):
+    # Six Newton steps on mpmath.legendre from every float64 seed, both
+    # halves, as the rule was built before the half-node recurrence solve.
+    seeds, _ = np.polynomial.legendre.leggauss(order)
+    xs, ws = [], []
+    with mpmath.workdps(60):
+        for seed in seeds:
+            x = mpmath.mpf(float(seed))
+            for _ in range(6):
+                p, pm = mpmath.legendre(order, x), mpmath.legendre(order - 1, x)
+                x = x - p / (order * (x * p - pm) / (x * x - 1))
+            p, pm = mpmath.legendre(order, x), mpmath.legendre(order - 1, x)
+            dp = order * (x * p - pm) / (x * x - 1)
+            xs.append(_dd_of_mp(x))
+            ws.append(_dd_of_mp(2 / ((1 - x * x) * dp * dp)))
+    (xh, xl), (wh, wl) = ddmath.gauss_legendre_dd(order)
+    assert _same_bits((xh, xl, wh, wl), (*np.array(xs).T, *np.array(ws).T))
+
+
 def _random_dd(rng, n):
     hi = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 5, n)
     lo = hi * rng.uniform(-1.0, 1.0, n) * 2.0 ** -53

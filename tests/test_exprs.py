@@ -62,6 +62,15 @@ class TestEvalReal:
         with pytest.raises(ExprDomainError):
             eval_real(parse("1/(x-1)"), 1.0)
 
+    @pytest.mark.parametrize("text, x, offset", [("exp(exp(3)^3)", 1.0, 0),
+                                                 ("x + sin(exp(x)^400)", 2.0, 4),
+                                                 ("x^2.5", 1e200, 1)])
+    def test_overflow_is_a_positioned_domain_error(self, text, x, offset):
+        # math raises OverflowError (exp, pow) or ValueError (sin of inf)
+        with pytest.raises(ExprDomainError) as err:
+            eval_real(parse(text), x)
+        assert err.value.offset == offset
+
     def test_unbound_symbol(self):
         with pytest.raises(UnboundSymbolError):
             eval_real(parse("a*x"), 1.0)

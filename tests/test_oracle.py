@@ -1,10 +1,16 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath
+import numpy as np
 import pytest
 
+from oscphase.cli import parse_config
 from oscphase.coefficients import compute_coefficients, make_problem
-from oscphase.errors import QuadratureNonConvergence
+from oscphase.errors import ExprDomainError, QuadratureNonConvergence
 from oscphase.exprs import parse
 from oscphase import ddmath, ddnumba, oracle
 from oscphase.oracle import (_CHUNK_NODES, QuadratureSettings, _double_edges,
@@ -270,6 +276,48 @@ class TestEmbeddedCertificate:
         p = make_problem("T*x", "1/(x-1.4)", 1.0, 2.0, n=2, T=16.0)
         with pytest.raises(QuadratureNonConvergence, match="stagnated"):
             oscillatory_quadrature(p, QuadratureSettings(max_panels=20_000))
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestBreakpoints:
+    def test_oracle_call_does_not_import_numpy_ma(self):
+        # The first np.unique of a process imports numpy.ma; the oracle's
+        # set-up path must not pay for it.
+        code = ("import sys, oscphase\n"
+                "from oscphase.coefficients import make_problem\n"
+                "oscphase.oscillatory_quadrature("
+                "make_problem('x^2', '1', -1.0, 1.0, n=2))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("name", ["fresnel", "monotone", "stationary_cubic"])
+    def test_edges_match_np_unique(self, monkeypatch, name):
+        p = parse_config((CONFIGS / f"{name}.cfg").read_text()).to_problem()
+        edges = build_breakpoints(p)
+        monkeypatch.setattr(oracle, "_drop_repeats", np.unique)
+        assert np.array_equal(edges.view(np.int64), build_breakpoints(p).view(np.int64))
+
+    def test_drop_repeats_is_np_unique_on_sorted_edges(self):
+        edges = np.array([-1.0, -1.0, -0.5, 0.0, 0.0, 0.0, 0.25, 1.0, 1.0])
+        assert np.array_equal(oracle._drop_repeats(edges), np.unique(edges))
+
+    @pytest.mark.parametrize("f", ["64*log(x - 1.5)",
+                                   "64*x + exp(720 - 1000*(x - 1.5)^2)"])
+    def test_phase_non_finite_on_the_scan_grid_raises_as_before(
+            self, monkeypatch, f):
+        errors = []
+        for drop in (oracle._drop_repeats, np.unique):
+            monkeypatch.setattr(oracle, "_drop_repeats", drop)
+            with pytest.raises(ExprDomainError) as info:
+                oscillatory_quadrature(make_problem(f, "1", 1.0, 2.0, n=2, T=64.0))
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
 
 
 class TestFdDerivatives:
