@@ -3,8 +3,9 @@
 
 Runs the benchmark that BENCHMARK.json declares (perfbench/run.py) for each
 of its workloads, for its run length: untraced once per seed, and traced
-(--trace 1) once with the first seed.  Writes BENCH_<label>.json at the
-repository root with
+(--trace 1) once with the first seed.  The seeds are fixed, 1 to 5, so
+that the trajectory points compare with each other.  Writes
+BENCH_<label>.json at the repository root with
 
   * the environment header of the runs (Python, numpy, backend, cores, ...),
   * per workload and end-to-end metric: the median, quartiles and IQR over
@@ -12,7 +13,7 @@ repository root with
   * per workload: the traced run's layer metrics.
 
 Usage:
-    python3 scripts/bench.py --label 6 [--seeds 1:5] [--checkout DIR]
+    python3 scripts/bench.py --label 6 [--checkout DIR]
 
 --checkout measures another checkout of the repository (for example an
 earlier commit made with `git clone`) with that checkout's own benchmark;
@@ -28,32 +29,32 @@ import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+from perfbench.compare import load  # noqa: E402  (reads the run logs)
+
+SEEDS = range(1, 6)
 # Header keys that name one run rather than the machine and the program.
 RUN_KEYS = ("workload", "seed", "trace", "small_node_array_bytes_computed",
             "large_node_array_bytes_computed")
 
 
 def run_once(checkout: pathlib.Path, bench: dict, workload: str, seed: int,
-             trace: int) -> tuple[dict, dict]:
-    """(env header, result record) of one benchmark run."""
+             trace: int, log) -> None:
+    """Append the stdout of one benchmark run to log."""
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(bench["run_seconds"]),
                               "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=False)
-    records = [json.loads(line) for line in proc.stdout.splitlines()
-               if line.startswith("{")]
-    env = next((r["env"] for r in records if "env" in r), None)
-    result = next((r for r in records if "metrics" in r), None)
-    if proc.returncode != 0 or env is None or result is None:
+    if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed (exit {proc.returncode}):\n"
                          f"{proc.stderr[-2000:]}")
-    if not result["correct"]:
-        raise SystemExit(f"{' '.join(cmd)}: {result['failed']} checks failed")
-    return env, result
+    log.write(proc.stdout)
+    log.flush()
 
 
 def summarize(values: list) -> dict:
@@ -70,55 +71,55 @@ def git_commit(checkout: pathlib.Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def parse_seeds(text: str) -> list[int]:
-    first, _, last = text.partition(":")
-    return list(range(int(first), int(last or first) + 1))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True,
                         help="names the output file BENCH_<label>.json")
-    parser.add_argument("--seeds", default="1:5", help="first:last, inclusive")
     parser.add_argument("--checkout", type=pathlib.Path, default=ROOT)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
-    seeds = parse_seeds(args.seeds)
     bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in bench["workloads"]]
+    units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
 
-    envs, report = [], {}
-    for workload in (w["name"] for w in bench["workloads"]):
-        values: dict = {}
-        units: dict = {}
-        for seed in seeds:
-            t0 = time.perf_counter()
-            env, result = run_once(checkout, bench, workload, seed, 0)
-            envs.append(env)
-            for name, metric in result["metrics"].items():
-                values.setdefault(name, []).append(metric["value"])
-                units[name] = metric["unit"]
-            print(f"{workload} seed {seed}: {time.perf_counter() - t0:.0f} s",
-                  file=sys.stderr)
-        env, traced = run_once(checkout, bench, workload, seeds[0], 1)
-        envs.append(env)
-        report[workload] = {
-            "end_to_end": {name: {"unit": units[name], **summarize(v)}
-                           for name, v in values.items()},
-            "layer": {"seed": seeds[0],
-                      "metrics": {name: metric["value"] for name, metric
-                                  in traced["metrics"].items()}},
-        }
+    with tempfile.TemporaryDirectory() as tmp:
+        untraced, traced = pathlib.Path(tmp, "untraced.log"), pathlib.Path(tmp, "traced.log")
+        with untraced.open("w") as u_log, traced.open("w") as t_log:
+            for workload in workloads:
+                for seed in SEEDS:
+                    t0 = time.perf_counter()
+                    run_once(checkout, bench, workload, seed, 0, u_log)
+                    print(f"{workload} seed {seed}: {time.perf_counter() - t0:.0f} s",
+                          file=sys.stderr)
+                run_once(checkout, bench, workload, SEEDS[0], 1, t_log)
+        u_envs, values = load(untraced)
+        t_envs, layer = load(traced)
 
-    machine = [{k: v for k, v in env.items() if k not in RUN_KEYS} for env in envs]
+    if (len(u_envs) != len(workloads) * len(SEEDS) or len(t_envs) != len(workloads)
+            or any(len(v) != len(SEEDS) for v in values.values())):
+        raise SystemExit("a run printed no environment header or no result")
+    failed = [key for key, v in {**values, **layer}.items()
+              if key[1] == "ok_frac" and min(v) < 1.0]
+    if failed:
+        raise SystemExit(f"checks failed in {sorted(failed)}")
+    machine = [{k: v for k, v in env.items() if k not in RUN_KEYS}
+               for env in u_envs + t_envs]
     if any(m != machine[0] for m in machine):
         raise SystemExit("runs disagree on the environment header")
+    report = {workload: {
+        "end_to_end": {name: {"unit": units[name], **summarize(v)}
+                       for (w, name), v in values.items() if w == workload},
+        "layer": {"seed": SEEDS[0],
+                  "metrics": {name: v[0] for (w, name), v in layer.items()
+                              if w == workload}},
+    } for workload in workloads}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
         "label": args.label,
         "commit": git_commit(checkout),
         "command": " ".join(bench["command"]) + " --workload W --seed S "
                    f"--seconds {bench['run_seconds']} --trace 0|1",
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "env": machine[0],
         "workloads": report,
     }, indent=1) + "\n", encoding="utf-8")

@@ -216,12 +216,11 @@ def find_stationary_point(p: PhaseProblem,
             f"f' changes sign {len(brackets)} times on the scan grid")
 
     gamma = bisect_fprime(p, *brackets[0], steps=48)
-    # Each step depends on the iterate alone, so once an iterate repeats
-    # (a 2-cycle between adjacent floats, say) the rest of the 60 steps go
-    # round that cycle without stopping: jump to the iterate they end on.
-    iterates = [gamma]
-    seen = {gamma.hex(): 0}
-    for _ in range(NEWTON_STEPS):
+    # Each step depends on the iterate alone, so once an iterate equals the
+    # one two steps back (a 2-cycle between adjacent floats) the rest of the
+    # 60 steps alternate between the last two: jump to the one they end on.
+    older = previous = None
+    for k in range(1, NEWTON_STEPS + 1):
         d1, d2 = p.fprime2(gamma)
         if d2 == 0.0:
             break
@@ -231,15 +230,13 @@ def find_stationary_point(p: PhaseProblem,
             break
         if new == gamma:
             break
-        gamma = new
+        older, previous, gamma = previous, gamma, new
         if abs(step) <= 1e-17 * max(abs(gamma), p.beta - p.alpha):
             break
-        first = seen.setdefault(gamma.hex(), len(iterates))
-        if first < len(iterates):
-            cycle = iterates[first:]
-            gamma = cycle[(NEWTON_STEPS - first) % len(cycle)]
+        if gamma == older:
+            if (NEWTON_STEPS - k) % 2:
+                gamma = previous
             break
-        iterates.append(gamma)
 
     width = p.beta - p.alpha
     if min(gamma - p.alpha, p.beta - gamma) < 1e-9 * width:

@@ -82,17 +82,17 @@ class TestFindStationaryPoint:
         assert len(calls) < 60
         assert found.hex() == gamma.hex() == "-0x1.15810624dd2f2p-2"
 
-    def test_newton_cycle_entered_late_ends_where_sixty_steps_would(
+    def test_newton_two_cycle_entered_late_ends_where_sixty_steps_would(
             self, monkeypatch):
-        # A stub Newton map 0 -> 1/8 -> 1/4 -> 3/8 -> 1/8 -> ...: the cycle
-        # starts after one step, so the 60th iterate is 3/8, not the 1/8
-        # that repeats first.  Bisection stops at once on the zero stub f'.
-        after = {0.0: 0.125, 0.125: 0.25, 0.25: 0.375, 0.375: 0.125}
+        # A stub Newton map 0 -> 1/8 -> 1/4 -> 1/8 -> ...: the repeat shows
+        # at an odd step, so the 60th iterate is 1/4, not the 1/8 just
+        # reached.  Bisection stops at once on the zero stub f'.
+        after = {0.0: 0.125, 0.125: 0.25, 0.25: 0.125}
         monkeypatch.setattr(PhaseProblem, "fprime", lambda self, x: 0.0)
         monkeypatch.setattr(PhaseProblem, "fprime2",
                             lambda self, x: (x - after[x], 1.0))
         p = make_problem("x^2", "1", -1.0, 1.0, n=2, T=1.0)
-        assert find_stationary_point(p, scan_points=513) == 0.375
+        assert find_stationary_point(p, scan_points=513) == 0.25
 
 
 class TestTaylorData:

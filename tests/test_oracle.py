@@ -284,8 +284,11 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 class TestBreakpoints:
     def test_oracle_call_does_not_import_numpy_ma(self):
         # The first np.unique of a process imports numpy.ma; the oracle's
-        # set-up path must not pay for it.
-        code = ("import sys, oscphase\n"
+        # set-up path must not pay for it.  numpy 1.x imports numpy.ma with
+        # numpy itself, which leaves nothing to check.
+        code = ("import sys, numpy\n"
+                "print('numpy.ma' in sys.modules)\n"
+                "import oscphase\n"
                 "from oscphase.coefficients import make_problem\n"
                 "oscphase.oscillatory_quadrature("
                 "make_problem('x^2', '1', -1.0, 1.0, n=2))\n"
@@ -294,7 +297,10 @@ class TestBreakpoints:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True,
                              env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        with_numpy, after_call = out.stdout.split()
+        if with_numpy == "True":
+            pytest.skip("import numpy itself imports numpy.ma")
+        assert after_call == "False"
 
     @pytest.mark.parametrize("name", ["fresnel", "monotone", "stationary_cubic"])
     def test_edges_match_np_unique(self, monkeypatch, name):
