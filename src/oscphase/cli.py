@@ -25,7 +25,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 
-from .coefficients import SCAN_POINTS, PhaseProblem, infer_T
+from .coefficients import SCAN_POINTS, PhaseProblem, make_problem
 from .errors import (ConfigError, ExprError, OscPhaseError,
                      QuadratureNonConvergence, StationaryPointError)
 from .exprs import parse as parse_expr
@@ -55,18 +55,13 @@ class ProblemConfig:
     params: dict = field(default_factory=dict)
 
     def to_problem(self, n_override: int | None = None) -> PhaseProblem:
-        f_expr = parse_expr(self.f)
-        g_expr = parse_expr(self.g)
-        m = self.M if self.M is not None else self.beta - self.alpha
-        t = self.T
-        if t is None:
-            if "T" in symbols(f_expr):
-                raise ConfigError("T is required: f references the parameter T")
-            bindings = {**self.params, "M": m, "N": self.N, "U": self.U}
-            t = infer_T(f_expr, self.alpha, self.beta, bindings, m)
-        return PhaseProblem(f=f_expr, g=g_expr, alpha=self.alpha,
-                            beta=self.beta, n=n_override or self.n, T=t,
-                            M=m, N=self.N, U=self.U, params=dict(self.params))
+        # Stricter than make_problem: a [params] entry does not stand in
+        # for a missing T.
+        if self.T is None and "T" in symbols(parse_expr(self.f)):
+            raise ConfigError("T is required: f references the parameter T")
+        return make_problem(self.f, self.g, self.alpha, self.beta,
+                            n_override or self.n, T=self.T, M=self.M,
+                            N=self.N, U=self.U, params=self.params)
 
 
 def parse_config(text: str) -> ProblemConfig:
@@ -104,19 +99,12 @@ def parse_config(text: str) -> ProblemConfig:
         if key not in top:
             raise ConfigError(f"missing key: {key}")
     try:
-        cfg = ProblemConfig(
-            f=top["f"], g=top["g"],
-            alpha=float(top["alpha"]), beta=float(top["beta"]),
-            n=int(top["n"]),
-            M=float(top["M"]) if "M" in top else None,
-            N=float(top["N"]) if "N" in top else 1.0,
-            U=float(top["U"]) if "U" in top else 1.0,
-            T=float(top["T"]) if "T" in top else None,
-        )
+        numbers = {key: float(value) for key, value in top.items()
+                   if key not in ("f", "g", "n")}
+        return ProblemConfig(f=top["f"], g=top["g"], n=int(top["n"]),
+                             params=params, **numbers)
     except ValueError as exc:
         raise ConfigError(f"bad numeric value: {exc}") from None
-    cfg.params.update(params)
-    return cfg
 
 
 def _load(path: str) -> ProblemConfig:

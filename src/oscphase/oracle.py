@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from . import ddmath, ddnumba
+from . import ddmath
 from .coefficients import (SCAN_POINTS, PhaseProblem, bisect_fprime,
                            mp_refine_gamma, solve_x_of_y)
 from .errors import OracleFitError, QuadratureNonConvergence
@@ -70,11 +70,20 @@ def _drop_repeats(edges: np.ndarray) -> np.ndarray:
     return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
-def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
-    """Panel edges on a monotone-phase piece: equal phase increments."""
+def _piece_breakpoints(p: PhaseProblem, a: float, b: float,
+                      max_panels: int) -> np.ndarray:
+    """Panel edges on a monotone-phase piece: equal phase increments.
+
+    A phase change that is not finite, or that needs more than max_panels
+    panels, raises QuadratureNonConvergence before anything is allocated.
+    """
     fa = p.f_value(a)
     fb = p.f_value(b)
     total = abs(fb - fa)
+    if not total <= max_panels * _PHASE_PER_PANEL:  # also inf and nan
+        raise QuadratureNonConvergence(
+            f"phase change of {total:.3g} turns over [{a!r}, {b!r}] is not "
+            f"finite or needs more than max_panels = {max_panels} panels")
     n_panels = max(1, int(math.ceil(total / _PHASE_PER_PANEL)))
     max_width = (p.beta - p.alpha) * _MAX_WIDTH_FRACTION
     n_panels = max(n_panels, int(math.ceil((b - a) / max_width)))
@@ -99,9 +108,10 @@ def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
     return edges
 
 
-def build_breakpoints(p: PhaseProblem,
-                      scan_points: int = SCAN_POINTS) -> np.ndarray:
-    """Initial panel edges: split at f' sign changes, then by phase."""
+def build_breakpoints(p: PhaseProblem, scan_points: int = SCAN_POINTS,
+                      max_panels: int = QuadratureSettings.max_panels) -> np.ndarray:
+    """Initial panel edges: split at f' sign changes, then by phase (see
+    _piece_breakpoints for the phase changes it refuses)."""
     roots = [bisect_fprime(p, *bracket, steps=60)
              for bracket in p.sample(scan_points).sign_changes()]
     cuts = [p.alpha] + roots + [p.beta]
@@ -109,7 +119,7 @@ def build_breakpoints(p: PhaseProblem,
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b <= a:
             continue
-        edges = _piece_breakpoints(p, a, b)
+        edges = _piece_breakpoints(p, a, b, max_panels)
         parts.append(edges if not parts else edges[1:])
     return np.concatenate(parts)
 
@@ -137,48 +147,18 @@ def _unresolved_excess(d: ddmath.DD, c: np.ndarray) -> float:
     return float(n2[n1 > _SMOOTH_DECAY * n2].sum())
 
 
-def _panels_dd(p: PhaseProblem, edges: np.ndarray, order: int,
-               embedded: bool = False):
-    """Integrate over the given panels; returns (re, im) as dd scalars.
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
+def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
+                     embedded: bool = False):
+    """Integrate over the given panels in dd; returns (re, im) as dd scalars.
 
     With embedded=True, returns ((re, im), (d_re, d_im), excess): the
     Gauss-Legendre sums, their difference from the sums of the rule
     embedded in the same nodes (ddmath.embedded_null_weights) and the
     coarse null excess of the panels that rule does not resolve
-    (_unresolved_excess).
-    """
-    (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(order)
-    param_names = tuple(sorted(p.bindings))
-    kernel = None
-    try:
-        kernel = ddnumba.get_kernel(p.f, p.g, param_names)
-    except Exception:
-        kernel = None  # any codegen hiccup falls back to the numpy path
-    if kernel is None:
-        return _panels_dd_numpy(p, edges, order, embedded)
-    d_hi, d_lo = ddmath.embedded_null_weights(order)
-    pv = np.array([float(p.bindings[name]) for name in param_names])
-    parts = kernel(edges, xi_hi, xi_lo, w_hi, w_lo, d_hi, d_lo,
-                   ddmath.coarse_null_weights(order), pv,
-                   ddmath.TAB_SIN_HI, ddmath.TAB_SIN_LO,
-                   ddmath.TAB_COS_HI, ddmath.TAB_COS_LO)
-    _require_finite(parts[0], parts[2])
-    re, im, d_re, d_im = (ddmath.sum_pairwise((parts[k], parts[k + 1]))
-                          for k in range(0, 8, 2))
-    if not embedded:
-        return re, im
-    d = (np.stack(parts[4:8:2]), np.stack(parts[5:8:2]))
-    return (re, im), (d_re, d_im), _unresolved_excess(d, np.stack(parts[8:]))
-
-
-@np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
-                     embedded: bool = False):
-    """Pure-numpy dd panel integration (reference / fallback path).
-
-    Real and imaginary parts travel stacked on a leading axis of length 2.
-    Non-finite phases or sums raise QuadratureNonConvergence instead of
-    numpy's warnings.
+    (_unresolved_excess).  Works in chunks of _CHUNK_NODES nodes, real and
+    imaginary parts stacked on a leading axis of length 2.  Non-finite
+    phases or sums raise QuadratureNonConvergence.
     """
     (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(order)
     if embedded:
@@ -261,7 +241,7 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
     until diff < tol; Q is returned.
     """
     settings = settings or QuadratureSettings()
-    edges = _double_edges(build_breakpoints(p, scan_points))
+    edges = _double_edges(build_breakpoints(p, scan_points, settings.max_panels))
     doublings = 1
     best_diff = None
     stagnant = 0
@@ -270,7 +250,7 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
             raise QuadratureNonConvergence(
                 f"needed more than max_panels = {settings.max_panels} panels "
                 f"to reach tol = {settings.tol:g}")
-        (re_dd, im_dd), (d_re, d_im), excess = _panels_dd(
+        (re_dd, im_dd), (d_re, d_im), excess = _panels_dd_numpy(
             p, edges, settings.nodes_per_panel, embedded=True)
         value = complex(ddmath.to_float(re_dd), ddmath.to_float(im_dd))
         # The difference is summed in dd; the collapsed doubles of the two
