@@ -18,14 +18,16 @@ import mpmath
 import numpy as np
 
 from . import scalars
-from .errors import (DegenerateStationaryPoint, MultipleSignChanges,
-                     NewtonError, NoSignChange, StationaryAtEndpoint)
+from .errors import (DegenerateStationaryPoint, ExprDomainError,
+                     MultipleSignChanges, NewtonError, NoSignChange,
+                     StationaryAtEndpoint)
 from .exprs import Expr, Neg, eval_jet, eval_real, parse, symbols
 from .jets import (Jet, jet_compose, jet_differentiate, jet_map, jet_mul,
                    jet_revert, jet_truncate, jet_variable)
 
 SCAN_POINTS = 512  # sign-change scan density; CLI-overridable
 NEWTON_STEPS = 60  # cap on the Newton polish of the stationary point
+BISECT_DEPTH = 6  # bisection steps per grid walk of f' (2^6 + 1 points)
 
 
 def grid_jet(e: Expr, xs: np.ndarray, degree: int, bindings: dict) -> tuple:
@@ -81,16 +83,38 @@ class GridSample:
 
 def bisect_fprime(p: "PhaseProblem", lo: float, hi: float, flo: float,
                   steps: int) -> float:
-    """Halve a bracketed sign change of f' `steps` times; returns the middle."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        fm = p.fprime(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+    """Halve a bracketed sign change of f' `steps` times; returns the middle.
+
+    One grid walk reads f' at every midpoint of the next BISECT_DEPTH levels
+    of the bisection tree, each formed as 0.5*(lo + hi) from its two ends
+    exactly as a step-by-step loop forms it, and the steps then follow their
+    path through the tree.  So the result is the float that `steps` scalar
+    walks reach, with one walk per BISECT_DEPTH steps.  (Where f' overflows,
+    the grid keeps +-inf; the complex scalar carrier may give NaN there.)
+    """
+    while steps:
+        depth = min(steps, BISECT_DEPTH)
+        steps -= depth
+        xs = np.empty(2 ** depth + 1)
+        xs[0], xs[-1] = lo, hi
+        for level in range(depth):
+            span = 2 ** (depth - level)
+            xs[span // 2::span] = 0.5 * (xs[:-1:span] + xs[span::span])
+        try:
+            fprime = grid_jet(p.f, xs, 1, p.bindings)[1]
+        except ExprDomainError:  # perhaps off the path: walk it point by point
+            fprime = None
+        i, j = 0, 2 ** depth
+        for _ in range(depth):
+            m = (i + j) // 2
+            fm = fprime[m] if fprime is not None else p.fprime(float(xs[m]))
+            if fm == 0.0:
+                return float(xs[m])
+            if (fm > 0) == (flo > 0):
+                i, flo = m, fm
+            else:
+                j = m
+        lo, hi = float(xs[i]), float(xs[j])
     return 0.5 * (lo + hi)
 
 

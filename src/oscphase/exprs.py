@@ -161,7 +161,11 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, offset = self.advance()
         if kind == "num":
-            return Num(float(value), offset)
+            number = float(value)
+            if math.isinf(number):
+                raise ExprSyntaxError(
+                    f"numeric literal {value!r} overflows to inf", offset)
+            return Num(number, offset)
         if kind == "name":
             nkind, nvalue, noffset = self.peek()
             if nkind == "op" and nvalue == "(":

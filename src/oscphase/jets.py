@@ -6,14 +6,21 @@ which is exactly the formal-power-series semantics the coefficient machinery
 needs.  Coefficients are complex doubles in normal use; any field-like carrier
 (e.g. mpmath numbers, or float64 arrays over a scan grid, which is then the
 base point) works because the algorithms only use +, -, *, /.
+
+Every series is built one coefficient at a time from the earlier ones, as
+in the classical power-series algorithms (Knuth, TAOCP vol. 2, 4.7; Brent
+& Kung, J. ACM 25, 1978): products and quotients by the Cauchy recurrence,
+the elementary functions of `jet_map` by recurrences from their
+differential equations (O(D^2) products each), and the reversion by a table
+of truncated powers (about D^3/6).  Composition is Horner's rule (O(D^3)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
+import mpmath
 import numpy as np
 
 from . import scalars
@@ -199,80 +206,43 @@ def jet_compose(outer: Jet, inner: Jet) -> Jet:
     return result
 
 
-def jet_identity(x0: float, degree: int, like=None) -> Jet:
-    """Formal identity series [0, 1, 0, ...] used by compose/revert."""
-    one = scalars.one_like(like) if like is not None else 1 + 0j
-    zero = scalars.zero_like(like) if like is not None else 0j
-    return Jet(x0, (zero, one) + (zero,) * (degree - 1))
-
-
 def jet_revert(a: Jet) -> Jet:
-    """Compositional inverse of a series with a=0 constant term, a1 != 0.
+    """Compositional inverse b of a series a with a0 = 0 and a1 != 0.
 
-    Newton iteration on the series: each step doubles the number of correct
-    coefficients, and correctness is certified by the compose round-trip.
+    b1 = 1/a1, and for k >= 2 the y^k coefficient of a(b(y)) is a1*b_k
+    plus sum_{i=2..k} a_i [y^k] b^i, whose powers hold only b_1..b_{k-1};
+    setting it to zero gives b_k.  A table of b's truncated powers gains
+    one column per k, so the whole series costs about D^3/6 products
+    (Knuth, TAOCP vol. 2, 4.7).
     """
     if a.coeffs[0] != 0:
         raise JetDomainError("reversion requires zero constant term")
     if a.coeffs[1] == 0:
         raise JetDomainError("reversion requires a nonzero linear term")
-    deg = a.degree
-    like = a.coeffs[1]
-    ident = jet_identity(a.base_point, deg, like=like)
-    a_prime = jet_truncate(jet_differentiate(a), deg)
-    a_prime = Jet(a.base_point, a_prime.coeffs + (scalars.zero_like(like),) * (deg - a_prime.degree))
-    # First-order seed y/a1; Newton: b <- b - (a(b) - id)/a'(b).
-    b = Jet(a.base_point, tuple(c / a.coeffs[1] for c in ident.coeffs))
-    correct = 1
-    while correct < deg:
-        residual = jet_sub(jet_compose(a, b), ident)
-        slope = jet_compose(a_prime, b)
-        b = jet_sub(b, jet_div(residual, slope))
-        correct *= 2
-    return b
+    ac = a.coeffs
+    b = [1 / ac[1]]  # b[m - 1] = b_m
+    # powers[i][m - i] = [y^m] b^i for the m < k reached so far.
+    powers = [None, b]
+    for k in range(2, a.degree + 1):
+        s = None
+        for i in range(2, k + 1):
+            lower = powers[i - 1]
+            c = b[0] * lower[k - i]
+            for j in range(2, k - i + 2):
+                c = c + b[j - 1] * lower[k - i + 1 - j]
+            if i == k:
+                powers.append([c])
+            else:
+                powers[i].append(c)
+            s = ac[i] * c if s is None else s + ac[i] * c
+        b.append(-s / ac[1])
+    return Jet(a.base_point, (scalars.zero_like(ac[1]),) + tuple(b))
 
 
 def _require_positive(c0, fn: str) -> None:
     real, imag = scalars.real_part(c0), scalars.imag_part(c0)
     if np.any(real <= 0.0) or np.any(abs(imag) > 1e-12 * (1 + abs(real))):
         raise JetDomainError(f"{fn} requires a positive constant term")
-
-
-def _taylor_of_function(fn: str, c0, degree: int, exponent=None) -> Sequence:
-    """Taylor coefficients of the elementary function `fn` about c0."""
-    if fn == "exp":
-        e0 = scalars.exp(c0)
-        return [e0 / math.factorial(k) for k in range(degree + 1)]
-    if fn == "log":
-        _require_positive(c0, fn)
-        out = [scalars.log(c0)]
-        inv = 1 / c0
-        p = inv
-        for k in range(1, degree + 1):
-            out.append((-1) ** (k + 1) * p / k)
-            p = p * inv
-        return out
-    if fn in ("sin", "cos"):
-        s, c = scalars.sin(c0), scalars.cos(c0)
-        cycle = (s, c, -s, -c) if fn == "sin" else (c, -s, -c, s)
-        return [cycle[k % 4] / math.factorial(k) for k in range(degree + 1)]
-    if fn in ("sqrt", "pow"):
-        p = 0.5 if fn == "sqrt" else exponent
-        _require_positive(c0, fn)
-        if fn == "sqrt":
-            base = scalars.sqrt(c0)
-        else:
-            base = scalars.exp(p * scalars.log(c0))
-        out = [base]
-        binom = scalars.one_like(c0) if scalars.is_mp(c0) else 1.0
-        inv = 1 / c0
-        pw = base
-        for k in range(1, degree + 1):
-            binom = binom * (p - (k - 1)) / k
-            pw = pw * inv
-            out.append(binom * pw)
-        return out
-    raise ValueError(f"unknown jet function {fn!r}")
 
 
 def jet_powi(a: Jet, n: int) -> Jet:
@@ -298,8 +268,12 @@ def jet_map(a: Jet, fn: str, exponent=None) -> Jet:
     """Jet of fn(a) for fn in {exp, log, sin, cos, sqrt, pow, atan}.
 
     pow with an integer exponent reduces to repeated multiplication (exact
-    even at zero constant term); otherwise the function's Taylor series at
-    the constant term is composed with the tail of `a`.
+    even at zero constant term).  atan integrates a'/(1 + a^2).  The others
+    take their constant term from `scalars` and every later coefficient
+    from the earlier ones, by the product rule applied to the function's
+    differential equation: exp' = exp a', log' = a'/a, sin' = cos a',
+    cos' = -sin a', (a^p)' = p a^p a'/a, and sqrt squared is a (Knuth,
+    TAOCP vol. 2, 4.7).  Each costs O(D^2) products.
     """
     if fn not in _MAP_FUNCTIONS:
         raise ValueError(f"unknown jet function {fn!r}")
@@ -308,19 +282,63 @@ def jet_map(a: Jet, fn: str, exponent=None) -> Jet:
             raise ValueError("pow requires an exponent")
         if float(exponent) == int(exponent):
             return jet_powi(a, int(exponent))
+    c0 = a.coeffs[0]
     if fn == "atan":
         # atan(a) = atan(c0) + integral of a' / (1 + a^2); exact to degree.
-        c0 = a.coeffs[0]
         da = jet_differentiate(a)
         den = jet_truncate(jet_mul(a, a), a.degree - 1)
         one = jet_constant(scalars.one_like(c0), a.base_point, a.degree - 1)
         quot = jet_div(da, jet_add(one, den))
         return jet_integrate(quot, constant=scalars.atan(c0))
-    c0 = a.coeffs[0]
-    outer = _taylor_of_function(fn, c0, a.degree, exponent=exponent)
-    tail = Jet(a.base_point, (scalars.zero_like(c0),) + a.coeffs[1:])
-    result = jet_constant(outer[a.degree], a.base_point, a.degree)
-    for k in range(a.degree - 1, -1, -1):
-        result = jet_mul(result, tail)
-        result = Jet(a.base_point, (result.coeffs[0] + outer[k],) + result.coeffs[1:])
-    return result
+    if fn in ("log", "sqrt", "pow"):
+        _require_positive(c0, fn)
+    ac, deg = a.coeffs, a.degree
+    # da[j] = j a_j: the coefficients of t a'(t).
+    da = [None] + [j * ac[j] for j in range(1, deg + 1)]
+
+    def conv(weights, series, k):
+        """sum_{j=1..k} weights[j] * series[k - j]."""
+        s = weights[1] * series[k - 1]
+        for j in range(2, k + 1):
+            s = s + weights[j] * series[k - j]
+        return s
+
+    if fn == "exp":
+        out = [scalars.exp(c0)]
+        for k in range(1, deg + 1):
+            out.append(conv(da, out, k) / k)
+    elif fn == "log":
+        # a * (t log(a)') = t a', with db[m] = m b_m (db[0] = 0):
+        # c0 db[k] = k a_k - sum_{j=1..k} a_j db[k-j]
+        out = [scalars.log(c0)]
+        db = [scalars.zero_like(c0)]
+        for k in range(1, deg + 1):
+            db.append((da[k] - conv(ac, db, k)) / c0)
+            out.append(db[k] / k)
+    elif fn in ("sin", "cos"):
+        sin, cos = [scalars.sin(c0)], [scalars.cos(c0)]
+        for k in range(1, deg + 1):
+            sin.append(conv(da, cos, k) / k)
+            cos.append(-conv(da, sin, k) / k)  # reads sin up to k - 1
+        out = sin if fn == "sin" else cos
+    elif fn == "sqrt":
+        # b^2 = a: 2 b_0 b_k = a_k - sum_{0<j<k} b_j b_{k-j}
+        out = [scalars.sqrt(c0)]
+        two_b0 = 2 * out[0]
+        for k in range(1, deg + 1):
+            s = ac[k]
+            for j in range(1, k):
+                s = s - out[j] * out[k - j]
+            out.append(s / two_b0)
+    else:
+        # a * (t b') = p b * (t a'):
+        # k c0 b_k = sum_{j=1..k} (p j - (k - j)) a_j b_{k-j}
+        # (p in the carrier, so that an mp weight is exact for any p).
+        p = mpmath.mpf(exponent) if scalars.is_mp(c0) else exponent
+        out = [scalars.exp(p * scalars.log(c0))]
+        for k in range(1, deg + 1):
+            s = (p - (k - 1)) * ac[1] * out[k - 1]
+            for j in range(2, k + 1):
+                s = s + (p * j - (k - j)) * ac[j] * out[k - j]
+            out.append(s / (k * c0))
+    return Jet(a.base_point, tuple(out))

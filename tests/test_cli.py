@@ -148,6 +148,15 @@ class TestCmdExpand:
         assert main([command, "--config", cfg]) == 1
         assert "zero to a negative power (offset 9)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["audit", "expand"])
+    def test_literal_overflowing_to_inf_exits_1(self, tmp_path, capsys,
+                                                command):
+        cfg = write(tmp_path, "huge.cfg",
+                    "f = T*(x - 0.75)^2\ng = x^1e400\nalpha = 0.5\n"
+                    "beta = 1\nn = 2\nT = 100\n")
+        assert main([command, "--config", cfg]) == 1
+        assert "'1e400' overflows to inf (offset 2)" in capsys.readouterr().err
+
     def test_n_override(self, tmp_path, capsys):
         cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
         assert main(["expand", "--config", cfg, "--n", "3"]) == 0

@@ -95,6 +95,72 @@ class TestFindStationaryPoint:
         assert find_stationary_point(p, scan_points=513) == 0.25
 
 
+def serial_bisect(p, lo, hi, flo, steps):
+    """The bisection as a loop of scalar f' walks, one per step."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = p.fprime(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBisection:
+    """bisect_fprime reads f' on a tree of midpoints per grid walk and must
+    return the bits of the loop it replaces."""
+
+    CUBIC = ("2048.0*(x*(0.57284522 + x*(1.11382 + 0.14*x)))",
+             "1/(1 + 1.46*x^2)", -0.758, 0.204)
+
+    @pytest.mark.parametrize("spec, steps", [
+        (CUBIC, 48),
+        (("T*cos(x + 0.1)", "1", -1.0, 1.0), 48),
+        (("T*log(2 + x)*sin(x + 0.2)", "1", -1.0, 1.0), 48),
+        (CUBIC, 60),  # the oracle's breakpoint call
+    ])
+    def test_same_bits_as_the_loop(self, spec, steps):
+        p = make_problem(*spec, n=2, T=64.0)
+        brackets = p.sample().sign_changes()
+        assert brackets
+        for bracket in brackets:
+            want = serial_bisect(p, *bracket, steps)
+            assert bisect_fprime(p, *bracket, steps).hex() == want.hex()
+
+    def test_exact_zero_at_a_midpoint(self):
+        # f' = 2 (x - 0.25): the second midpoint of [0, 1] is its zero.
+        p = make_problem("(x-0.25)^2", "1", 0.0, 1.0, n=2, T=1.0)
+        for steps in (48, 60):
+            got = bisect_fprime(p, 0.0, 1.0, p.fprime(0.0), steps)
+            assert got == serial_bisect(p, 0.0, 1.0, p.fprime(0.0), steps)
+            assert got == 0.25
+
+    def test_domain_error_off_the_path(self):
+        # f is undefined at -0.5, a tree midpoint of [-1, 1] that the path
+        # to the zero of f' at 0.3 never reaches: the grid walk raises there,
+        # and the loop's scalar walks do not.
+        p = make_problem("(x-0.3)^2 + 1e-300/(x+0.5)", "1", -1.0, 1.0, n=2,
+                         T=1.0)
+        flo = p.fprime(-1.0)
+        want = serial_bisect(p, -1.0, 1.0, flo, 48)
+        assert bisect_fprime(p, -1.0, 1.0, flo, 48).hex() == want.hex()
+
+    def test_one_walk_per_tree(self, monkeypatch):
+        import oscphase.coefficients as coefficients
+
+        p = make_problem(*self.CUBIC, n=2)
+        bracket = p.sample().sign_changes()[0]
+        calls = []
+        eval_jet = coefficients.eval_jet
+        monkeypatch.setattr(coefficients, "eval_jet",
+                            lambda *args: calls.append(1) or eval_jet(*args))
+        bisect_fprime(p, *bracket, steps=48)
+        assert len(calls) <= 8
+
+
 class TestTaylorData:
     def test_cubic(self, cubic_problem):
         lam, eta = taylor_data(cubic_problem, 0.0)

@@ -40,6 +40,14 @@ class TestParse:
             parse("x + $")
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize("text, offset", [("x^1e400", 2),
+                                              ("1e400*x", 0),
+                                              ("x + 2.5e308", 4)])
+    def test_literal_overflowing_to_inf(self, text, offset):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.offset == offset
+
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
             parse("1 + 2 )")

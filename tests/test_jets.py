@@ -1,3 +1,4 @@
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,45 @@ class TestMap:
     def test_integer_pow_at_zero_constant(self):
         assert_coeffs(jet_map(jet_of(0, 1, 0, 0, 0), "pow", exponent=2),
                       [0, 0, 1, 0, 0], tol=0)
+
+
+class TestMapRecurrences:
+    """The coefficient recurrences against mpmath.taylor of fn(a(t)), taken
+    at 80 digits, for a quartic a with every later coefficient zero."""
+
+    A = (0.7, 0.3, -0.2, 0.1, 0.05)
+    DEGREE = 13
+    CASES = [("exp", None, mpmath.exp), ("log", None, mpmath.log),
+             ("sin", None, mpmath.sin), ("cos", None, mpmath.cos),
+             ("sqrt", None, mpmath.sqrt),
+             ("pow", 1.5, lambda z: mpmath.power(z, 1.5)),
+             ("pow", -0.5, lambda z: mpmath.power(z, -0.5))]
+
+    def reference(self, f):
+        with mpmath.workdps(80):
+            return mpmath.taylor(lambda t: f(mpmath.polyval(self.A[::-1], t)),
+                                 0, self.DEGREE)
+
+    def jet(self, lift):
+        padded = self.A + (0.0,) * (self.DEGREE + 1 - len(self.A))
+        return Jet(0.0, tuple(lift(c) for c in padded))
+
+    @pytest.mark.parametrize("fn, exponent, f", CASES)
+    def test_float(self, fn, exponent, f):
+        want = self.reference(f)
+        got = jet_map(self.jet(complex), fn, exponent=exponent).coeffs
+        assert len(got) == self.DEGREE + 1
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * abs(w)
+
+    @pytest.mark.parametrize("fn, exponent, f", CASES)
+    def test_mp(self, fn, exponent, f):
+        want = self.reference(f)
+        with mpmath.workdps(50):
+            got = jet_map(self.jet(mpmath.mpf), fn, exponent=exponent).coeffs
+            assert all(isinstance(g, mpmath.mpf) for g in got)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= mpmath.mpf("1e-45") * abs(w)
 
 
 class TestCompose:
@@ -210,6 +250,21 @@ def test_revert_compose_roundtrip(tail, a1, flip):
     assert abs(ident.coeffs[1] - 1.0) <= 1e-12
     for c in ident.coeffs[2:]:
         assert abs(c) <= 1e-10
+
+
+def test_revert_compose_roundtrip_mp():
+    # a(y) = -1.3 y + y^2 (0.2 - 0.1 y + 0.05 y^2 ...), degree 13, 50 digits
+    with mpmath.workdps(50):
+        tail = [mpmath.mpf(c) / 10 for c in (2, -1, 0.5, 3, -2, 1, 0.7, -0.4,
+                                              0.3, 0.2, -0.1, 0.05)]
+        a = Jet(0.0, (mpmath.mpf(0), mpmath.mpf("-1.3")) + tuple(tail))
+        b = jet_revert(a)
+        assert b.degree == 13 and b.coeffs[1] == 1 / mpmath.mpf("-1.3")
+        ident = jet_compose(a, b)
+        assert ident.coeffs[0] == 0
+        assert abs(ident.coeffs[1] - 1) <= mpmath.mpf("1e-45")
+        for c in ident.coeffs[2:]:
+            assert abs(c) <= mpmath.mpf("1e-45")
 
 
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0),
