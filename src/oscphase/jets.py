@@ -224,17 +224,17 @@ def jet_revert(a: Jet) -> Jet:
     # powers[i][m - i] = [y^m] b^i for the m < k reached so far.
     powers = [None, b]
     for k in range(2, a.degree + 1):
-        s = None
+        # Column k: [y^k] b^i = sum_{j>=1} b_j [y^(k-j)] b^(i-1), i = 2..k.
+        powers.append([])
         for i in range(2, k + 1):
             lower = powers[i - 1]
             c = b[0] * lower[k - i]
             for j in range(2, k - i + 2):
                 c = c + b[j - 1] * lower[k - i + 1 - j]
-            if i == k:
-                powers.append([c])
-            else:
-                powers[i].append(c)
-            s = ac[i] * c if s is None else s + ac[i] * c
+            powers[i].append(c)
+        s = ac[2] * powers[2][k - 2]
+        for i in range(3, k + 1):
+            s = s + ac[i] * powers[i][k - i]
         b.append(-s / ac[1])
     return Jet(a.base_point, (scalars.zero_like(ac[1]),) + tuple(b))
 
