@@ -15,8 +15,10 @@ Keys: f, g, alpha, beta, n (required); M, N, T, U (optional; defaults
 M = beta-alpha, N = 1, U = 1, T inferred as max|f''| * M^2 on the scan grid).
 Expressions may reference x, pi, T, M, N, U, and any [params] entries.
 
-Exit codes: 0 success, 1 config error, 2 engine/hypothesis error,
-3 quadrature non-convergence, 4 study rows failed.
+Exit codes: 0 success, 1 config error, 2 engine/hypothesis error (among
+them NonFinitePhaseError: f is not finite in double-double at an end of the
+interval or at the stationary point), 3 quadrature non-convergence, 4 study
+rows failed.
 """
 
 from __future__ import annotations

@@ -267,9 +267,10 @@ def find_stationary_point(p: PhaseProblem,
         raise StationaryAtEndpoint(
             f"stationary point {gamma!r} within 1e-9*(beta-alpha) of an endpoint")
     tol = 1e-12 * max(1.0, p.T / p.M)
-    if abs(p.fprime(gamma)) > tol:
+    residual = abs(p.fprime(gamma))
+    if not residual <= tol:  # also NaN
         raise NewtonError(
-            f"|f'(gamma)| = {abs(p.fprime(gamma)):.3e} exceeds tolerance {tol:.3e}")
+            f"|f'(gamma)| = {residual:.3e} exceeds tolerance {tol:.3e}")
     sample.gamma = gamma
     return gamma
 

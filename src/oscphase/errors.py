@@ -90,6 +90,13 @@ class NewtonError(OscPhaseError):
     """Newton/bisection solve failed to converge."""
 
 
+# --- expansion ----------------------------------------------------------------
+
+class NonFinitePhaseError(OscPhaseError):
+    """f is not finite in double-double at a point where the expansion needs
+    e(f): an end of the interval or the stationary point (CLI exit 2)."""
+
+
 # --- oracle -----------------------------------------------------------------
 
 class QuadratureNonConvergence(OscPhaseError):

@@ -24,8 +24,9 @@ from . import ddmath, scalars
 from .coefficients import (SCAN_POINTS, CoefficientSet, PhaseProblem,
                            compute_coefficients, find_stationary_point,
                            grid_sup, mp_coefficients)
-from .errors import (DegenerateStationaryPoint, SignChangeDetected,
-                     StationaryPointError, StationaryTooCloseToEndpoint)
+from .errors import (DegenerateStationaryPoint, NonFinitePhaseError,
+                     SignChangeDetected, StationaryPointError,
+                     StationaryTooCloseToEndpoint)
 from .exprs import Call, Expr, eval_array, eval_dd
 from .jets import jet_differentiate, jet_div, jet_truncate
 
@@ -40,13 +41,22 @@ def double_factorial_odd(j: int) -> int:
 
 def unit_phase(p: PhaseProblem, x: float, extra: float = 0.0,
                mp_mode: bool = False):
-    """e(f(x) + extra) with the phase reduced mod 1 before exponentiation."""
+    """e(f(x) + extra) with the phase reduced mod 1 before exponentiation.
+
+    A dd phase that is not finite (f overflows float64 near x) raises
+    NonFinitePhaseError.
+    """
     if mp_mode:
         f = p.f_jet(mpmath.mpf(x), 1).coeffs[0]
         return mpmath.expjpi(2 * (f + extra))
-    f_dd = eval_dd(p.f, ddmath.from_float(np.float64(x)), p.bindings)
-    if extra:
-        f_dd = ddmath.add(f_dd, ddmath.from_float(np.float64(extra)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_dd = eval_dd(p.f, ddmath.from_float(np.float64(x)), p.bindings)
+        if extra:
+            f_dd = ddmath.add(f_dd, ddmath.from_float(np.float64(extra)))
+    if not (np.isfinite(f_dd[0]) and np.isfinite(f_dd[1])):
+        raise NonFinitePhaseError(
+            f"phase f({x!r}) is not finite in double-double "
+            f"({float(f_dd[0])!r} + {float(f_dd[1])!r})")
     return complex(ddmath.e_unit(f_dd))
 
 

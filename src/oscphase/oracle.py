@@ -11,6 +11,18 @@ Three oracles live here:
   embedded in the 24 Gauss nodes (20 of them) gives the error estimate, in
   the manner of Gauss-Kronrod pairs, and panels are halved only when that
   estimate misses the tolerance.
+
+  A pass uses every CPU the process may run on.  The first pass with at
+  least two chunks of 2^14 nodes per CPU starts one helper interpreter per
+  spare CPU (a fresh "python -c" that imports this file; about 0.45 s to
+  ready, 35 MB idle and up to about 80 MB at T = 2^18), without waiting for
+  it; later passes hand each ready helper a contiguous block of chunks and
+  reduce all chunk results here, in chunk order, so every bit is that of a
+  serial pass.  The caller polls for a reply without sleeping for up to as
+  long as its own block took.  The helpers live until the process exits.  They see only
+  the expressions, bindings, edges and rule of each block: a function
+  monkeypatched in this process is not patched there.  Nothing starts at
+  import, for passes of fewer chunks, or on a machine with one CPU.
 * fd_derivatives -- central finite differences, the classic cross-check for
   the jet engine.
 * numeric_reversion_oracle -- brute-force recovery of the varpi coefficients
@@ -20,7 +32,12 @@ Three oracles live here:
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import sys
+import threading
+import time
 from dataclasses import dataclass
 
 import mpmath
@@ -148,28 +165,25 @@ def _unresolved_excess(d: ddmath.DD, c: np.ndarray) -> float:
 
 
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
-                     embedded: bool = False):
-    """Integrate over the given panels in dd; returns (re, im) as dd scalars.
+def _chunk_results(phase: Expr, weight: Expr, bindings: dict, edges: np.ndarray,
+                   order: int, embedded: bool) -> tuple[list, list, list]:
+    """Per-chunk results over the panels between edges, in chunks of
+    _CHUNK_NODES nodes (real and imaginary parts stacked on a leading axis
+    of length 2).
 
-    With embedded=True, returns ((re, im), (d_re, d_im), excess): the
-    Gauss-Legendre sums, their difference from the sums of the rule
-    embedded in the same nodes (ddmath.embedded_null_weights) and the
-    coarse null excess of the panels that rule does not resolve
-    (_unresolved_excess).  Works in chunks of _CHUNK_NODES nodes, real and
-    imaginary parts stacked on a leading axis of length 2.  Non-finite
-    phases or sums raise QuadratureNonConvergence.
+    Returns (sums, d_panels, excesses), each with one entry per chunk: the
+    dd sums of re and im; and, if embedded, the panels' dd (d_re, d_im)
+    against the embedded rule and the coarse null excess
+    (_unresolved_excess).  A non-finite phase raises
+    QuadratureNonConvergence.  Runs in the helper interpreters too.
     """
     (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(order)
     if embedded:
         d_w = ddmath.embedded_null_weights(order)
         c_w = ddmath.coarse_null_weights(order)
-    bindings = p.bindings
     n_panels = len(edges) - 1
     chunk = max(1, _CHUNK_NODES // order)
-    sums = []  # per chunk: the dd sums of re and im
-    d_panels = []  # per chunk, if embedded: the panels' (d_re, d_im)
-    excess = 0.0
+    sums, d_panels, excesses = [], [], []
     for start in range(0, n_panels, chunk):
         stop = min(start + chunk, n_panels)
         a = edges[start:stop]
@@ -181,28 +195,291 @@ def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
         mid2 = (mid[0][:, None], mid[1][:, None])
         half2 = (half[0][:, None], half[1][:, None])
         x = ddmath.add(mid2, ddmath.mul(half2, (xi_hi, xi_lo)))
-        f = eval_dd(p.f, x, bindings)
+        f = eval_dd(phase, x, bindings)
         _require_finite(f[0])
         e_re, e_im = ddmath.e_unit_dd(f)
         e = (np.stack((e_re[0], e_im[0])), np.stack((e_re[1], e_im[1])))
-        gw = ddmath.mul(eval_dd(p.g, x, bindings), (w_hi, w_lo))
+        gw = ddmath.mul(eval_dd(weight, x, bindings), (w_hi, w_lo))
         node = ddmath.mul(gw, e)
         q = ddmath.mul(ddmath.sum_nodes(node), half)
         sums.append([ddmath.sum_pairwise((q[0][k], q[1][k])) for k in (0, 1)])
         if embedded:
             d = ddmath.mul(ddmath.sum_nodes(ddmath.mul(node, d_w)), half)
             d_panels.append(d)
-            excess += _unresolved_excess(d, (node[0] * c_w).sum(axis=-1) * half[0])
+            excesses.append(_unresolved_excess(
+                d, (node[0] * c_w).sum(axis=-1) * half[0]))
+    return sums, d_panels, excesses
+
+
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
+def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
+                     embedded: bool = False):
+    """Integrate over the given panels in dd; returns (re, im) as dd scalars.
+
+    With embedded=True, returns ((re, im), (d_re, d_im), excess): the
+    Gauss-Legendre sums, their difference from the sums of the rule
+    embedded in the same nodes (ddmath.embedded_null_weights) and the
+    coarse null excess of the panels that rule does not resolve
+    (_unresolved_excess).  Non-finite phases or sums raise
+    QuadratureNonConvergence.
+
+    The chunks (_chunk_results) are split into contiguous blocks: this
+    process computes the first, and each ready helper interpreter one of the
+    later ones (_Helpers).  The per-chunk results are reduced here in chunk
+    order, so every bit is that of one serial pass.  A helper sees f, g,
+    the bindings, the block's edges, the order and embedded, and nothing
+    else: a function monkeypatched in this process is not patched there.
+    """
+    n_panels = len(edges) - 1
+    chunk = max(1, _CHUNK_NODES // order)
+    n_chunks = -(-n_panels // chunk)
+
+    def jobs(blocks: int) -> list:
+        cuts = [chunk * (n_chunks * k // blocks) for k in range(blocks)]
+        return [(p.f, p.g, p.bindings, edges[lo:hi + 1], order, embedded)
+                for lo, hi in zip(cuts, cuts[1:] + [n_panels])]
+
+    sums, d_panels, excesses = [], [], []
+    for block_sums, block_d, block_excesses in _HELPERS.run(n_chunks, jobs):
+        sums += block_sums
+        d_panels += block_d
+        excesses += block_excesses
     re, im = (ddmath.sum_pairwise((np.array([s[k][0] for s in sums]),
                                    np.array([s[k][1] for s in sums])))
               for k in (0, 1))
     _require_finite(re[0], im[0])
     if not embedded:
         return re, im
+    excess = 0.0
+    for value in excesses:  # in chunk order, one rounding per chunk
+        excess += value
     d_hi = np.concatenate([d[0] for d in d_panels], axis=1)
     d_lo = np.concatenate([d[1] for d in d_panels], axis=1)
     d_re, d_im = (ddmath.sum_pairwise((d_hi[k], d_lo[k])) for k in (0, 1))
     return (re, im), (d_re, d_im), excess
+
+
+# --- helper interpreters ----------------------------------------------------
+
+# Started by "python -c": the path that holds this oscphase package, then the
+# helper's end of the socket pair.  A fresh interpreter, so nothing of the
+# caller (its __main__, threads or patches) is inherited.
+_BOOT = ("import sys; sys.path.insert(0, sys.argv[1]); "
+         "from oscphase.oracle import _serve; _serve(int(sys.argv[2]))")
+# A reply may take this long plus _REPLY_WAIT_RATIO times this process's own
+# block (the blocks differ by at most one chunk); later, the block is
+# computed here.
+_REPLY_WAIT_S = 10.0
+_REPLY_WAIT_RATIO = 4.0
+
+
+def _spare_cpus() -> int:
+    """CPUs this process may run on, less the one it runs on itself."""
+    if not sys.executable:
+        return 0
+    try:
+        return len(os.sched_getaffinity(0)) - 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) - 1
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of Linux's
+    /proc/self/stat), or None where that cannot be read."""
+    try:
+        with open("/proc/self/stat", encoding="ascii") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _serve(fd: int) -> None:
+    """A helper interpreter's loop on its end of the socket pair: report the
+    file of this module once the Gauss tables are built, then answer each
+    job, the arguments of _chunk_results, with its result, or with None
+    when it raised (the caller then computes the block itself and raises
+    the error of the serial loop).  Returns at end of file."""
+    import signal
+    from multiprocessing.connection import Connection
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops helpers
+    order = QuadratureSettings.nodes_per_panel
+    ddmath.gauss_legendre_dd(order)
+    ddmath.embedded_null_weights(order)
+    ddmath.coarse_null_weights(order)
+    with Connection(fd) as conn:
+        conn.send(os.path.abspath(__file__))
+        while True:
+            try:
+                job = conn.recv()
+            except EOFError:
+                return
+            try:
+                result = _chunk_results(*job)
+            except Exception:  # any failure is the caller's to raise
+                result = None
+            conn.send(result)
+
+
+class _Helper:
+    """One helper interpreter (_serve) and the caller's end of its socket
+    pair.  failed is set once it died, timed out or sent what does not
+    unpickle; pending while a reply is owed."""
+
+    def __init__(self):
+        import subprocess
+        from multiprocessing import Pipe
+
+        self.conn, theirs = Pipe()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with theirs:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", _BOOT, src, str(theirs.fileno())],
+                pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        self.ready = False
+        self.failed = False
+        self.pending = False
+        # A new process can stay on its parent's CPU for a good part of a
+        # second, slowing this process's passes: the helper starts up on
+        # the other CPUs and gets them all back (cpus) once ready.
+        self.cpus = None
+        here = _current_cpu()
+        if here is not None and here in os.sched_getaffinity(0):
+            try:
+                os.sched_setaffinity(self.proc.pid, os.sched_getaffinity(0) - {here})
+                self.cpus = os.sched_getaffinity(0)
+            except OSError:  # it already exited; poll_ready sees that
+                pass
+
+    def poll_ready(self) -> bool:
+        """True once the helper has reported that it runs this very file;
+        never waits."""
+        if not (self.ready or self.failed):
+            try:
+                if self.conn.poll():
+                    self.ready = self.conn.recv() == os.path.abspath(__file__)
+                    self.failed = not self.ready
+                    if self.cpus:
+                        os.sched_setaffinity(self.proc.pid, self.cpus)
+            except (EOFError, OSError):
+                self.failed = True
+        return self.ready
+
+    def send(self, job: tuple) -> None:
+        self.pending = True
+        try:
+            self.conn.send(job)
+        except OSError:
+            self.failed = True
+
+    def reply(self, spin: float, timeout: float):
+        """The result of the job sent last, or None if it raised there or
+        the helper failed.  Polls without sleeping for up to spin seconds,
+        then waits up to timeout seconds."""
+        if self.failed:
+            return None
+        try:
+            until = time.perf_counter() + spin
+            while not self.conn.poll() and time.perf_counter() < until:
+                pass
+            if self.conn.poll(timeout):
+                result = self.conn.recv()
+                self.pending = False
+                return result
+        # End of file, a broken socket, bytes that do not unpickle: all mean
+        # that this process computes the block.
+        except Exception:
+            pass
+        self.failed = True
+        return None
+
+    def stop(self) -> None:
+        self.conn.close()
+        self.proc.kill()
+        self.proc.wait()
+
+
+class _Helpers:
+    """The helper interpreters of this process, one per spare CPU.
+
+    They start on the first call with at least two chunks per process
+    (ready), without waiting for them, and a call uses only those that have
+    reported ready.  They live as long as the process: close runs at exit.
+    A helper that fails in a job is stopped and replaced on a later call;
+    one that fails before it is ready stops all helpers for good, so does
+    one that cannot be started.  One call at a time uses them: a call made
+    meanwhile from another thread runs serially.  A forked child starts its
+    own helpers and leaves its parent's alone.
+    """
+
+    def __init__(self):
+        self.pid = None
+        self.spare = 0
+        self.helpers = []
+        self.lock = threading.Lock()
+
+    def ready(self, n_chunks: int) -> list:
+        """The ready helpers a call with n_chunks chunks may use."""
+        if self.pid != os.getpid():
+            self.pid, self.spare, self.helpers = os.getpid(), _spare_cpus(), []
+        if self.spare < 1 or n_chunks < 2 * (1 + self.spare):
+            return []
+        try:
+            while len(self.helpers) < self.spare:
+                self.helpers.append(_Helper())
+        except OSError:
+            self._give_up()
+            return []
+        ready = [h for h in self.helpers if h.poll_ready()]
+        if any(h.failed for h in self.helpers):
+            self._give_up()
+            return []
+        return ready
+
+    def run(self, n_chunks: int, jobs) -> list:
+        """_chunk_results(*job) for each job of jobs(1 + the number of ready
+        helpers), in order: the first here, each later one by its helper, or
+        here if that helper returns None."""
+        if not self.lock.acquire(blocking=False):
+            return [_chunk_results(*jobs(1)[0])]
+        helpers = []
+        try:
+            helpers = self.ready(n_chunks)
+            mine, *theirs = jobs(1 + len(helpers))
+            for helper, job in zip(helpers, theirs):
+                helper.send(job)
+            t0 = time.perf_counter()
+            results = [_chunk_results(*mine)]
+            own = time.perf_counter() - t0
+            for helper, job in zip(helpers, theirs):
+                # Spin before sleeping, as OpenMP runtimes do: on a virtual
+                # machine a process that sleeps can wake to cold caches, and
+                # the expansions run after each pass were 10-30% slower.
+                result = helper.reply(own, _REPLY_WAIT_S + _REPLY_WAIT_RATIO * own)
+                results.append(_chunk_results(*job) if result is None else result)
+        finally:
+            # A reply not read now must never be read later.
+            for helper in helpers:
+                if helper.failed or helper.pending:
+                    helper.stop()
+                    self.helpers.remove(helper)
+            self.lock.release()
+        return results
+
+    def _give_up(self) -> None:
+        self.close()
+        self.spare = 0
+
+    def close(self) -> None:
+        if self.pid == os.getpid():
+            for helper in self.helpers:
+                helper.stop()
+        self.helpers = []
+
+
+_HELPERS = _Helpers()
+atexit.register(_HELPERS.close)
 
 
 def _double_edges(edges: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ def test_criterion_1_fresnel():
     """cmd_quad on f=x^2, g=1, [-1,1] hits C(2)+iS(2) to 1e-6 in under 1 s."""
     expected = 0.488253406075 + 0.343415678364j  # Fresnel series values
     p = make_problem("x^2", "1", -1.0, 1.0, n=2)
-    oscillatory_quadrature(p)  # warm the jit kernel; timing is algorithmic
+    oscillatory_quadrature(p)  # build the Gauss rule first; timing is algorithmic
     t0 = time.perf_counter()
     value = oscillatory_quadrature(p)
     elapsed = time.perf_counter() - t0

@@ -134,6 +134,13 @@ class TestCmdExpand:
         assert main(["expand", "--config", cfg]) == 2
         assert "no stationary point; use quad or fdt" in capsys.readouterr().err
 
+    def test_phase_overflowing_at_an_end_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "overflow.cfg",
+                    "f = (x-0.1)^2*1e200*1e200\ng = 1\nalpha = -1\n"
+                    "beta = 1.3\nn = 2\nT = 1\n")
+        assert main(["expand", "--config", cfg]) == 2
+        assert "phase f(1.3) is not finite" in capsys.readouterr().err
+
     def test_missing_key_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "g = 1\nalpha = 0\nbeta = 1\nn = 2\n")
         assert main(["expand", "--config", cfg]) == 1

@@ -94,6 +94,15 @@ class TestFindStationaryPoint:
         p = make_problem("x^2", "1", -1.0, 1.0, n=2, T=1.0)
         assert find_stationary_point(p, scan_points=513) == 0.25
 
+    def test_nan_fprime_at_gamma_raises(self, monkeypatch):
+        # Bisection reads f' from grid walks and Newton reads fprime2, so
+        # only the final check sees the stub; NaN must not pass it.
+        monkeypatch.setattr(PhaseProblem, "fprime", lambda self, x: math.nan)
+        p = make_problem("x^2 + x^3", "1", -0.25, 0.5, n=2, T=0.89)
+        with pytest.raises(NewtonError, match="nan"):
+            find_stationary_point(p)
+
+
 
 def serial_bisect(p, lo, hi, flo, steps):
     """The bisection as a loop of scalar f' walks, one per step."""

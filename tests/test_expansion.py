@@ -2,19 +2,22 @@ import dataclasses
 import math
 import pathlib
 import sys
+import warnings
 
 import pytest
 
 from oscphase import exprs
 from oscphase.cli import parse_config
 from oscphase.coefficients import make_problem
-from oscphase.errors import (SignChangeDetected, StationaryPointError,
+from oscphase.errors import (NonFinitePhaseError, SignChangeDetected,
+                             StationaryPointError,
                              StationaryTooCloseToEndpoint)
 from oscphase.expansion import (boundary_terms, double_factorial_odd,
                                 error_scale_terms, fdt_error_terms,
                                 first_derivative_test, hypothesis_audit,
                                 stationary_phase_expand, unit_phase)
 from oscphase.oracle import oscillatory_quadrature
+from oscphase.study import expand_auto
 
 
 class TestDoubleFactorial:
@@ -273,3 +276,12 @@ class TestUnitPhase:
         val = unit_phase(p, 0.0, extra=0.125)
         expected = complex(math.sqrt(0.5), math.sqrt(0.5))
         assert val == pytest.approx(expected, rel=1e-15)
+
+    def test_phase_overflowing_at_an_end_raises_typed_without_warnings(self):
+        # f(1.3) = 1.44e400 overflows float64; the table index of its NaN
+        # turn used to be -2^63 (an IndexError).
+        p = make_problem("(x-0.1)^2*1e200*1e200", "1", -1.0, 1.3, n=2, T=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinitePhaseError, match=r"f\(1\.3\)"):
+                expand_auto(p)

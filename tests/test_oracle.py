@@ -250,6 +250,167 @@ class TestEmbeddedCertificate:
             oscillatory_quadrature(p, QuadratureSettings(max_panels=20_000))
 
 
+HELPER_WAIT_S = 60.0
+needs_two_cpus = pytest.mark.skipif(oracle._spare_cpus() < 1,
+                                    reason="helpers start only with a spare CPU")
+
+
+def ready_helpers(n_chunks):
+    """Start the helper interpreters if need be and wait for them to report
+    ready."""
+    deadline = time.monotonic() + HELPER_WAIT_S
+    while time.monotonic() < deadline:
+        helpers = oracle._HELPERS.ready(n_chunks)
+        if helpers:
+            return helpers
+        time.sleep(0.02)
+    pytest.fail(f"no helper reported ready within {HELPER_WAIT_S} s")
+
+
+def record_blocks(monkeypatch):
+    """Panel counts of the blocks this process computes from now on; the
+    patch does not reach the helpers."""
+    blocks = []
+    chunk_results = oracle._chunk_results
+
+    def recording(*job):
+        blocks.append(len(job[3]) - 1)
+        return chunk_results(*job)
+
+    monkeypatch.setattr(oracle, "_chunk_results", recording)
+    return blocks
+
+
+def serial_pass(p, edges):
+    """The embedded pass as one serial loop: every chunk here, then the
+    reductions in chunk order."""
+    sums, d_panels, excesses = oracle._chunk_results(p.f, p.g, p.bindings,
+                                                     edges, 24, True)
+    re, im = (ddmath.sum_pairwise((np.array([s[k][0] for s in sums]),
+                                   np.array([s[k][1] for s in sums])))
+              for k in (0, 1))
+    excess = 0.0
+    for value in excesses:
+        excess += value
+    d_hi = np.concatenate([d[0] for d in d_panels], axis=1)
+    d_lo = np.concatenate([d[1] for d in d_panels], axis=1)
+    d_re, d_im = (ddmath.sum_pairwise((d_hi[k], d_lo[k])) for k in (0, 1))
+    return (re, im), (d_re, d_im), excess
+
+
+def as_hex(result):
+    (re, im), (d_re, d_im), excess = result
+    return [float(v).hex() for part in (re, im, d_re, d_im) for v in part] + \
+        [excess.hex()]
+
+
+@pytest.fixture
+def split_pass():
+    """A pass of 27 chunks at T = 2^12, its chunk count and its serial bits.
+    The weight's 13 kinks give chunks on both sides of the split a coarse
+    null excess, so the order of its sum shows in the bits."""
+    p = make_problem("T*(x^2 + x^3/3)", "abs(sin(40*x))/(1+x^2)", -0.5, 0.5,
+                     n=2, T=2.0 ** 12)
+    edges = _double_edges(build_breakpoints(p))
+    n_chunks = -(-(len(edges) - 1) // (_CHUNK_NODES // 24))
+    assert n_chunks >= 10
+    serial = serial_pass(p, edges)
+    assert serial[2] > 0
+    return p, edges, n_chunks, as_hex(serial)
+
+
+@needs_two_cpus
+class TestHelperInterpreters:
+    def test_split_pass_is_the_serial_pass_bit_for_bit(self, monkeypatch, split_pass):
+        p, edges, n_chunks, serial = split_pass
+        helpers = ready_helpers(n_chunks)
+        # Started off this process's CPU; every CPU once ready.
+        assert all(os.sched_getaffinity(h.proc.pid) == os.sched_getaffinity(0)
+                   for h in helpers)
+        blocks = record_blocks(monkeypatch)
+        got = _panels_dd_numpy(p, edges, 24, embedded=True)
+        assert len(blocks) == 1 and 0 < blocks[0] < len(edges) - 1
+        assert as_hex(got) == serial
+
+    def test_non_finite_phase_in_a_helper_block_raises_the_serial_error(
+            self, monkeypatch, split_pass):
+        # log(0.45 - x) is not finite on the last panels only, which lie in
+        # the helper's block; the helper returns None and this process
+        # computes that block to raise.
+        _, edges, n_chunks, _ = split_pass
+        p = make_problem("T*(x^2 + x^3/3) + log(0.45 - x)", "1/(1+x^2)",
+                         -0.5, 0.5, n=2, T=2.0 ** 12)
+        with pytest.raises(QuadratureNonConvergence) as serial:
+            oracle._chunk_results(p.f, p.g, p.bindings, edges, 24, True)
+        helpers = ready_helpers(n_chunks)
+        blocks = record_blocks(monkeypatch)
+        with pytest.raises(QuadratureNonConvergence) as split:
+            _panels_dd_numpy(p, edges, 24, embedded=True)
+        assert str(split.value) == str(serial.value)
+        assert len(blocks) == 2 and sum(blocks) == len(edges) - 1
+        # An error in a job leaves the helper running.
+        assert all(h in oracle._HELPERS.helpers and h.proc.poll() is None
+                   for h in helpers)
+
+    def test_helper_killed_between_calls(self, split_pass):
+        p, edges, n_chunks, serial = split_pass
+        helpers = ready_helpers(n_chunks)
+        for helper in helpers:
+            helper.proc.kill()
+            helper.proc.wait(timeout=HELPER_WAIT_S)
+        assert as_hex(_panels_dd_numpy(p, edges, 24, embedded=True)) == serial
+        assert not set(helpers) & set(oracle._HELPERS.helpers)
+        assert as_hex(_panels_dd_numpy(p, edges, 24, embedded=True)) == serial
+        # A replacement starts, and its split pass keeps the bits.
+        ready_helpers(n_chunks)
+        assert as_hex(_panels_dd_numpy(p, edges, 24, embedded=True)) == serial
+
+    def test_interrupt_with_a_job_outstanding_stops_the_helper(
+            self, monkeypatch, split_pass):
+        p, edges, n_chunks, _ = split_pass
+        helpers = ready_helpers(n_chunks)
+
+        def interrupted(*job):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(oracle, "_chunk_results", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _panels_dd_numpy(p, edges, 24, embedded=True)
+        for helper in helpers:
+            assert helper not in oracle._HELPERS.helpers
+            assert helper.proc.returncode is not None
+
+
+def test_no_helper_without_a_spare_cpu(monkeypatch):
+    monkeypatch.setattr(oracle, "_spare_cpus", lambda: 0)
+    helpers = oracle._Helpers()
+    assert helpers.ready(10 ** 6) == [] and helpers.helpers == []
+
+
+def test_import_and_a_one_chunk_call_start_no_process():
+    code = ("import os, subprocess\n"
+            "started = []\n"
+            "class Spy(subprocess.Popen):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        started.append(args)\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "subprocess.Popen = Spy\n"
+            "fork = os.fork\n"
+            "os.fork = lambda: started.append('fork') or fork()\n"
+            "from oscphase import oracle\n"
+            "from oscphase.coefficients import make_problem\n"
+            "r = oracle.oscillatory_quadrature_detail("
+            "make_problem('x^2', '1', -1.0, 1.0, n=2))\n"
+            "print(r.panels, len(started), len(oracle._HELPERS.helpers))\n")
+    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=HELPER_WAIT_S,
+                         env={**os.environ, "PYTHONPATH": src})
+    panels, started, helpers = map(int, out.stdout.split())
+    assert panels <= _CHUNK_NODES // 24
+    assert (started, helpers) == (0, 0)
+
+
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
