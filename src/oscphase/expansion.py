@@ -49,13 +49,13 @@ def unit_phase(p: PhaseProblem, x: float, extra: float = 0.0,
     if mp_mode:
         f = p.f_jet(mpmath.mpf(x), 1).coeffs[0]
         return mpmath.expjpi(2 * (f + extra))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_dd = eval_dd(p.f, ddmath.from_float(np.float64(x)), p.bindings)
         if extra:
             f_dd = ddmath.add(f_dd, ddmath.from_float(np.float64(extra)))
     if not (np.isfinite(f_dd[0]) and np.isfinite(f_dd[1])):
         raise NonFinitePhaseError(
-            f"phase f({x!r}) is not finite in double-double "
+            f"phase f({float(x)!r}) is not finite in double-double "
             f"({float(f_dd[0])!r} + {float(f_dd[1])!r})")
     return complex(ddmath.e_unit(f_dd))
 
