@@ -32,7 +32,7 @@ BISECT_DEPTH = 6  # bisection steps per grid walk of f' (2^6 + 1 points)
 
 def grid_jet(e: Expr, xs: np.ndarray, degree: int, bindings: dict) -> tuple:
     """[k][i] = e^(k)(xs[i])/k! from one walk; overflow is silent, as in the
-    scalar walk, whose real parts these equal bit for bit."""
+    scalar walk, which these equal bit for bit."""
     with np.errstate(all="ignore"):
         return eval_jet(e, jet_variable(xs, degree), bindings).coeffs
 
@@ -89,8 +89,7 @@ def bisect_fprime(p: "PhaseProblem", lo: float, hi: float, flo: float,
     of the bisection tree, each formed as 0.5*(lo + hi) from its two ends
     exactly as a step-by-step loop forms it, and the steps then follow their
     path through the tree.  So the result is the float that `steps` scalar
-    walks reach, with one walk per BISECT_DEPTH steps.  (Where f' overflows,
-    the grid keeps +-inf; the complex scalar carrier may give NaN there.)
+    walks reach, with one walk per BISECT_DEPTH steps.
     """
     while steps:
         depth = min(steps, BISECT_DEPTH)
@@ -182,12 +181,11 @@ class PhaseProblem:
         return eval_real(self.g, x, self.bindings)
 
     def fprime(self, x):
-        return scalars.real_part(self.f_jet(x, 1).coeffs[1])
+        return self.f_jet(x, 1).coeffs[1]
 
     def fprime2(self, x):
         jet = self.f_jet(x, 2)
-        return (scalars.real_part(jet.coeffs[1]),
-                2.0 * scalars.real_part(jet.coeffs[2]))
+        return jet.coeffs[1], 2.0 * jet.coeffs[2]
 
 
 def make_problem(f: str, g: str, alpha: float, beta: float, n: int,
@@ -282,16 +280,8 @@ def taylor_data(p: PhaseProblem, gamma: float):
     eta[k] = g^(k)(gamma)/k! for k = 0..2n.  lam[2] < 0 signals the
     maximum orientation (handled by the expansion engine via negation).
     """
-    mp_mode = scalars.is_mp(gamma)
-    deg_f, deg_g = 2 * p.n + 2, 2 * p.n
-    f_jet = p.f_jet(gamma, deg_f)
-    g_jet = p.g_jet(gamma, deg_g)
-    if mp_mode:
-        lam = tuple(c for c in f_jet.coeffs)
-        eta = tuple(c for c in g_jet.coeffs)
-    else:
-        lam = tuple(scalars.real_part(c) for c in f_jet.coeffs)
-        eta = tuple(scalars.real_part(c) for c in g_jet.coeffs)
+    lam = p.f_jet(gamma, 2 * p.n + 2).coeffs
+    eta = p.g_jet(gamma, 2 * p.n).coeffs
     tol = 1e-12 * p.T / (p.M * p.M)
     if abs(lam[2]) <= tol:
         raise DegenerateStationaryPoint(
@@ -302,20 +292,10 @@ def taylor_data(p: PhaseProblem, gamma: float):
 def _bracket_series(lam: Sequence, order: int) -> Jet:
     """1 + sum_{k=1..order} (lam_{k+2}/lam_2) t^k as a formal jet at 0."""
     lam2 = lam[2]
-    one = scalars.one_like(lam2) if scalars.is_mp(lam2) else complex(1.0)
-    coeffs = [one]
-    for k in range(1, order + 1):
-        idx = k + 2
-        val = lam[idx] / lam2 if idx < len(lam) else 0.0 * one
-        coeffs.append(val if scalars.is_mp(lam2) else complex(val))
+    one = scalars.one_like(lam2)
+    coeffs = [one] + [lam[k] / lam2 if k < len(lam) else 0.0 * one
+                      for k in range(3, order + 3)]
     return Jet(0.0, tuple(coeffs))
-
-
-def _realify(values, mp_mode: bool):
-    if mp_mode:
-        return tuple(v if isinstance(v, mpmath.mpf) else mpmath.re(v)
-                     for v in values)
-    return tuple(scalars.real_part(v) for v in values)
 
 
 def amplitude_series(lam: Sequence, eta: Sequence, order: int):
@@ -330,23 +310,17 @@ def amplitude_series(lam: Sequence, eta: Sequence, order: int):
     degree `order` (= 2n).
     """
     lam2 = lam[2]
-    if scalars.real_part(lam2) <= 0:
+    if lam2 <= 0:
         raise DegenerateStationaryPoint(
             "amplitude_series requires lambda_2 > 0 (negate f for a maximum)")
-    mp_mode = scalars.is_mp(lam2)
-    bracket = _bracket_series(lam, order)
-    root = jet_map(bracket, "sqrt")
-    zero = scalars.zero_like(lam2) if mp_mode else 0j
-    y_series = Jet(0.0, (zero,) + root.coeffs)  # multiply by t
+    root = jet_map(_bracket_series(lam, order), "sqrt")
+    y_series = Jet(0.0, (scalars.zero_like(lam2),) + root.coeffs)  # times t
     x_of_y = jet_revert(y_series)
     rho_jet = jet_differentiate(x_of_y)
-    eta_jet = Jet(0.0, tuple(eta[k] if mp_mode else complex(eta[k])
-                             for k in range(order + 1)))
+    eta_jet = Jet(0.0, tuple(eta[:order + 1]))
     g_of_y = jet_compose(eta_jet, jet_truncate(x_of_y, order))
     varpi_jet = jet_mul(g_of_y, rho_jet)
-    return (_realify(x_of_y.coeffs, mp_mode),
-            _realify(rho_jet.coeffs, mp_mode),
-            _realify(varpi_jet.coeffs, mp_mode))
+    return x_of_y.coeffs, rho_jet.coeffs, varpi_jet.coeffs
 
 
 def recursion_coefficients(lam: Sequence, eta: Sequence, order: int):
@@ -361,13 +335,10 @@ def recursion_coefficients(lam: Sequence, eta: Sequence, order: int):
 
 
 def _recursion_route(lam: Sequence, eta: Sequence, order: int, rho: Sequence):
-    lam2 = lam[2]
-    mp_mode = scalars.is_mp(lam2)
     bracket = _bracket_series(lam, order)
     mu_rows = [None] * (order + 2)
     for j in range(1, order + 2):
-        mu_rows[j] = _realify(jet_map(bracket, "pow", exponent=j / 2).coeffs,
-                              mp_mode)
+        mu_rows[j] = jet_map(bracket, "pow", exponent=j / 2).coeffs
     identity = tuple((1.0 if k == 0 else 0.0) for k in range(order + 1))
     mu_rows[0] = identity
     mu = tuple(mu_rows)
@@ -435,11 +406,7 @@ def solve_x_of_y(p: PhaseProblem, gamma, lam2, y, f_gamma=None):
     mp_mode = scalars.is_mp(y)
 
     def fboth(x):
-        if mp_mode:
-            jet = p.f_jet(x, 1)
-            return jet.coeffs[0], jet.coeffs[1]
-        jet = p.f_jet(x, 1)
-        return scalars.real_part(jet.coeffs[0]), scalars.real_part(jet.coeffs[1])
+        return p.f_jet(x, 1).coeffs
 
     if f_gamma is None:
         f_gamma = fboth(gamma)[0]
@@ -490,7 +457,7 @@ def residual_Q(p: PhaseProblem, cs: CoefficientSet, y: float) -> float:
     if y == 0:
         raise ValueError("residual_Q is defined for nonzero y only")
     lam2 = cs.lam[2]
-    if scalars.real_part(lam2) <= 0:
+    if lam2 <= 0:
         raise DegenerateStationaryPoint("residual_Q requires lambda_2 > 0")
     mp_mode = scalars.is_mp(y)
     x = solve_x_of_y(p, cs.gamma, lam2, y, f_gamma=cs.lam[0])

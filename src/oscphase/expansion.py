@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import mpmath
 import numpy as np
 
-from . import ddmath, scalars
+from . import ddmath
 from .coefficients import (SCAN_POINTS, CoefficientSet, PhaseProblem,
                            compute_coefficients, find_stationary_point,
                            grid_sup, mp_coefficients)
@@ -118,7 +118,8 @@ def boundary_terms(p: PhaseProblem, x0: float, count: int,
     """H_1(x0)..H_count(x0): H_1 = g/(2 pi i f'), H_i = -H_{i-1}'/(2 pi i f').
 
     Computed as jet quotients at x0; each recursion step differentiates the
-    previous jet, so degrees shrink by one per order.
+    previous jet, so degrees shrink by one per order.  The real jets of f
+    and g turn complex at their first product with 2 pi i.
     """
     if count < 1:
         return []
@@ -127,10 +128,10 @@ def boundary_terms(p: PhaseProblem, x0: float, count: int,
     f_jet = p.f_jet(x_val, count + 1)
     g_jet = p.g_jet(x_val, count)
     fp = jet_differentiate(f_jet)  # degree count
-    if abs(scalars.real_part(fp.coeffs[0])) <= tol:
+    fp0 = float(fp.coeffs[0])
+    if abs(fp0) <= tol:
         raise SignChangeDetected(
-            f"f'({x0}) = {float(scalars.real_part(fp.coeffs[0])):.3e} vanishes; "
-            "boundary terms are undefined")
+            f"f'({x0}) = {fp0:.3e} vanishes; boundary terms are undefined")
     two_pi_i = 2j * mpmath.pi if mp_mode else complex(0.0, 2.0 * math.pi)
     h = jet_div(g_jet, fp * two_pi_i)
     values = [h.coeffs[0]]
@@ -300,7 +301,10 @@ def _wsp_core(p: PhaseProblem, cs: CoefficientSet, mp_mode: bool,
     per_order = [prefactor * cs.varpi[0]]
     for j in range(1, n + 1):
         coeff = cs.varpi[2 * j] * (-1) ** j * double_factorial_odd(j)
-        denom = (4 * pi * i_unit * lam2) ** j
+        try:
+            denom = (4 * pi * i_unit * lam2) ** j
+        except OverflowError:  # the term is below the float range
+            denom = math.inf
         per_order.append(prefactor * coeff / denom)
     main = _ordered_sum(per_order)
 
@@ -357,7 +361,11 @@ def hypothesis_audit(p: PhaseProblem,
         c_f[2] = max(c_f[2], T / (M * M * fpp_min))
     c_max = max(c_f.values())
     if c_f[2] > 0 and c_max > 0:
-        delta = min(math.log(2.0) / c_f[2], 1.0 / (c_f[2] ** 2 * c_max))
+        try:
+            radius = 1.0 / (c_f[2] ** 2 * c_max)
+        except OverflowError:  # C_f[2]^2 is beyond the float range
+            radius = 0.0
+        delta = min(math.log(2.0) / c_f[2], radius)
     else:
         delta = math.inf if c_f[2] == 0 else math.log(2.0) / c_f[2]
     validity_ok = bool(T ** (1.0 / (2 * n + 3)) * delta > 1.0)

@@ -368,10 +368,10 @@ def eval_jet(e: Expr, x_jet: Jet, params: dict | None = None) -> Jet:
     grid_mode = isinstance(x0, np.ndarray)
 
     def const(v):
-        if mp_mode and not scalars.is_mp(v):
-            v = mpmath.mpf(v)
-        elif grid_mode:
-            v = np.full(x0.shape, float(v))
+        if mp_mode:
+            v = v if scalars.is_mp(v) else mpmath.mpf(v)
+        else:
+            v = np.full(x0.shape, float(v)) if grid_mode else float(v)
         return jet_constant(v, x0, deg)
 
     def ev(node) -> Jet:
@@ -387,12 +387,11 @@ def eval_jet(e: Expr, x_jet: Jet, params: dict | None = None) -> Jet:
             v = ev(node.arg)
             c0 = v.coeffs[0]
             if node.fn == "abs":
-                r = scalars.real_part(c0)
-                if np.any(r == 0.0):
+                if np.any(c0 == 0.0):
                     raise ExprDomainError("abs kink at the expansion point", node.offset)
                 if grid_mode:
-                    return Jet(x0, tuple(np.where(r > 0, c, -c) for c in v.coeffs))
-                return v if r > 0 else -v
+                    return Jet(x0, tuple(np.where(c0 > 0, c, -c) for c in v.coeffs))
+                return v if c0 > 0 else -v
             try:
                 return jet_map(v, node.fn)
             except Exception as exc:

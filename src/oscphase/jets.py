@@ -3,9 +3,10 @@
 A jet stores the coefficients c_k = h^(k)(x0)/k! of a function h at a base
 point x0, up to a fixed degree D.  All arithmetic truncates silently at D,
 which is exactly the formal-power-series semantics the coefficient machinery
-needs.  Coefficients are complex doubles in normal use; any field-like carrier
-(e.g. mpmath numbers, or float64 arrays over a scan grid, which is then the
-base point) works because the algorithms only use +, -, *, /.
+needs.  Coefficients are real doubles in normal use; any field-like carrier
+(e.g. mpmath numbers, float64 arrays over a scan grid, which is then the
+base point, or the complex constants of the boundary terms) works because
+the algorithms only use +, -, *, /.
 
 Every series is built one coefficient at a time from the earlier ones, as
 in the classical power-series algorithms (Knuth, TAOCP vol. 2, 4.7; Brent
@@ -46,7 +47,7 @@ class Jet:
     def __repr__(self) -> str:  # compact float view for debugging
         if isinstance(self.base_point, np.ndarray):
             return f"Jet(grid of {self.base_point.size} points, degree {self.degree})"
-        cs = ", ".join(format(complex(c), ".6g") for c in self.coeffs)
+        cs = ", ".join(mpmath.nstr(c, 6) for c in self.coeffs)
         return f"Jet(x0={self.base_point}, [{cs}])"
 
     # Operator sugar; scalars lift to constant jets.
@@ -85,18 +86,16 @@ def jet_variable(x0: float, degree: int) -> Jet:
     """Jet of the identity function x -> x at x0: [x0, 1, 0, ..., 0]."""
     if degree < 1:
         raise JetShapeError("jet_variable requires degree >= 1")
-    if scalars.is_mp(x0) or isinstance(x0, np.ndarray):
-        zero, one = scalars.zero_like(x0), scalars.one_like(x0)
-        coeffs = (x0, one) + (zero,) * (degree - 1)
-        return Jet(x0 if isinstance(x0, np.ndarray) else float(x0), coeffs)
-    coeffs = (complex(x0), 1 + 0j) + (0j,) * (degree - 1)
-    return Jet(float(x0), coeffs)
+    grid = isinstance(x0, np.ndarray)
+    if not (grid or scalars.is_mp(x0)):
+        x0 = float(x0)
+    coeffs = ((x0, scalars.one_like(x0))
+              + (scalars.zero_like(x0),) * (degree - 1))
+    return Jet(x0 if grid else float(x0), coeffs)
 
 
 def jet_constant(value, x0: float, degree: int) -> Jet:
-    if scalars.is_mp(value) or isinstance(value, np.ndarray):
-        return Jet(x0, (value,) + (scalars.zero_like(value),) * degree)
-    return Jet(x0, (complex(value),) + (0j,) * degree)
+    return Jet(x0, (value,) + (scalars.zero_like(value),) * degree)
 
 
 def _check_compatible(a: Jet, b: Jet) -> None:
@@ -165,9 +164,7 @@ def jet_differentiate(a: Jet) -> Jet:
 
 def jet_integrate(a: Jet, constant=0.0) -> Jet:
     """Termwise antiderivative with the given constant term; degree grows."""
-    keep = scalars.is_mp(constant) or isinstance(constant, np.ndarray)
-    val = constant if keep else complex(constant)
-    out = (val,) + tuple(a.coeffs[k] / (k + 1) for k in range(a.degree + 1))
+    out = (constant,) + tuple(a.coeffs[k] / (k + 1) for k in range(a.degree + 1))
     return Jet(a.base_point, out)
 
 
@@ -240,8 +237,7 @@ def jet_revert(a: Jet) -> Jet:
 
 
 def _require_positive(c0, fn: str) -> None:
-    real, imag = scalars.real_part(c0), scalars.imag_part(c0)
-    if np.any(real <= 0.0) or np.any(abs(imag) > 1e-12 * (1 + abs(real))):
+    if np.any(c0.real <= 0.0):
         raise JetDomainError(f"{fn} requires a positive constant term")
 
 

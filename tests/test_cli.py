@@ -164,6 +164,15 @@ class TestCmdExpand:
         assert main([command, "--config", cfg]) == 1
         assert "'1e400' overflows to inf (offset 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["audit", "expand"])
+    def test_fpp_squared_beyond_float_range_exits_0(self, tmp_path, capsys,
+                                                    command):
+        cfg = write(tmp_path, "steep.cfg",
+                    "f = (x-0.1)^2*1e300\ng = 1\nalpha = -1\n"
+                    "beta = 1.3\nn = 2\nT = 1\n")
+        assert main([command, "--config", cfg]) == 0
+        assert "Delta = 0" in capsys.readouterr().out
+
     def test_n_override(self, tmp_path, capsys):
         cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
         assert main(["expand", "--config", cfg, "--n", "3"]) == 0

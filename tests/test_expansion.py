@@ -253,6 +253,17 @@ class TestHypothesisAudit:
         a = hypothesis_audit(p)  # f'' < 0 near -0.35
         assert not a.C2_lower_ok
 
+    def test_fpp_squared_beyond_float_range_reports_zero_delta(self):
+        # C_f[2]^2 ~ 1e602 overflows; the audit reports Delta = 0 and the
+        # expansion (whose order-j terms fall below the float range) runs.
+        p = make_problem("(x-0.1)^2*1e300", "1", -1.0, 1.3, n=2, T=1.0)
+        audit = hypothesis_audit(p)
+        assert audit.Delta == 0.0 and not audit.validity_ok
+        res_f = expand_auto(p)
+        res_mp = expand_auto(p, mp_dps=30)
+        assert res_f.value == pytest.approx(5e-151 * (1 + 1j), rel=1e-12)
+        assert abs(complex(res_mp.value) - res_f.value) <= 1e-12 * abs(res_f.value)
+
     def test_monotone_profile(self):
         p = make_problem("100*x", "1", 1.0, 2.0, n=2, T=100.0)
         a = hypothesis_audit(p)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oscphase.errors import (ExprDomainError, ExprSyntaxError,
                              UnboundSymbolError, UnknownFunctionError)
 from oscphase import ddmath
+from oscphase.coefficients import grid_jet
 from oscphase.exprs import (Bin, Call, Neg, Num, Sym, eval_array, eval_dd,
                             eval_jet, eval_real, format_expr, parse, symbols)
 from oscphase.jets import jet_variable
@@ -99,6 +100,11 @@ class TestEvalJet:
         assert jet.coeffs[1] == 1.0
         assert abs(jet.coeffs[2] - 0.5) < 1e-15
 
+    def test_float_walk_has_float_coefficients(self):
+        expr = parse("exp(x)*(x+2)^-1.5 + abs(x-3) + atan(x)/log(x)")
+        jet = eval_jet(expr, jet_variable(0.5, 4))
+        assert all(type(c) is float for c in jet.coeffs)
+
     def test_non_literal_exponent_rejected(self):
         with pytest.raises(ExprDomainError):
             eval_jet(parse("x^x"), jet_variable(1.0, 2))
@@ -159,6 +165,17 @@ class TestGridJet:
         for k, column in enumerate(grid.coeffs):
             assert column.dtype == np.float64
             assert np.array_equal(column, scalar[k])
+
+    def test_overflowed_coefficient_equals_the_grid_bit_for_bit(self):
+        """inf stays inf at the next product, as on the grid (a complex
+        carrier made inf*0 = NaN in the imaginary part, and so NaN)."""
+        expr = parse("(x+0.5000001)^-40")
+        scalar = eval_jet(expr, jet_variable(-0.5, 9)).coeffs
+        grid = [float(c[0]) for c in grid_jet(expr, np.array([-0.5]), 9, {})]
+        assert scalar[5] == -math.inf
+        assert [math.isnan(c) for c in scalar] == [math.isnan(c) for c in grid]
+        assert [c.hex() for c in scalar if not math.isnan(c)] == [
+            c.hex() for c in grid if not math.isnan(c)]
 
     @pytest.mark.parametrize("text", [
         "log(x)", "sqrt(x-0.2)", "(x-0.2)^0.5", f"1/(x-({float(XS[100])!r}))",

@@ -72,6 +72,10 @@ class TestMap:
         with pytest.raises(JetDomainError):
             jet_map(jet_of(-1, 1, 0), "log")
 
+    def test_non_real_constant_term_rejected(self):
+        with pytest.raises(TypeError):
+            jet_map(Jet(0.0, (1 + 1j, 1.0)), "exp")
+
     def test_integer_pow_at_zero_constant(self):
         assert_coeffs(jet_map(jet_of(0, 1, 0, 0, 0), "pow", exponent=2),
                       [0, 0, 1, 0, 0], tol=0)
