@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Print the exact output of every benchmark pool problem, one JSON line each.
+"""Print the exact output of every benchmark pool problem and of the CLI runs
+that the identity gates name, one JSON line each.
 
 Expansion problems (perfbench/pool.py: stationary, monotone, reject and
 probe) run in float and in mpmath at the study precision.  Their line holds
 every field of the ExpansionResult, of its CoefficientSet and of its
 AuditReport, or the class and message of the error raised.  Oracle problems
 (small-T, large-T, transcendental, T*x^2 and Fresnel) hold the quadrature's
-dd parts, panels, doublings and certificate.  Floats are written as
+dd parts, panels, doublings and certificate.  CLI runs (expand, audit and
+quad on the three configs in configs/, and one study) hold the stdout, stderr
+and exit code of oscphase.cli.main run in process.  Floats are written as
 float.hex and mpmath numbers as their exact binary mantissa and exponent, so
 two runs give the same text exactly when no output bit moved:
 
@@ -15,13 +18,16 @@ two runs give the same text exactly when no output bit moved:
     diff before.jsonl after.jsonl
 
 --checkout fingerprints another checkout of the repository (for example an
-earlier commit made with `git clone`), importing its oscphase and its pool.
+earlier commit made with `git clone`), importing its oscphase and its pool
+and reading its configs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import pathlib
 import sys
@@ -30,6 +36,10 @@ import mpmath
 import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+CONFIGS = ("fresnel.cfg", "monotone.cfg", "stationary_cubic.cfg")
+STUDY_ARGS = ("--config", "configs/stationary_cubic.cfg",
+              "--grid", "1024:65536:4", "--n", "1,2,3")
 
 
 def encode(v):
@@ -62,6 +72,18 @@ def outcome(fn) -> dict:
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
+def cli_run(main, checkout: pathlib.Path, argv: list[str]) -> dict:
+    """stdout, stderr and exit code of one in-process CLI run; a config
+    path is read relative to the checkout."""
+    out, err = io.StringIO(), io.StringIO()
+    resolved = [str(checkout / a) if a.startswith("configs/") else a
+                for a in argv]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(resolved)
+    return {"cli": argv, "stdout": out.getvalue(), "stderr": err.getvalue(),
+            "exit": code}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=pathlib.Path, default=ROOT)
@@ -70,6 +92,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
 
     import pool
+    from oscphase.cli import main as cli_main
     from oscphase.coefficients import make_problem
     from oscphase.oracle import QuadratureSettings, oscillatory_quadrature_detail
     from oscphase.study import STUDY_MP_DPS, expand_auto
@@ -103,6 +126,11 @@ def main(argv=None) -> int:
     for group, index, spec in specs(("small", "large", "trans", "txx", "fresnel")):
         emit(group, index, spec, oracle=outcome(
             lambda: oscillatory_quadrature_detail(problem(spec), settings)))
+    runs = [[command, "--config", f"configs/{config}"]
+            for config in CONFIGS for command in ("expand", "audit", "quad")]
+    for argv in runs + [["study", *STUDY_ARGS]]:
+        print(json.dumps(cli_run(cli_main, checkout, argv), sort_keys=True),
+              flush=True)
     return 0
 
 

@@ -62,8 +62,9 @@ class ProblemConfig:
         if self.T is None and "T" in symbols(parse_expr(self.f)):
             raise ConfigError("T is required: f references the parameter T")
         return make_problem(self.f, self.g, self.alpha, self.beta,
-                            n_override or self.n, T=self.T, M=self.M,
-                            N=self.N, U=self.U, params=self.params)
+                            self.n if n_override is None else n_override,
+                            T=self.T, M=self.M, N=self.N, U=self.U,
+                            params=self.params)
 
 
 def parse_config(text: str) -> ProblemConfig:
@@ -233,13 +234,15 @@ def main(argv: list[str] | None = None) -> int:
     args.n_list = None
     if args.n is not None:
         try:
-            values = [int(v) for v in str(args.n).split(",") if v]
+            values = [int(v) for v in str(args.n).split(",")]
         except ValueError:
+            values = []
+        if (not values or min(values) < 1
+                or (len(values) > 1 and args.command != "study")):
             print(f"bad --n value: {args.n}", file=sys.stderr)
             return 1
         args.n_list = values
-        if len(values) == 1:
-            args.n_int = values[0]
+        args.n_int = values[0]
     handler = {"expand": cmd_expand, "quad": cmd_quad,
                "study": cmd_study, "audit": cmd_audit}[args.command]
     try:

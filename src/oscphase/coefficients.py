@@ -162,6 +162,8 @@ class PhaseProblem:
 
     def sample(self, scan_points: int = SCAN_POINTS) -> GridSample:
         """The problem's f and g on its scan grid, built once per grid."""
+        if scan_points < 2:
+            raise ValueError("scan_points must be at least 2")
         if scan_points not in self._samples:
             self._samples[scan_points] = GridSample(self, scan_points)
         return self._samples[scan_points]

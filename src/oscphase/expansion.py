@@ -27,7 +27,7 @@ from .coefficients import (SCAN_POINTS, CoefficientSet, PhaseProblem,
 from .errors import (DegenerateStationaryPoint, NonFinitePhaseError,
                      SignChangeDetected, StationaryPointError,
                      StationaryTooCloseToEndpoint)
-from .exprs import Call, Expr, eval_array, eval_dd
+from .exprs import abs_kinks, eval_dd
 from .jets import jet_differentiate, jet_div, jet_truncate
 
 
@@ -320,30 +320,6 @@ def _wsp_core(p: PhaseProblem, cs: CoefficientSet, mp_mode: bool,
                            theorem="wsp", gamma=float(cs.gamma), coefficients=cs)
 
 
-def _abs_kink_warnings(p: PhaseProblem, expr: Expr, label: str,
-                       xs: np.ndarray) -> list[str]:
-    """Flag abs(...) whose argument changes sign inside the interval."""
-    out = []
-
-    def walk(node):
-        if isinstance(node, Call):
-            if node.fn == "abs":
-                vals = np.asarray(eval_array(node.arg, xs, p.bindings))
-                if np.any(vals > 0) and np.any(vals < 0):
-                    out.append(
-                        f"abs(...) in {label} has a kink inside [alpha, beta] "
-                        f"(offset {node.offset}); smoothness hypotheses fail")
-            walk(node.arg)
-        elif hasattr(node, "left"):
-            walk(node.left)
-            walk(node.right)
-        elif hasattr(node, "child"):
-            walk(node.child)
-
-    walk(expr)
-    return out
-
-
 def hypothesis_audit(p: PhaseProblem,
                      scan_points: int = SCAN_POINTS) -> AuditReport:
     """Fit the theorem's size constants on the scan grid and evaluate the
@@ -396,9 +372,10 @@ def hypothesis_audit(p: PhaseProblem,
     else:
         sign_profile = f"f' changes sign {len(changes)} times on the grid"
 
-    warnings = []
-    warnings += _abs_kink_warnings(p, p.f, "f", sample.xs)
-    warnings += _abs_kink_warnings(p, p.g, "g", sample.xs)
+    warnings = [f"abs(...) in {label} has a kink inside [alpha, beta] "
+                f"(offset {offset}); smoothness hypotheses fail"
+                for label, e in (("f", p.f), ("g", p.g))
+                for offset in abs_kinks(e, sample.xs, p.bindings)]
     if p.n == 1:
         warnings.append("n = 1: the expansion is certified for n >= 2 only")
 

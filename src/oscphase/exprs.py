@@ -14,8 +14,10 @@ primitive set is deliberate: the expansion theorems need finitely many
 continuous derivatives, and these primitives cannot break that (abs is allowed
 for weights; the hypothesis audit flags a kink inside the interval).
 
-Four evaluators share the tree: scalar real, numpy array, jet, and
-double-double (used for phase-accurate e(f) at large T).
+Each tree is compiled once into a tape, an instruction list with one slot
+per distinct subtree, and one interpreter runs it in four arithmetics:
+Python floats and float64 arrays (one step over a math or a numpy table),
+jets, and double-double (used for phase-accurate e(f) at large T).
 """
 
 from __future__ import annotations
@@ -189,19 +191,6 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def symbols(e: Expr) -> set[str]:
-    """All symbol names appearing in the tree (including builtins)."""
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, Neg):
-        return symbols(e.child)
-    if isinstance(e, Bin):
-        return symbols(e.left) | symbols(e.right)
-    return symbols(e.arg)
-
-
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
@@ -234,198 +223,20 @@ def format_expr(e: Expr) -> str:
     return fmt(e, 0)
 
 
-def _resolve(name: str, params: dict, offset: int) -> float:
-    if name in params:
-        return params[name]
-    if name in BUILTIN_CONSTANTS:
-        return BUILTIN_CONSTANTS[name]
-    raise UnboundSymbolError(name, offset)
 
 
-def eval_real(e: Expr, x: float, params: dict | None = None) -> float:
-    """Strict scalar IEEE evaluation with positioned domain errors."""
-    params = params or {}
+# --- the tape ----------------------------------------------------------------
+#
+# A tree compiles once into a tape of instructions (op, a, b, offset, last),
+# operands first and left to right, one per distinct subtree (a repeat keeps
+# the first offset); instruction i fills slot i.  op is "num" (a = the value),
+# "sym" (a = the name), "neg" or a function name (a = the operand's slot),
+# + - * / ^ (a, b = slots) or "^k" (a = the base's slot, b = a literal
+# exponent).  `last` lists the slots that no later instruction reads; _run
+# frees them, so no more intermediates stay alive than in a recursive walk.
 
-    def ev(node) -> float:
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Sym):
-            if node.name == "x":
-                return x
-            return _resolve(node.name, params, node.offset)
-        if isinstance(node, Neg):
-            return -ev(node.child)
-        if isinstance(node, Call):
-            v = ev(node.arg)
-            if node.fn == "log":
-                if v <= 0.0:
-                    raise ExprDomainError("log of a nonpositive value", node.offset)
-                return math.log(v)
-            if node.fn == "sqrt":
-                if v < 0.0:
-                    raise ExprDomainError("sqrt of a negative value", node.offset)
-                return math.sqrt(v)
-            if node.fn == "abs":
-                return abs(v)
-            try:
-                return getattr(math, node.fn)(v)
-            except (OverflowError, ValueError) as exc:  # exp overflow, sin(inf)
-                raise ExprDomainError(str(exc), node.offset) from exc
-        a = ev(node.left)
-        b = ev(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise ExprDomainError("division by zero", node.offset)
-            return a / b
-        # '^'
-        if b == int(b):
-            n = int(b)
-            if n >= 0:
-                return scalars.powi(a, n)
-            if a == 0.0:
-                raise ExprDomainError("zero to a negative power", node.offset)
-            return 1.0 / scalars.powi(a, -n)
-        if a < 0.0:
-            raise ExprDomainError("negative base with non-integer exponent", node.offset)
-        try:
-            return math.pow(a, b)
-        except OverflowError as exc:
-            raise ExprDomainError(str(exc), node.offset) from exc
-
-    return ev(e)
-
-
-def eval_array(e: Expr, x: np.ndarray, params: dict | None = None) -> np.ndarray:
-    """Vectorized float64 evaluation over an array of x values."""
-    params = params or {}
-
-    def ev(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Sym):
-            if node.name == "x":
-                return x
-            return _resolve(node.name, params, node.offset)
-        if isinstance(node, Neg):
-            return -ev(node.child)
-        if isinstance(node, Call):
-            v = ev(node.arg)
-            if node.fn == "log":
-                if np.any(np.asarray(v) <= 0.0):
-                    raise ExprDomainError("log of a nonpositive value", node.offset)
-                return np.log(v)
-            if node.fn == "sqrt":
-                if np.any(np.asarray(v) < 0.0):
-                    raise ExprDomainError("sqrt of a negative value", node.offset)
-                return np.sqrt(v)
-            if node.fn == "abs":
-                return np.abs(v)
-            fn = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "atan": np.arctan}[node.fn]
-            return fn(v)
-        a = ev(node.left)
-        b = ev(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise ExprDomainError("division by zero", node.offset)
-            return a / b
-        if np.isscalar(b) or np.asarray(b).ndim == 0:
-            bf = float(b)
-            if bf == int(bf):
-                n = int(bf)
-                arr = np.asarray(a, dtype=float)
-                if n == 0:
-                    return np.ones_like(arr)
-                if n > 0:
-                    return scalars.powi(arr, n)
-                if np.any(arr == 0.0):
-                    raise ExprDomainError("zero to a negative power", node.offset)
-                return 1.0 / scalars.powi(arr, -n)
-        if np.any(np.asarray(a) < 0.0):
-            raise ExprDomainError("negative base with non-integer exponent", node.offset)
-        return np.power(a, b)
-
-    return ev(e)
-
-
-def eval_jet(e: Expr, x_jet: Jet, params: dict | None = None) -> Jet:
-    """Jet of the expression as a function of x at x_jet's base point (at
-    every point at once for a grid jet; a domain error at any point raises)."""
-    params = params or {}
-    x0, deg = x_jet.base_point, x_jet.degree
-    mp_mode = scalars.is_mp(x_jet.coeffs[0])
-    grid_mode = isinstance(x0, np.ndarray)
-
-    def const(v):
-        if mp_mode:
-            v = v if scalars.is_mp(v) else mpmath.mpf(v)
-        else:
-            v = np.full(x0.shape, float(v)) if grid_mode else float(v)
-        return jet_constant(v, x0, deg)
-
-    def ev(node) -> Jet:
-        if isinstance(node, Num):
-            return const(node.value)
-        if isinstance(node, Sym):
-            if node.name == "x":
-                return x_jet
-            return const(_resolve(node.name, params, node.offset))
-        if isinstance(node, Neg):
-            return -ev(node.child)
-        if isinstance(node, Call):
-            v = ev(node.arg)
-            c0 = v.coeffs[0]
-            if node.fn == "abs":
-                if np.any(c0 == 0.0):
-                    raise ExprDomainError("abs kink at the expansion point", node.offset)
-                if grid_mode:
-                    return Jet(x0, tuple(np.where(c0 > 0, c, -c) for c in v.coeffs))
-                return v if c0 > 0 else -v
-            try:
-                return jet_map(v, node.fn)
-            except Exception as exc:
-                raise ExprDomainError(str(exc), node.offset) from exc
-        if node.op == "^":
-            exponent = _literal_value(node.right)
-            if exponent is None:
-                raise ExprDomainError(
-                    "jet evaluation needs a numeric-literal exponent", node.offset)
-            base = ev(node.left)
-            if exponent == int(exponent):
-                try:
-                    return jet_powi(base, int(exponent))
-                except JetDomainError as exc:
-                    raise ExprDomainError("zero to a negative power",
-                                          node.offset) from exc
-            try:
-                return jet_map(base, "pow", exponent=exponent)
-            except Exception as exc:
-                raise ExprDomainError(str(exc), node.offset) from exc
-        a = ev(node.left)
-        b = ev(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return jet_mul(a, b)
-        try:
-            return jet_div(a, b)
-        except Exception as exc:
-            raise ExprDomainError(str(exc), node.offset) from exc
-
-    return ev(e)
+_LEAVES = frozenset(("num", "sym"))
+_BINARY = frozenset("+-*/^")
 
 
 def _literal_value(node) -> float | None:
@@ -436,6 +247,252 @@ def _literal_value(node) -> float | None:
         inner = _literal_value(node.child)
         return None if inner is None else -inner
     return None
+
+
+def _compile(e: Expr) -> tuple:
+    code, slot_of = [], {}
+
+    def emit(op, a, b, offset) -> int:
+        key = (op, repr(a), repr(b))  # repr keeps 0.0 and -0.0 apart
+        if key not in slot_of:
+            slot_of[key] = len(code)
+            code.append((op, a, b, offset))
+        return slot_of[key]
+
+    def walk(node) -> int:
+        if isinstance(node, Num):
+            return emit("num", node.value, None, node.offset)
+        if isinstance(node, Sym):
+            return emit("sym", node.name, None, node.offset)
+        if isinstance(node, Neg):
+            return emit("neg", walk(node.child), None, node.offset)
+        if isinstance(node, Call):
+            return emit(node.fn, walk(node.arg), None, node.offset)
+        exponent = _literal_value(node.right) if node.op == "^" else None
+        if exponent is not None:
+            return emit("^k", walk(node.left), exponent, node.offset)
+        a = walk(node.left)
+        return emit(node.op, a, walk(node.right), node.offset)
+
+    walk(e)
+    tape, read_later = [], set()
+    for op, a, b, offset in reversed(code):
+        reads = set() if op in _LEAVES else {a, b} if op in _BINARY else {a}
+        tape.append((op, a, b, offset, tuple(reads - read_later)))
+        read_later |= reads
+    return tuple(reversed(tape))
+
+
+def _tape(e: Expr) -> tuple:
+    """The tree's tape, compiled on first use and kept on the root outside
+    the dataclass fields: eq, hash and repr ignore it, and pickling keeps it."""
+    code = e.__dict__.get("_tape")
+    if code is None:
+        code = _compile(e)
+        object.__setattr__(e, "_tape", code)
+    return code
+
+
+def _run(code: tuple, step, env):
+    """Execute a tape: slot i = step(env, op, a, b, offset), with the
+    operands read from their slots."""
+    slots = [None] * len(code)
+    for i, (op, a, b, offset, last) in enumerate(code):
+        if op not in _LEAVES:
+            a = slots[a]
+            if op in _BINARY:
+                b = slots[b]
+        slots[i] = step(env, op, a, b, offset)
+        for s in last:
+            slots[s] = None
+    return slots[-1]
+
+
+def symbols(e: Expr) -> set[str]:
+    """All symbol names appearing in the tree (including builtins)."""
+    return {a for op, a, *_ in _tape(e) if op == "sym"}
+
+
+def _resolve(name: str, params: dict, offset: int) -> float:
+    if name in params:
+        return params[name]
+    if name in BUILTIN_CONSTANTS:
+        return BUILTIN_CONSTANTS[name]
+    raise UnboundSymbolError(name, offset)
+
+
+# One float step for Python floats and float64 arrays; the table gives the
+# elementary functions and the domain test `any` (bool on a float).
+_MATH = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
+         "sqrt": math.sqrt, "abs": abs, "atan": math.atan, "pow": math.pow,
+         "any": bool}
+_NUMPY = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+          "sqrt": np.sqrt, "abs": np.abs, "atan": np.arctan, "pow": np.power,
+          "any": np.any}
+
+
+def _float_step(env, op, a, b, offset):
+    x, params, fns = env
+    if op == "num":
+        return a
+    if op == "sym":
+        return x if a == "x" else _resolve(a, params, offset)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if fns["any"](b == 0.0):
+            raise ExprDomainError("division by zero", offset)
+        return a / b
+    if op == "neg":
+        return -a
+    power = op == "^k" or op == "^"
+    if power and (not isinstance(b, np.ndarray) or b.ndim == 0):
+        try:
+            n = int(b)
+        except (OverflowError, ValueError):  # inf or nan
+            raise ExprDomainError("non-finite exponent", offset) from None
+        if n == b:
+            if n < 0 and fns["any"](a == 0.0):
+                raise ExprDomainError("zero to a negative power", offset)
+            return scalars.powi(a, n) if n >= 0 else 1.0 / scalars.powi(a, -n)
+    if power and fns["any"](a < 0.0):
+        raise ExprDomainError("negative base with non-integer exponent", offset)
+    if op == "log" and fns["any"](a <= 0.0):
+        raise ExprDomainError("log of a nonpositive value", offset)
+    if op == "sqrt" and fns["any"](a < 0.0):
+        raise ExprDomainError("sqrt of a negative value", offset)
+    try:
+        return fns["pow"](a, b) if power else fns[op](a)
+    except (OverflowError, ValueError) as exc:  # math: overflow, sin(inf), 0^-0.5
+        raise ExprDomainError(str(exc), offset) from exc
+
+
+def eval_real(e: Expr, x: float, params: dict | None = None) -> float:
+    """Strict scalar IEEE evaluation with positioned domain errors."""
+    return _run(_tape(e), _float_step, (x, params or {}, _MATH))
+
+
+def eval_array(e: Expr, x: np.ndarray, params: dict | None = None) -> np.ndarray:
+    """Vectorized float64 evaluation over an array of x values."""
+    return _run(_tape(e), _float_step, (x, params or {}, _NUMPY))
+
+
+def abs_kinks(e: Expr, xs: np.ndarray, params: dict | None = None) -> list[int]:
+    """Offsets, in source order, of the abs(...) whose argument takes both
+    signs on xs: a tape with an abs runs once in float64, warnings silenced."""
+    code, kinks = _tape(e), []
+    if not any(op == "abs" for op, *_ in code):
+        return kinks
+
+    def step(env, op, a, b, offset):
+        if op == "abs" and np.any(a > 0) and np.any(a < 0):
+            kinks.append(offset)
+        return _float_step(env, op, a, b, offset)
+
+    with np.errstate(all="ignore"):
+        _run(code, step, (xs, params or {}, _NUMPY))
+    return sorted(kinks)
+
+
+def _jet_step(env, op, a, b, offset):
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return jet_mul(a, b)
+    if op == "neg":
+        return -a
+    x_jet, params = env
+    if op == "sym" and a == "x":
+        return x_jet
+    if op == "num" or op == "sym":
+        v = a if op == "num" else _resolve(a, params, offset)
+        x0 = x_jet.base_point
+        if scalars.is_mp(x_jet.coeffs[0]):
+            v = v if scalars.is_mp(v) else mpmath.mpf(v)
+        elif isinstance(x0, np.ndarray):
+            v = np.full(x0.shape, float(v))
+        else:
+            v = float(v)
+        return jet_constant(v, x0, x_jet.degree)
+    if op == "^":
+        raise ExprDomainError(
+            "jet evaluation needs a numeric-literal exponent", offset)
+    if op == "abs":
+        c0 = a.coeffs[0]
+        if np.any(c0 == 0.0):
+            raise ExprDomainError("abs kink at the expansion point", offset)
+        if isinstance(a.base_point, np.ndarray):
+            return Jet(a.base_point, tuple(np.where(c0 > 0, c, -c) for c in a.coeffs))
+        return a if c0 > 0 else -a
+    try:
+        if op == "/":
+            return jet_div(a, b)
+        if op != "^k":
+            return jet_map(a, op)
+        return jet_powi(a, int(b)) if b == int(b) else jet_map(a, "pow", exponent=b)
+    except Exception as exc:
+        # An integer power fails only where jet_powi divides by a zero base.
+        integral = op == "^k" and b == int(b)
+        raise ExprDomainError("zero to a negative power" if integral
+                              else str(exc), offset) from exc
+
+
+def eval_jet(e: Expr, x_jet: Jet, params: dict | None = None) -> Jet:
+    """Jet of the expression as a function of x at x_jet's base point (at
+    every point at once for a grid jet; a domain error at any point raises)."""
+    return _run(_tape(e), _jet_step, (x_jet, params or {}))
+
+
+_DD_PI = (np.float64(ddmath.TWO_PI[0] / 2), np.float64(ddmath.TWO_PI[1] / 2))
+_DD_OPS = {"+": ddmath.add, "-": ddmath.sub, "*": ddmath.mul, "/": ddmath.div}
+
+
+def _dd(v) -> ddmath.DD:
+    return v if isinstance(v, tuple) else ddmath.from_float(v)
+
+
+def _flt(v):
+    return ddmath.to_float(v) if isinstance(v, tuple) else v
+
+
+def _dd_step(env, op, a, b, offset):
+    x, params = env
+    if op in _DD_OPS:
+        if op != "/" and isinstance(a, tuple) != isinstance(b, tuple):
+            float_first = not isinstance(a, tuple)
+            d, c = (b, a) if float_first else (a, b)
+            if op == "*":
+                return ddmath.mul_f(d, c)
+            if op == "-":
+                d, c = (ddmath.neg(d), c) if float_first else (d, -c)
+            return ddmath.add_f(d, c)
+        hi, lo = _DD_OPS[op](_dd(a), _dd(b))
+        return hi if np.ndim(lo) == 0 and lo == 0 else (hi, lo)  # exact: a float
+    if op == "num":
+        return np.float64(a)
+    if op == "sym":
+        if a == "x":
+            return x
+        if a == "pi" and a not in params:
+            return _DD_PI
+        return np.float64(_resolve(a, params, offset))
+    if op == "neg":
+        return ddmath.neg(a) if isinstance(a, tuple) else -a
+    if op == "abs":
+        return ddmath.abs_(a) if isinstance(a, tuple) else np.abs(a)
+    if op == "sqrt":
+        return ddmath.sqrt(_dd(a))
+    if op == "^k" and b == int(b):
+        return ddmath.powi(_dd(a), int(b))
+    if op == "^k" or op == "^":
+        return np.power(_flt(a), _flt(np.float64(b) if op == "^k" else b))
+    return _NUMPY[op](_flt(a))
 
 
 def eval_dd(e: Expr, x: ddmath.DD, params: dict | None = None) -> ddmath.DD:
@@ -450,54 +507,4 @@ def eval_dd(e: Expr, x: ddmath.DD, params: dict | None = None) -> ddmath.DD:
     products with one such operand go through ddmath.add_f and ddmath.mul_f,
     which give the same bits as the full dd operations on (c, 0).
     """
-    params = params or {}
-
-    def dd(v) -> ddmath.DD:
-        return v if isinstance(v, tuple) else ddmath.from_float(v)
-
-    def flt(v):
-        return ddmath.to_float(v) if isinstance(v, tuple) else v
-
-    def ev(node):
-        if isinstance(node, Num):
-            return np.float64(node.value)
-        if isinstance(node, Sym):
-            if node.name == "x":
-                return x
-            if node.name == "pi" and node.name not in params:
-                return (np.float64(ddmath.TWO_PI[0] / 2),
-                        np.float64(ddmath.TWO_PI[1] / 2))
-            return np.float64(_resolve(node.name, params, node.offset))
-        if isinstance(node, Neg):
-            v = ev(node.child)
-            return ddmath.neg(v) if isinstance(v, tuple) else -v
-        if isinstance(node, Call):
-            v = ev(node.arg)
-            if node.fn == "abs":
-                return ddmath.abs_(v) if isinstance(v, tuple) else np.abs(v)
-            if node.fn == "sqrt":
-                return ddmath.sqrt(dd(v))
-            fn = {"exp": np.exp, "log": np.log, "sin": np.sin,
-                  "cos": np.cos, "atan": np.arctan}[node.fn]
-            return fn(flt(v))
-        if node.op == "^":
-            exponent = _literal_value(node.right)
-            base = ev(node.left)
-            if exponent is not None and exponent == int(exponent):
-                return ddmath.powi(dd(base), int(exponent))
-            return np.power(flt(base), flt(ev(node.right)))
-        a = ev(node.left)
-        b = ev(node.right)
-        if node.op in "+-*" and isinstance(a, tuple) != isinstance(b, tuple):
-            float_first = not isinstance(a, tuple)
-            d, c = (b, a) if float_first else (a, b)
-            if node.op == "*":
-                return ddmath.mul_f(d, c)
-            if node.op == "-":
-                d, c = (ddmath.neg(d), c) if float_first else (d, -c)
-            return ddmath.add_f(d, c)
-        op = {"+": ddmath.add, "-": ddmath.sub, "*": ddmath.mul, "/": ddmath.div}[node.op]
-        hi, lo = op(dd(a), dd(b))
-        return hi if np.ndim(lo) == 0 and lo == 0 else (hi, lo)  # exact: a float
-
-    return dd(ev(e))
+    return _dd(_run(_tape(e), _dd_step, (x, params or {})))

@@ -73,8 +73,8 @@ def one_like(z):
 def powi(z, n: int):
     """Integer power by repeated multiplication (binary exponentiation).
 
-    Shared by the real and jet evaluation paths so both produce identical
-    rounding for integer exponents.
+    The float and float64-array evaluation of an integer power; the jet path
+    uses jets.jet_powi, which multiplies in the same order.
     """
     if n < 0:
         raise ValueError("powi expects a nonnegative exponent")

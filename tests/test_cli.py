@@ -179,6 +179,29 @@ class TestCmdExpand:
         assert "order n = 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["expand", "quad", "audit", "study"])
+@pytest.mark.parametrize("value", ["0", "-1", ",", "", "1,,2", "two"])
+def test_bad_n_exits_1(tmp_path, capsys, command, value):
+    cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
+    assert main([command, "--config", cfg, "--n", value]) == 1
+    assert "bad --n value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["expand", "quad", "audit"])
+def test_n_list_outside_study_exits_1(tmp_path, capsys, command):
+    cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
+    assert main([command, "--config", cfg, "--n", "1,3"]) == 1
+    assert "bad --n value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["expand", "quad", "audit"])
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_scan_grid_below_two_points_exits_1(tmp_path, capsys, command, points):
+    cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
+    assert main([command, "--config", cfg, "--scan-points", points]) == 1
+    assert "scan_points must be at least 2" in capsys.readouterr().err
+
+
 class TestCmdStudy:
     def test_csv_contract_and_bit_stability(self, tmp_path, capsys):
         cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)

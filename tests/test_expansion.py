@@ -276,6 +276,17 @@ class TestHypothesisAudit:
         a = hypothesis_audit(p)
         assert any("kink" in w for w in a.warnings)
 
+    @pytest.mark.parametrize("g, offsets", [
+        ("abs(x-0.3)*(1+abs(x-0.3))", [0]),
+        ("abs(x-0.3)*(1+abs(x+0.2))", [0, 14]),
+    ])
+    def test_one_kink_warning_per_distinct_abs(self, g, offsets):
+        p = make_problem("T*(x^2 + x^3/3)", g, -0.5, 0.5, n=2, T=100.0)
+        kinks = [w for w in hypothesis_audit(p).warnings if "kink" in w]
+        assert kinks == [f"abs(...) in g has a kink inside [alpha, beta] "
+                         f"(offset {k}); smoothness hypotheses fail"
+                         for k in offsets]
+
 
 class TestUnitPhase:
     def test_large_integer_phase_is_exact(self):

@@ -1,4 +1,7 @@
+import gc
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +86,18 @@ class TestEvalReal:
     def test_unbound_symbol(self):
         with pytest.raises(UnboundSymbolError):
             eval_real(parse("a*x"), 1.0)
+
+    def test_zero_to_a_negative_fractional_power_is_positioned(self):
+        with pytest.raises(ExprDomainError) as err:
+            eval_real(parse("x^-0.5"), 0.0)
+        assert err.value.offset == 1
+
+    @pytest.mark.parametrize("text", ["x^(1e308*10)", "x^(1e308*10-1e308*10)"])
+    def test_non_finite_exponent_is_positioned(self, text):
+        for evaluate, x in ((eval_real, 2.0), (eval_array, np.array([2.0, 3.0]))):
+            with pytest.raises(ExprDomainError) as err:
+                evaluate(parse(text), x)
+            assert err.value.offset == 1
 
 
 class TestEvalJet:
@@ -197,6 +212,59 @@ class TestEvalArray:
     def test_domain_check(self):
         with pytest.raises(ExprDomainError):
             eval_array(parse("log(x)"), np.array([1.0, -1.0]))
+
+
+# --- the tape ---------------------------------------------------------------
+
+CUBIC = "T*0.7*((x + 0.19)^2 + 0.159*(x + 0.19)^3)"
+
+
+class TestTape:
+    def test_repeated_subtree_is_evaluated_once(self, monkeypatch):
+        calls = []
+        add_f = ddmath.add_f
+
+        def counting_add_f(d, c):
+            calls.append(1)
+            return add_f(d, c)
+
+        monkeypatch.setattr(ddmath, "add_f", counting_add_f)
+        hi = np.linspace(-0.5, 0.5, 33)
+        x = ddmath.add(ddmath.from_float(hi), ddmath.from_float(hi * 1e-17))
+        params = {"T": 1024.0}
+        got = eval_dd(parse(CUBIC), x, params)
+        assert len(calls) == 1
+        want = _eval_dd_pairs(parse(CUBIC), x, params)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.broadcast_to(g, hi.shape), w)
+
+    def test_evaluation_leaves_no_reference_to_its_input(self):
+        e, params = parse(CUBIC), {"T": 1024.0}
+        xs = np.linspace(-0.5, 0.5, 64)
+        x_dd = ddmath.from_float(xs)
+        gc.disable()
+        try:
+            before = sys.getrefcount(xs), sys.getrefcount(x_dd)
+            eval_array(e, xs, params)
+            eval_dd(e, x_dd, params)
+            eval_jet(e, jet_variable(xs, 3), params)
+            assert (sys.getrefcount(xs), sys.getrefcount(x_dd)) == before
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("text, bound", [("T*(x + x^2/10)", 2.5),
+                                             (CUBIC, 4.5)])
+    def test_array_peak_keeps_only_live_intermediates(self, text, bound):
+        e, params = parse(text), {"T": 1024.0}
+        xs = np.linspace(1.0, 2.0, 2 ** 20)
+        eval_array(e, xs[:2], params)  # compile outside the trace
+        tracemalloc.start()
+        try:
+            eval_array(e, xs, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / xs.nbytes < bound
 
 
 # --- format/parse round trip -------------------------------------------------
