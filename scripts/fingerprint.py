@@ -13,18 +13,22 @@ and exit code of oscphase.cli.main run in process.  Floats are written as
 float.hex and mpmath numbers as their exact binary mantissa and exponent, so
 two runs give the same text exactly when no output bit moved:
 
-    python3 scripts/fingerprint.py > after.jsonl
     python3 scripts/fingerprint.py --checkout ../parent > before.jsonl
-    diff before.jsonl after.jsonl
+    python3 scripts/fingerprint.py --against before.jsonl
 
 --checkout fingerprints another checkout of the repository (for example an
 earlier commit made with `git clone`), importing its oscphase and its pool
-and reading its configs.
+and reading its configs.  --against compares the fingerprint with a saved
+one instead of printing it: it prints the number of changed lines per
+(group, mode, field) and exits 1 if any line changed.  The mode is float,
+mp or oracle for a problem and the subcommand for a CLI run; the field is
+a top-level field of the result (an error counts as the field "outcome").
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import io
@@ -84,11 +88,64 @@ def cli_run(main, checkout: pathlib.Path, argv: list[str]) -> dict:
             "exit": code}
 
 
+def changed_fields(before: dict, after: dict):
+    """(group, mode, field) for each field in which two lines of the same
+    problem or CLI run differ."""
+    if "cli" in before:
+        return [("cli", before["cli"][0], key)
+                for key in ("stdout", "stderr", "exit")
+                if before[key] != after[key]]
+    out = []
+    for mode in sorted(set(before) & {"float", "mp", "oracle"}):
+        a, b = before[mode], after[mode]
+        if ("result" in a) != ("result" in b):
+            out.append((before["group"], mode, "outcome"))
+            continue
+        a, b = a.get("result", a), b.get("result", b)
+        out += [(before["group"], mode, key) for key in sorted(set(a) | set(b))
+                if a.get(key) != b.get(key)]
+    return out
+
+
+def compare(lines, path: pathlib.Path) -> int:
+    """Print the changed-line counts of `lines` against the saved file."""
+    def key(line):
+        return json.dumps([line.get("group"), line.get("index"),
+                           line.get("cli")])
+
+    saved = {}
+    for text in path.read_text().splitlines():
+        line = json.loads(text)
+        saved[key(line)] = line
+    counts, total = collections.Counter(), 0
+    for line in lines:
+        total += 1
+        before = saved.pop(key(line), None)
+        counts.update([("new", "-", "line")] if before is None
+                      else changed_fields(before, line))
+    counts.update(("gone", "-", "line") for _ in saved)
+    for (group, mode, field), count in sorted(counts.items()):
+        print(f"{group} {mode} {field}: {count} changed")
+    print(f"{total} lines compared, {sum(counts.values())} changes")
+    return 1 if counts else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=pathlib.Path, default=ROOT)
+    parser.add_argument("--against", type=pathlib.Path, default=None,
+                        help="a saved fingerprint (.jsonl) to count changes "
+                             "against")
     args = parser.parse_args(argv)
-    checkout = args.checkout.resolve()
+    if args.against is None:
+        for line in lines(args.checkout.resolve()):
+            print(json.dumps(line, sort_keys=True), flush=True)
+        return 0
+    return compare(lines(args.checkout.resolve()), args.against)
+
+
+def lines(checkout: pathlib.Path):
+    """The fingerprint of a checkout, one dict per problem or CLI run."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
 
     import pool
@@ -101,10 +158,9 @@ def main(argv=None) -> int:
         return make_problem(spec["f"], spec["g"], spec["alpha"], spec["beta"],
                             spec["n"], T=spec["T"])
 
-    def emit(group, index, spec, **parts):
-        line = {"group": group, "index": index, "f": spec["f"], "g": spec["g"],
+    def line(group, index, spec, **parts):
+        return {"group": group, "index": index, "f": spec["f"], "g": spec["g"],
                 **parts}
-        print(json.dumps(line, sort_keys=True), flush=True)
 
     problems = pool.build_pool()
     # Every group as variants of variants, so each problem has an [i, j].
@@ -119,19 +175,17 @@ def main(argv=None) -> int:
                     yield group, [i, j], spec
 
     for group, index, spec in specs(("wsp", "fdt", "reject", "probe")):
-        emit(group, index, spec, **{
+        yield line(group, index, spec, **{
             mode: outcome(lambda: expand_auto(problem(spec), mp_dps=dps))
             for mode, dps in (("float", None), ("mp", STUDY_MP_DPS))})
     settings = QuadratureSettings(tol=pool.QUAD_TOL)
     for group, index, spec in specs(("small", "large", "trans", "txx", "fresnel")):
-        emit(group, index, spec, oracle=outcome(
+        yield line(group, index, spec, oracle=outcome(
             lambda: oscillatory_quadrature_detail(problem(spec), settings)))
     runs = [[command, "--config", f"configs/{config}"]
             for config in CONFIGS for command in ("expand", "audit", "quad")]
     for argv in runs + [["study", *STUDY_ARGS]]:
-        print(json.dumps(cli_run(cli_main, checkout, argv), sort_keys=True),
-              flush=True)
-    return 0
+        yield cli_run(cli_main, checkout, argv)
 
 
 if __name__ == "__main__":

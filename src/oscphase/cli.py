@@ -17,7 +17,9 @@ Expressions may reference x, pi, T, M, N, U, and any [params] entries.
 
 Exit codes: 0 success, 1 config error, 2 engine/hypothesis error (among
 them NonFinitePhaseError: f is not finite in double-double at an end of the
-interval or at the stationary point), 3 quadrature non-convergence, 4 study
+interval or at the stationary point) or an option the subcommand does not
+read (argparse: --scan-points goes with expand, quad and audit, --tol with
+quad and study, --grid with study), 3 quadrature non-convergence, 4 study
 rows failed.
 """
 
@@ -158,8 +160,8 @@ def cmd_expand(args) -> int:
 def cmd_quad(args) -> int:
     cfg = _load(args.config)
     p = cfg.to_problem(n_override=args.n_int)
-    settings = QuadratureSettings(tol=args.tol) if args.tol else QuadratureSettings()
-    result = oscillatory_quadrature_detail(p, settings, scan_points=args.scan_points)
+    result = oscillatory_quadrature_detail(p, QuadratureSettings(tol=args.tol),
+                                           scan_points=args.scan_points)
     print(_fmt_complex_12(result.value))
     print(f"panels: {result.panels}")
     return 0
@@ -170,8 +172,8 @@ def cmd_study(args) -> int:
     p = cfg.to_problem()
     ts = parse_grid(args.grid) if args.grid else [p.T]
     ns = args.n_list or [p.n]
-    settings = QuadratureSettings(tol=args.tol) if args.tol else QuadratureSettings()
-    rows = run_study(p, ts, ns, settings, mp_dps=STUDY_MP_DPS)
+    rows = run_study(p, ts, ns, QuadratureSettings(tol=args.tol),
+                     mp_dps=STUDY_MP_DPS)
     sys.stdout.write(rows_to_csv(rows))
     for n, slope in fitted_slopes(rows).items():
         sys.stderr.write(f"n={n}: fitted slope of log2|error| vs log2 T = {slope:.4f}\n")
@@ -219,12 +221,15 @@ def _build_parser() -> argparse.ArgumentParser:
         s.add_argument("--n", default=None,
                        help="order override (expand/quad/audit) or "
                             "comma-separated list (study)")
-        s.add_argument("--tol", type=float, default=None,
-                       help="quadrature tolerance (quad/study)")
-        s.add_argument("--grid", default=None,
-                       help="study T grid as Tmin:Tmax:factor")
-        s.add_argument("--scan-points", type=int, default=SCAN_POINTS,
-                       help="stationary-scan grid density (default 512)")
+        if name != "study":
+            s.add_argument("--scan-points", type=int, default=SCAN_POINTS,
+                           help="stationary-scan grid density (default 512)")
+        if name in ("quad", "study"):
+            s.add_argument("--tol", type=float, default=QuadratureSettings.tol,
+                           help="quadrature tolerance (default %(default)s)")
+        if name == "study":
+            s.add_argument("--grid", default=None,
+                           help="T grid as Tmin:Tmax:factor")
     return parser
 
 

@@ -10,7 +10,7 @@ truncated expansion of g(x) dx/dy approaches the real thing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -21,7 +21,7 @@ from . import scalars
 from .errors import (DegenerateStationaryPoint, ExprDomainError,
                      MultipleSignChanges, NewtonError, NoSignChange,
                      StationaryAtEndpoint)
-from .exprs import Expr, Neg, eval_jet, eval_real, parse, symbols
+from .exprs import Expr, eval_jet, eval_real, parse, symbols
 from .jets import (Jet, jet_compose, jet_differentiate, jet_map, jet_mul,
                    jet_revert, jet_truncate, jet_variable)
 
@@ -46,28 +46,22 @@ def grid_sup(values: np.ndarray) -> float:
 class GridSample:
     """A problem's f (to degree 2n+3) and g (to 2n+1) on one scan grid, each
     walked on first use only, so a scan that reads f never evaluates g; plus
-    the stationary point once located.  The sample of the negated problem
-    reads the original's: -f has exactly the negated coefficients."""
+    the stationary point once located."""
 
-    def __init__(self, p: "PhaseProblem", scan_points: int,
-                 negates: "GridSample | None" = None):
+    def __init__(self, p: "PhaseProblem", scan_points: int):
         self.xs = np.linspace(p.alpha, p.beta, scan_points)
-        self.gamma = negates.gamma if negates else None
+        self.gamma = None
         # No reference to p, which holds this sample: a cycle would keep
         # every problem's arrays alive until the garbage collector runs.
         self._f, self._g = (p.f, 2 * p.n + 3), (p.g, 2 * p.n + 1)
-        self._bindings, self._negates = p.bindings, negates
+        self._bindings = p.bindings
 
     @cached_property
     def f(self) -> tuple:
-        if self._negates:
-            return tuple(-c for c in self._negates.f)
         return grid_jet(self._f[0], self.xs, self._f[1], self._bindings)
 
     @cached_property
     def g(self) -> tuple:
-        if self._negates:
-            return self._negates.g
         return grid_jet(self._g[0], self.xs, self._g[1], self._bindings)
 
     def sign_changes(self) -> list[tuple[float, float, float]]:
@@ -154,12 +148,6 @@ class PhaseProblem:
         return {**self.params, "T": self.T, "M": self.M,
                 "N": self.N, "U": self.U}
 
-    def negated(self) -> "PhaseProblem":
-        neg = replace(self, f=Neg(self.f))
-        for scan_points, sample in self._samples.items():
-            neg._samples[scan_points] = GridSample(neg, scan_points, sample)
-        return neg
-
     def sample(self, scan_points: int = SCAN_POINTS) -> GridSample:
         """The problem's f and g on its scan grid, built once per grid."""
         if scan_points < 2:
@@ -178,9 +166,6 @@ class PhaseProblem:
 
     def f_value(self, x: float) -> float:
         return eval_real(self.f, x, self.bindings)
-
-    def g_value(self, x: float) -> float:
-        return eval_real(self.g, x, self.bindings)
 
     def fprime(self, x):
         return self.f_jet(x, 1).coeffs[1]
@@ -280,7 +265,7 @@ def taylor_data(p: PhaseProblem, gamma: float):
 
     Returns (lam, eta) with lam[k] = f^(k)(gamma)/k! for k = 0..2n+2 and
     eta[k] = g^(k)(gamma)/k! for k = 0..2n.  lam[2] < 0 signals the
-    maximum orientation (handled by the expansion engine via negation).
+    maximum orientation, which compute_coefficients orients.
     """
     lam = p.f_jet(gamma, 2 * p.n + 2).coeffs
     eta = p.g_jet(gamma, 2 * p.n).coeffs
@@ -314,7 +299,7 @@ def amplitude_series(lam: Sequence, eta: Sequence, order: int):
     lam2 = lam[2]
     if lam2 <= 0:
         raise DegenerateStationaryPoint(
-            "amplitude_series requires lambda_2 > 0 (negate f for a maximum)")
+            "amplitude_series requires lambda_2 > 0 (negate lam for a maximum)")
     root = jet_map(_bracket_series(lam, order), "sqrt")
     y_series = Jet(0.0, (scalars.zero_like(lam2),) + root.coeffs)  # times t
     x_of_y = jet_revert(y_series)
@@ -365,7 +350,8 @@ def _recursion_route(lam: Sequence, eta: Sequence, order: int, rho: Sequence):
 class CoefficientSet:
     """gamma plus every coefficient sequence of the change of variables.
 
-    lam[k] = lambda_k (index 0 is f(gamma), index 1 is f'(gamma) ~ 0);
+    lam[k] = lambda_k (index 0 is f(gamma), index 1 is f'(gamma) ~ 0), of
+    -f at a maximum, so lam[2] > 0 in either orientation;
     eta, rho, eta_prime, varpi, varpi_check are indexed 0..2n; mu[j][k] for
     j = 0..2n+1, k = 0..2n.  varpi comes from the series route and
     varpi_check from the recursion route.
@@ -384,11 +370,14 @@ class CoefficientSet:
 
 
 def compute_coefficients(p: PhaseProblem, gamma: float | None = None) -> CoefficientSet:
-    """Full coefficient pipeline for a minimum-orientation problem (over
-    mpmath numbers when gamma is an mpf)."""
+    """Full coefficient pipeline (over mpmath numbers when gamma is an mpf),
+    oriented: at a maximum lam is the Taylor data of -f, so lam[2] > 0 and
+    the substitution is sign(f''(gamma)) (f(x) - f(gamma)) = lam[2] y^2."""
     if gamma is None:
         gamma = find_stationary_point(p)
     lam, eta = taylor_data(p, gamma)
+    if lam[2] < 0:
+        lam = tuple(-c for c in lam)
     order = 2 * p.n
     x_of_y, rho, varpi = amplitude_series(lam, eta, order)
     mu, eta_prime, varpi_check = _recursion_route(lam, eta, order, rho)
@@ -398,7 +387,8 @@ def compute_coefficients(p: PhaseProblem, gamma: float | None = None) -> Coeffic
 
 
 def solve_x_of_y(p: PhaseProblem, gamma, lam2, y, f_gamma=None):
-    """Solve f(x) - f(gamma) = lam2 * y^2 on the side matching sign(y).
+    """Solve f(x) - f(gamma) = lam2 * y^2 on the side matching sign(y);
+    lam2 < 0 at a maximum.
 
     Safeguarded Newton with a bisection fallback; 1e-14 relative tolerance,
     60-iteration cap.  Works over floats and mpmath numbers alike.
@@ -416,10 +406,11 @@ def solve_x_of_y(p: PhaseProblem, gamma, lam2, y, f_gamma=None):
     far = p.beta if y > 0 else p.alpha
     if mp_mode:
         far = mpmath.mpf(far)
-    if fboth(far)[0] - target < 0:
+    sign = 1 if lam2 > 0 else -1
+    if sign * (fboth(far)[0] - target) < 0:
         raise NewtonError(f"y = {float(y)} is outside the substitution range")
 
-    # Bracket ends by residual sign: F(gamma) < 0 <= F(far).
+    # Bracket ends by F = sign * residual: F(gamma) < 0 <= F(far).
     neg_end, pos_end = gamma, far
 
     def inside(value):
@@ -436,7 +427,7 @@ def solve_x_of_y(p: PhaseProblem, gamma, lam2, y, f_gamma=None):
         resid = fx - target
         if resid == 0:
             return x
-        if resid > 0:
+        if sign * resid > 0:
             pos_end = x
         else:
             neg_end = x
@@ -454,28 +445,23 @@ def residual_Q(p: PhaseProblem, cs: CoefficientSet, y: float) -> float:
 
     The truncation property says Q(y) = O(|y|^{2n+1}) as y -> 0; this is the
     measurable residual behind that claim.  y = 0 is rejected (x(0) = gamma
-    and Q(0) = 0 by definition).
+    and Q(0) = 0 by definition).  At a maximum lam2 is -cs.lam[2].
     """
     if y == 0:
         raise ValueError("residual_Q is defined for nonzero y only")
-    lam2 = cs.lam[2]
+    lam2, f_gamma = cs.lam[2], cs.lam[0]
     if lam2 <= 0:
         raise DegenerateStationaryPoint("residual_Q requires lambda_2 > 0")
-    mp_mode = scalars.is_mp(y)
-    x = solve_x_of_y(p, cs.gamma, lam2, y, f_gamma=cs.lam[0])
-    if mp_mode:
-        fj = p.f_jet(x, 1)
-        gj = p.g_jet(x, 1)
-        gx, fpx = gj.coeffs[0], fj.coeffs[1]
-    else:
-        gx = p.g_value(x)
-        fpx = p.fprime(x)
+    if p.fprime2(cs.gamma)[1] < 0:
+        lam2, f_gamma = -lam2, -f_gamma
+    x = solve_x_of_y(p, cs.gamma, lam2, y, f_gamma=f_gamma)
+    gx, fpx = p.g_jet(x, 1).coeffs[0], p.fprime(x)
     dxdy = 2 * lam2 * y / fpx
     series = cs.varpi[cs.order]
     for k in range(cs.order - 1, -1, -1):
         series = series * y + cs.varpi[k]
     q = gx * dxdy - series
-    return q if mp_mode else float(q)
+    return q if scalars.is_mp(q) else float(q)
 
 
 def mp_refine_gamma(p: PhaseProblem, gamma: float) -> mpmath.mpf:

@@ -336,7 +336,7 @@ def _float_step(env, op, a, b, offset):
     if op == "num":
         return a
     if op == "sym":
-        return x if a == "x" else _resolve(a, params, offset)
+        return x if a == "x" else float(_resolve(a, params, offset))
     if op == "+":
         return a + b
     if op == "-":

@@ -106,6 +106,30 @@ class TestCmdQuad:
         assert main(["quad", "--config", cfg, "--tol", "1e-30"]) == 3
 
 
+@pytest.mark.parametrize("command", ["quad", "study"])
+def test_zero_tol_exits_1(tmp_path, capsys, command):
+    cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
+    assert main([command, "--config", cfg, "--tol", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "tol must be positive" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command, option", [
+    ("study", ["--scan-points", "64"]), ("expand", ["--tol", "1e-8"]),
+    ("audit", ["--tol", "1e-8"]), ("expand", ["--grid", "256:1024:4"]),
+    ("quad", ["--grid", "256:1024:4"]), ("audit", ["--grid", "256:1024:4"]),
+])
+def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                           command, option):
+    cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, *option])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+    assert captured.out == ""
+
+
 class TestCmdExpand:
     def test_quadratic_main_term(self, tmp_path, capsys):
         cfg = write(tmp_path, "quad.cfg", QUADRATIC_CFG)

@@ -189,6 +189,32 @@ class TestTaylorData:
             taylor_data(p, 0.0)
 
 
+class TestOrientation:
+    """A maximum's coefficients are those of -f, read from f's own jets."""
+
+    F = "x^2 + x^3"
+
+    def pair(self, n=2):
+        args = ("1/(1+x^2)", -0.25, 0.5, n)
+        return (make_problem(f"-({self.F})", *args, T=0.89),
+                make_problem(self.F, *args, T=0.89))
+
+    def test_maximum_coefficients_equal_those_of_minus_f(self):
+        pmax, pmin = self.pair()
+        cs = compute_coefficients(pmax)
+        assert cs.lam[2] > 0
+        assert cs == compute_coefficients(pmin)
+        assert mp_coefficients(pmax, dps=30) == mp_coefficients(pmin, dps=30)
+
+    @pytest.mark.parametrize("y", [0.05, -0.1, 0.2])
+    def test_maximum_residual_equals_that_of_minus_f(self, y):
+        pmax, pmin = self.pair(n=1)
+        q = residual_Q(pmax, compute_coefficients(pmax), y)
+        assert q == residual_Q(pmin, compute_coefficients(pmin), y)
+        assert abs(q) <= 10.0 * abs(y) ** 3
+        assert q != 0.0
+
+
 class TestAmplitudeSeries:
     def test_pure_quadratic(self):
         lam = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]

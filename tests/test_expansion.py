@@ -4,6 +4,7 @@ import pathlib
 import sys
 import warnings
 
+import mpmath
 import pytest
 
 from oscphase import exprs
@@ -153,6 +154,68 @@ class TestStationaryPhaseExpand:
         p = make_problem("T*(x^2 + x^3/3)", "1", -0.5, 0.5, n=1, T=512.0)
         res = stationary_phase_expand(p)
         assert any("n = 1" in w for w in res.warnings)
+
+    @pytest.mark.parametrize("f", ["T*(x^2 + x^3/3)", "-(T*(x^2 + x^3/3))"])
+    @pytest.mark.parametrize("mp_dps", [None, 30])
+    def test_n1_warns_once(self, f, mp_dps):
+        p = make_problem(f, "1", -0.5, 0.5, n=1, T=512.0)
+        warns = stationary_phase_expand(p, mp_dps=mp_dps).warnings
+        assert [w for w in warns if "n = 1" in w] == [
+            "n = 1: the expansion is certified for n >= 2 only"]
+        assert len(set(warns)) == len(warns)
+
+    @pytest.mark.parametrize("f", ["T*(x^2 + x^3/3)", "-(T*(x^2 + x^3/3))"])
+    def test_kink_in_g_warned_in_both_orientations(self, f):
+        p = make_problem(f, "abs(x-0.1)+1", -0.5, 0.5, n=2, T=2048.0)
+        for mp_dps in (None, 30):
+            kinks = [w for w in stationary_phase_expand(p, mp_dps=mp_dps).warnings
+                     if "kink" in w]
+            assert kinks == ["abs(...) in g has a kink inside [alpha, beta] "
+                             "(offset 0); smoothness hypotheses fail"]
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_mp_maximum_is_the_conjugate_of_minus_f(self, monkeypatch, frozen):
+        # The one path gives exactly conj of the -f expansion at the working
+        # precision.  The frozen rounding then keeps each imaginary part at
+        # 53 bits, the numbers of the former path that the benchmark
+        # reference holds.
+        if not frozen:
+            monkeypatch.setattr("oscphase.expansion._frozen_max_rounding",
+                                lambda res: res)
+        args = ("1/(1+x^2)", -0.5, 0.5, 2)
+        pmin = make_problem("T*(x^2 + x^3/3)", *args, T=2048.0)
+        pmax = make_problem("-(T*(x^2 + x^3/3))", *args, T=2048.0)
+        rmin = stationary_phase_expand(pmin, mp_dps=30)
+        rmax = stationary_phase_expand(pmax, mp_dps=30)
+        assert rmax.orientation == "max"
+        with mpmath.workdps(30):
+            fields = [(name, getattr(rmax, name), getattr(rmin, name))
+                      for name in ("value", "main_term", "boundary_alpha",
+                                   "boundary_beta")]
+            fields += [("per_order_main", z, w) for z, w in
+                       zip(rmax.per_order_main, rmin.per_order_main)]
+            for name, z, w in fields:
+                exact = mpmath.conj(w)
+                assert z.real == exact.real, name
+                if frozen:
+                    assert z.imag == mpmath.mpf(float(exact.imag)), name
+                else:
+                    assert z.imag == exact.imag, name
+                    assert z.imag != mpmath.mpf(float(z.imag)), name
+
+    def test_maximum_compiles_only_the_tapes_of_f_and_g(self, monkeypatch):
+        p = make_problem("-(T*(x^2 + x^3/3))", "1/(1+x^2)", -0.5, 0.5, n=2,
+                         T=2048.0)
+        roots, original = [], exprs._compile
+
+        def recording(e):
+            roots.append(e)
+            return original(e)
+
+        monkeypatch.setattr(exprs, "_compile", recording)
+        for mp_dps in (None, 30):
+            assert stationary_phase_expand(p, mp_dps=mp_dps).orientation == "max"
+        assert sorted(map(id, roots)) == sorted([id(p.f), id(p.g)])
 
     def test_per_order_dominance_when_valid(self):
         p = make_problem("T*(x^2 + x^3/100)", "1/(2+x)", -0.5, 0.5, n=2,

@@ -87,6 +87,15 @@ class TestEvalReal:
         with pytest.raises(UnboundSymbolError):
             eval_real(parse("a*x"), 1.0)
 
+    def test_integer_parameter_evaluates_as_a_float(self):
+        # An int parameter raised to a large power overflows to inf like
+        # its float value, instead of a Python int too large for a float.
+        e = parse("k^400*x")
+        assert eval_real(e, 2.0, {"k": 10}) == math.inf
+        assert list(eval_array(e, np.array([1.0, 2.0]), {"k": 10})) == [math.inf] * 2
+        value = eval_real(parse("k^3*x"), 2.0, {"k": 3})
+        assert type(value) is float and value == 54.0
+
     def test_zero_to_a_negative_fractional_power_is_positioned(self):
         with pytest.raises(ExprDomainError) as err:
             eval_real(parse("x^-0.5"), 0.0)
