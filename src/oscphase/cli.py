@@ -189,7 +189,8 @@ def cmd_audit(args) -> int:
     for s in sorted(a.C_g):
         print(f"C_g[{s}] = {a.C_g[s]:.17g}")
     if not a.C2_lower_ok:
-        print("lower second-derivative bound violated (f'' <= 0 somewhere)")
+        print("lower second-derivative bound violated "
+              "(sigma*f'' <= 0 somewhere)")
     print(f"Delta = {a.Delta:.17g}")
     print(f"T^(1/(2n+3))*Delta = {p.T ** (1.0 / (2 * p.n + 3)) * a.Delta:.17g}")
     print(f"validity_ok = {a.validity_ok}")

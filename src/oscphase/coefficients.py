@@ -10,6 +10,7 @@ truncated expansion of g(x) dx/dy approaches the real thing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -17,17 +18,17 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from . import scalars
+from . import ddmath, scalars
 from .errors import (DegenerateStationaryPoint, ExprDomainError,
                      MultipleSignChanges, NewtonError, NoSignChange,
                      StationaryAtEndpoint)
-from .exprs import Expr, eval_jet, eval_real, parse, symbols
+from .exprs import Expr, eval_dd, eval_jet, eval_real, parse, symbols
 from .jets import (Jet, jet_compose, jet_differentiate, jet_map, jet_mul,
                    jet_revert, jet_truncate, jet_variable)
 
 SCAN_POINTS = 512  # sign-change scan density; CLI-overridable
 NEWTON_STEPS = 60  # cap on the Newton polish of the stationary point
-BISECT_DEPTH = 6  # bisection steps per grid walk of f' (2^6 + 1 points)
+BISECT_DEPTH = 10  # bisection steps per grid walk of f' (2^10 + 1 points)
 
 
 def grid_jet(e: Expr, xs: np.ndarray, degree: int, bindings: dict) -> tuple:
@@ -46,7 +47,8 @@ def grid_sup(values: np.ndarray) -> float:
 class GridSample:
     """A problem's f (to degree 2n+3) and g (to 2n+1) on one scan grid, each
     walked on first use only, so a scan that reads f never evaluates g; plus
-    the stationary point once located."""
+    the stationary point once located.  make_problem fills f in when it
+    infers T, from the walk that reads f''."""
 
     def __init__(self, p: "PhaseProblem", scan_points: int):
         self.xs = np.linspace(p.alpha, p.beta, scan_points)
@@ -79,11 +81,13 @@ def bisect_fprime(p: "PhaseProblem", lo: float, hi: float, flo: float,
                   steps: int) -> float:
     """Halve a bracketed sign change of f' `steps` times; returns the middle.
 
-    One grid walk reads f' at every midpoint of the next BISECT_DEPTH levels
-    of the bisection tree, each formed as 0.5*(lo + hi) from its two ends
-    exactly as a step-by-step loop forms it, and the steps then follow their
-    path through the tree.  So the result is the float that `steps` scalar
-    walks reach, with one walk per BISECT_DEPTH steps.
+    One grid walk reads f' at all 2^depth - 1 midpoints of the next
+    depth = min(steps left, BISECT_DEPTH) levels of the bisection tree, each
+    formed as 0.5*(lo + hi) from its two ends exactly as a step-by-step loop
+    forms it, and the steps then follow their path through the tree.  So the
+    result is the float that `steps` scalar walks reach, with one walk per
+    BISECT_DEPTH steps; where the grid meets a domain error off the path,
+    the path is walked point by point.
     """
     while steps:
         depth = min(steps, BISECT_DEPTH)
@@ -111,6 +115,29 @@ def bisect_fprime(p: "PhaseProblem", lo: float, hi: float, flo: float,
     return 0.5 * (lo + hi)
 
 
+def _point_key(x) -> tuple:
+    """A held point's key: an mpf with the working precision, which sets the
+    arithmetic of its jets, and a float with its sign (the variable jet at
+    -0.0 is not the one at 0.0)."""
+    if scalars.is_mp(x):
+        return x, mpmath.mp.prec
+    x = float(x)
+    return x, math.copysign(1.0, x)
+
+
+class _Held:
+    """A point that PhaseProblem.hold_jets keeps: the degrees to walk f and
+    g to, the two jets once walked, and f in double-double (floats only)."""
+
+    __slots__ = ("x", "degrees", "jets", "dd")
+
+    def __init__(self, x, f_degree: int, g_degree: int):
+        self.x = x
+        self.degrees = (f_degree, g_degree)
+        self.jets = [None, None]
+        self.dd = None
+
+
 @dataclass(frozen=True)
 class PhaseProblem:
     """One integral: f, g, the interval, and the size parameters M, N, T, U.
@@ -131,6 +158,8 @@ class PhaseProblem:
     params: dict = field(default_factory=dict)
     _samples: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _points: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -156,13 +185,51 @@ class PhaseProblem:
             self._samples[scan_points] = GridSample(self, scan_points)
         return self._samples[scan_points]
 
+    def hold_jets(self, points, f_degree: int, g_degree: int) -> None:
+        """Keep f (to f_degree) and g (to g_degree) at these points, each
+        walked once, on first use; f_jet and g_jet then truncate them, which
+        gives the bits of a walk to the lower degree.  A point already held
+        keeps its degrees; no point is kept unless held."""
+        for x in points:
+            self._points.setdefault(_point_key(x), _Held(x, f_degree, g_degree))
+
     # -- pointwise helpers -------------------------------------------------
 
     def f_jet(self, x, degree: int) -> Jet:
-        return eval_jet(self.f, jet_variable(x, degree), self.bindings)
+        """Jet of f at x: a truncation of the held jet where x is held to at
+        least this degree (hold_jets), else a walk of its own."""
+        return self._jet(0, x, degree)
 
     def g_jet(self, x, degree: int) -> Jet:
-        return eval_jet(self.g, jet_variable(x, degree), self.bindings)
+        return self._jet(1, x, degree)
+
+    def _jet(self, which: int, x, degree: int) -> Jet:
+        e = (self.f, self.g)[which]
+        held = self._points.get(_point_key(x))
+        if held is None or degree > held.degrees[which]:
+            return eval_jet(e, jet_variable(x, degree), self.bindings)
+        if held.jets[which] is None:
+            held.jets[which] = eval_jet(
+                e, jet_variable(x, held.degrees[which]), self.bindings)
+        return jet_truncate(held.jets[which], degree)
+
+    def f_dd(self, x: float) -> ddmath.DD:
+        """f(x) in double-double.  The first call at a held float point walks
+        every held float point that lacks it, as one array."""
+        held = self._points.get(_point_key(x))
+        if held is None or scalars.is_mp(x):
+            return eval_dd(self.f, ddmath.from_float(np.float64(x)),
+                           self.bindings)
+        if held.dd is None:
+            todo = [h for h in self._points.values()
+                    if h.dd is None and not scalars.is_mp(h.x)]
+            xs = np.array([h.x for h in todo], dtype=np.float64)
+            with np.errstate(all="ignore"):
+                hi, lo = (np.broadcast_to(c, xs.shape) for c in eval_dd(
+                    self.f, ddmath.from_float(xs), self.bindings))
+            for h, a, b in zip(todo, hi, lo):
+                h.dd = a, b
+        return held.dd
 
     def f_value(self, x: float) -> float:
         return eval_real(self.f, x, self.bindings)
@@ -180,26 +247,35 @@ def make_problem(f: str, g: str, alpha: float, beta: float, n: int,
                  N: float = 1.0, U: float = 1.0,
                  params: dict | None = None) -> PhaseProblem:
     """Convenience constructor from expression strings with the standard
-    defaults (M = beta - alpha, N = U = 1, T inferred from curvature)."""
+    defaults (M = beta - alpha, N = U = 1, T inferred from curvature).
+
+    Inferring T walks f on the scan grid to the degree of the problem's grid
+    sample, which keeps that walk when f does not read T, so the scans that
+    follow do not walk f again."""
     f_expr, g_expr = parse(f), parse(g)
     params = dict(params or {})
     if M is None:
         M = beta - alpha
+    f_grid = None
     if T is None:
         if "T" in symbols(f_expr) and "T" not in params:
             raise ValueError("T is required: f references the parameter T")
-        T = infer_T(f_expr, alpha, beta,
-                    {**params, "M": M, "N": N, "U": U}, M)
-    return PhaseProblem(f=f_expr, g=g_expr, alpha=alpha, beta=beta, n=n,
-                        T=float(T), M=float(M), N=float(N), U=float(U),
-                        params=params)
+        xs = np.linspace(alpha, beta, SCAN_POINTS)
+        f_grid = grid_jet(f_expr, xs, max(2 * n + 3, 2),  # n < 1 fails below
+                          {**params, "M": M, "N": N, "U": U})
+        T = infer_T(f_grid, M)
+    p = PhaseProblem(f=f_expr, g=g_expr, alpha=alpha, beta=beta, n=n,
+                     T=float(T), M=float(M), N=float(N), U=float(U),
+                     params=params)
+    if f_grid is not None and "T" not in symbols(f_expr):
+        p.sample().__dict__["f"] = f_grid  # the cached_property's value
+    return p
 
 
-def infer_T(f_expr: Expr, alpha: float, beta: float, bindings: dict,
-            M: float, scan_points: int = SCAN_POINTS) -> float:
-    """Default phase scale: max |f''| over the scan grid, times M^2."""
-    xs = np.linspace(alpha, beta, scan_points)
-    worst = 2.0 * grid_sup(abs(grid_jet(f_expr, xs, 2, bindings)[2]))
+def infer_T(f_grid: tuple, M: float) -> float:
+    """Default phase scale: max |f''| over the scan grid, times M^2, from
+    the grid jet of f (f_grid[2] = f''/2)."""
+    worst = 2.0 * grid_sup(abs(f_grid[2]))
     if worst == 0.0:
         raise ValueError("cannot infer T: f'' vanishes on the grid")
     return worst * M * M
@@ -212,7 +288,9 @@ def find_stationary_point(p: PhaseProblem,
     Reads f' from the problem's grid sample, then refines the bracketed sign
     change by bisection followed by Newton (f'' from jets).  Newton runs to
     stagnation, well past the guaranteed |f'(gamma)| <= 1e-12 * max(1, T/M).
-    The sample keeps the result, so a second call returns it at once.
+    The sample keeps the result, so a second call returns it at once, and
+    the problem holds f and g at gamma, alpha and beta to the degrees an
+    expansion reads there (hold_jets), from the residual check on.
     """
     sample = p.sample(scan_points)
     if sample.gamma is not None:
@@ -251,6 +329,8 @@ def find_stationary_point(p: PhaseProblem,
     if min(gamma - p.alpha, p.beta - gamma) < 1e-9 * width:
         raise StationaryAtEndpoint(
             f"stationary point {gamma!r} within 1e-9*(beta-alpha) of an endpoint")
+    p.hold_jets((gamma,), 2 * p.n + 2, 2 * p.n)
+    p.hold_jets((p.alpha, p.beta), p.n + 2, p.n + 1)  # the boundary terms
     tol = 1e-12 * max(1.0, p.T / p.M)
     residual = abs(p.fprime(gamma))
     if not residual <= tol:  # also NaN
@@ -265,8 +345,10 @@ def taylor_data(p: PhaseProblem, gamma: float):
 
     Returns (lam, eta) with lam[k] = f^(k)(gamma)/k! for k = 0..2n+2 and
     eta[k] = g^(k)(gamma)/k! for k = 0..2n.  lam[2] < 0 signals the
-    maximum orientation, which compute_coefficients orients.
+    maximum orientation, which compute_coefficients orients.  The problem
+    holds both jets at gamma, for the phase factor there.
     """
+    p.hold_jets((gamma,), 2 * p.n + 2, 2 * p.n)
     lam = p.f_jet(gamma, 2 * p.n + 2).coeffs
     eta = p.g_jet(gamma, 2 * p.n).coeffs
     tol = 1e-12 * p.T / (p.M * p.M)

@@ -28,7 +28,7 @@ from .coefficients import (SCAN_POINTS, CoefficientSet, PhaseProblem,
 from .errors import (DegenerateStationaryPoint, NonFinitePhaseError,
                      SignChangeDetected, StationaryPointError,
                      StationaryTooCloseToEndpoint)
-from .exprs import abs_kinks, eval_dd
+from .exprs import abs_kinks
 from .jets import jet_differentiate, jet_div, jet_truncate
 
 
@@ -47,13 +47,14 @@ def unit_phase(p: PhaseProblem, x: float, extra: float = 0.0):
     """e(f(x) + extra) with the phase reduced mod 1 before exponentiation.
 
     An mpf x evaluates in mpmath.  A dd phase that is not finite (f
-    overflows float64 near x) raises NonFinitePhaseError.
+    overflows float64 near x) raises NonFinitePhaseError.  Points the
+    problem holds (PhaseProblem.hold_jets) read their held f.
     """
     if scalars.is_mp(x):
         f = p.f_jet(x, 1).coeffs[0]
         return mpmath.expjpi(2 * (f + extra))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f_dd = eval_dd(p.f, ddmath.from_float(np.float64(x)), p.bindings)
+        f_dd = p.f_dd(x)
         if extra:
             f_dd = ddmath.add(f_dd, ddmath.from_float(np.float64(extra)))
     if not (np.isfinite(f_dd[0]) and np.isfinite(f_dd[1])):
@@ -86,8 +87,8 @@ class AuditReport:
     """Fitted size constants and the expansion-validity diagnostics.
 
     C_f maps r -> fitted constant for f (r = 2..2n+3, with C_f[2] enlarged
-    by the lower second-derivative bound); C_g maps s -> fitted constant for
-    g (s = 0..2n+1).
+    by the lower bound on sigma*f'', sigma the orientation); C_g maps s ->
+    fitted constant for g (s = 0..2n+1).
     """
 
     C_f: dict
@@ -121,8 +122,9 @@ def boundary_terms(p: PhaseProblem, x0: float, count: int) -> list:
 
     Computed as jet quotients at x0 (in mpmath when x0 is an mpf); each
     recursion step differentiates the previous jet, so degrees shrink by one
-    per order.  The real jets of f and g turn complex at their first product
-    with 2 pi i.
+    per order, and divides by a truncation of the one jet f' * 2 pi i (a
+    product's coefficients do not depend on the ones above them).  The real
+    jets of f and g turn complex at that product.
     """
     if count < 1:
         return []
@@ -135,12 +137,12 @@ def boundary_terms(p: PhaseProblem, x0: float, count: int) -> list:
         raise SignChangeDetected(f"f'({float(x0)}) = {fp0:.3e} vanishes; "
                                  "boundary terms are undefined")
     two_pi_i = 2j * (mpmath.pi if scalars.is_mp(x0) else math.pi)
-    h = jet_div(g_jet, fp * two_pi_i)
+    fp_two_pi_i = fp * two_pi_i
+    h = jet_div(g_jet, fp_two_pi_i)
     values = [h.coeffs[0]]
     for _ in range(2, count + 1):
         dh = jet_differentiate(h)
-        den = jet_truncate(fp, dh.degree) * two_pi_i
-        h = -(jet_div(dh, den))
+        h = -(jet_div(dh, jet_truncate(fp_two_pi_i, dh.degree)))
         values.append(h.coeffs[0])
     return values
 
@@ -200,7 +202,8 @@ def _arithmetic(mp_dps: int | None):
 
 def _end_terms(p: PhaseProblem, alpha, beta, count: int) -> tuple:
     """e(f) times H_1 + ... + H_count at alpha and at beta, in the
-    arithmetic of the end points."""
+    arithmetic of the end points, which the problem holds jets at."""
+    p.hold_jets((alpha, beta), count + 1, count)
     h_beta = boundary_terms(p, beta, count)
     h_alpha = boundary_terms(p, alpha, count)
     b_beta = unit_phase(p, beta) * _ordered_sum(h_beta)
@@ -258,10 +261,9 @@ def stationary_phase_expand(p: PhaseProblem, scan_points: int = SCAN_POINTS,
     audit = hypothesis_audit(p, scan_points)
     warnings = [N1_WARNING] if p.n == 1 else []
     if sigma < 0:
-        warnings.append(
-            "maximum orientation: expansion computed for -f and conjugated")
-    elif not audit.C2_lower_ok:
-        warnings.append("audit: f'' <= 0 somewhere on the grid")
+        warnings.append("maximum orientation: sigma = -1 (f''(gamma) < 0)")
+    if not audit.C2_lower_ok:
+        warnings.append("audit: sigma*f'' <= 0 somewhere on the grid")
     if not audit.validity_ok:
         warnings.append("audit: T^(1/(2n+3)) * Delta <= 1 "
                         "(asymptotic regime not certified)")
@@ -320,7 +322,12 @@ def _wsp_core(p: PhaseProblem, cs: CoefficientSet, sigma: int,
 def hypothesis_audit(p: PhaseProblem,
                      scan_points: int = SCAN_POINTS) -> AuditReport:
     """Fit the theorem's size constants on the scan grid and evaluate the
-    smallness radius Delta, the validity condition, and the y-ranges r1, r2."""
+    smallness radius Delta, the validity condition, and the y-ranges r1, r2.
+
+    The second-derivative hypothesis is read for sigma*f'', sigma the
+    orientation (sign f''(gamma), or the sign f'' keeps on the grid when
+    there is no gamma), so f and -f give the same report but for the
+    direction in the sign profile."""
     n, M, N, T, U = p.n, p.M, p.N, p.T, p.U
     sample = p.sample(scan_points)
     f, g = sample.f, sample.g
@@ -328,24 +335,12 @@ def hypothesis_audit(p: PhaseProblem,
            for r in range(2, 2 * n + 4)}
     c_g = {s: grid_sup(abs(g[s])) * math.factorial(s) * N ** s / U
            for s in range(0, 2 * n + 2)}
-    c2_lower_ok = not np.any(f[2] <= 0)
-    if c2_lower_ok:
-        fpp_min = 2.0 * float(np.fmin.reduce(f[2], initial=math.inf))
-        c_f[2] = max(c_f[2], T / (M * M * fpp_min))
-    c_max = max(c_f.values())
-    if c_f[2] > 0 and c_max > 0:
-        try:
-            radius = 1.0 / (c_f[2] ** 2 * c_max)
-        except OverflowError:  # C_f[2]^2 is beyond the float range
-            radius = 0.0
-        delta = min(math.log(2.0) / c_f[2], radius)
-    else:
-        delta = math.inf if c_f[2] == 0 else math.log(2.0) / c_f[2]
-    validity_ok = bool(T ** (1.0 / (2 * n + 3)) * delta > 1.0)
-
-    # sign profile and the substitution ranges r1, r2
+    # sign profile, the substitution ranges r1, r2 and the orientation:
+    # sigma = sign f''(gamma), or the sign f'' keeps on the grid without gamma
     changes = sample.sign_changes()
+    sigma = -1 if np.any(f[2] < 0) and not np.any(f[2] > 0) else 1
     r1 = r2 = r_val = math.nan
+    lam2 = 0.0
     if len(changes) == 0:
         sign_profile = ("f' > 0 on [alpha, beta]" if np.any(f[1] > 0)
                         else "f' < 0 on [alpha, beta]" if np.any(f[1] < 0)
@@ -358,16 +353,36 @@ def hypothesis_audit(p: PhaseProblem,
             sign_profile = f"f' changes sign once ({direction}) at gamma = {gamma!r}"
             lam2 = p.fprime2(gamma)[1] / 2.0
             if lam2 != 0:
-                fa = p.f_value(p.alpha) - p.f_value(gamma)
-                fb = p.f_value(p.beta) - p.f_value(gamma)
+                sigma = -1 if lam2 < 0 else 1
+                f_gamma = p.f_value(gamma)
+                fa = p.f_value(p.alpha) - f_gamma
+                fb = p.f_value(p.beta) - f_gamma
                 r1 = math.sqrt(max(fa / lam2, 0.0))
                 r2 = math.sqrt(max(fb / lam2, 0.0))
-                r_val = min(r1, r2, delta * M)
         except StationaryPointError as exc:
             sign_profile = (f"f' changes sign once ({direction}) near x = {near}"
                             f" but refinement failed: {exc}")
     else:
         sign_profile = f"f' changes sign {len(changes)} times on the grid"
+
+    # the lower bound on sigma*f'' enlarges C_f[2]; Delta and validity
+    fpp = f[2] if sigma > 0 else -f[2]
+    c2_lower_ok = not np.any(fpp <= 0)
+    if c2_lower_ok:
+        fpp_min = 2.0 * float(np.fmin.reduce(fpp, initial=math.inf))
+        c_f[2] = max(c_f[2], T / (M * M * fpp_min))
+    c_max = max(c_f.values())
+    if c_f[2] > 0 and c_max > 0:
+        try:
+            radius = 1.0 / (c_f[2] ** 2 * c_max)
+        except OverflowError:  # C_f[2]^2 is beyond the float range
+            radius = 0.0
+        delta = min(math.log(2.0) / c_f[2], radius)
+    else:
+        delta = math.inf if c_f[2] == 0 else math.log(2.0) / c_f[2]
+    validity_ok = bool(T ** (1.0 / (2 * n + 3)) * delta > 1.0)
+    if lam2 != 0:
+        r_val = min(r1, r2, delta * M)
 
     warnings = [f"abs(...) in {label} has a kink inside [alpha, beta] "
                 f"(offset {offset}); smoothness hypotheses fail"

@@ -33,7 +33,8 @@ import numpy as np
 from . import ddmath, scalars
 from .errors import (ExprDomainError, ExprSyntaxError, JetDomainError,
                      UnboundSymbolError, UnknownFunctionError)
-from .jets import Jet, jet_constant, jet_div, jet_map, jet_mul, jet_powi
+from .jets import (Jet, jet_add, jet_const_arith, jet_div, jet_map, jet_mul,
+                   jet_mul_variable, jet_powi, jet_sub)
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs", "atan")
 
@@ -398,31 +399,65 @@ def abs_kinks(e: Expr, xs: np.ndarray, params: dict | None = None) -> list[int]:
     return sorted(kinks)
 
 
+def _jet_constant(value, x_jet: Jet) -> tuple:
+    """A number or parameter as the pair (v, z) that stands for the constant
+    jet (v, z, ..., z) in x_jet's carrier.  On a grid v and z stay floats,
+    which broadcast against the grid's arrays with the same bits."""
+    if scalars.is_mp(x_jet.coeffs[0]):
+        return (value if scalars.is_mp(value) else mpmath.mpf(value),
+                mpmath.mpf(0))
+    return float(value), 0.0
+
+
+def _lift(c: tuple, x_jet: Jet) -> Jet:
+    v, z = c
+    x0 = x_jet.base_point
+    if isinstance(x0, np.ndarray):
+        v, z = np.full(x0.shape, v), np.full(x0.shape, z)
+    return Jet(x0, (v,) + (z,) * x_jet.degree)
+
+
+_JET_ARITH = {"+": jet_add, "-": jet_sub, "*": jet_mul, "/": jet_div}
+
+
 def _jet_step(env, op, a, b, offset):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return jet_mul(a, b)
-    if op == "neg":
-        return -a
     x_jet, params = env
-    if op == "sym" and a == "x":
-        return x_jet
-    if op == "num" or op == "sym":
-        v = a if op == "num" else _resolve(a, params, offset)
-        x0 = x_jet.base_point
-        if scalars.is_mp(x_jet.coeffs[0]):
-            v = v if scalars.is_mp(v) else mpmath.mpf(v)
-        elif isinstance(x0, np.ndarray):
-            v = np.full(x0.shape, float(v))
-        else:
-            v = float(v)
-        return jet_constant(v, x0, x_jet.degree)
+    if op == "num":
+        return _jet_constant(a, x_jet)
+    if op == "sym":
+        if a == "x":
+            return x_jet
+        return _jet_constant(_resolve(a, params, offset), x_jet)
+    # A constant stays a pair (v, z) while it meets jets in +, -, * or as a
+    # divisor, each O(D) by jet_const_arith; any other use lifts it.  A
+    # product with the variable x_jet is O(D) too (jet_mul_variable).
+    if op in _JET_ARITH:
+        if type(a) is tuple:
+            if type(b) is not tuple and op != "/":
+                return jet_const_arith(b, op, *a, left=True)
+            a = _lift(a, x_jet)
+            if type(b) is tuple:  # constant op constant
+                b = _lift(b, x_jet)
+        try:
+            if type(b) is tuple:
+                return jet_const_arith(a, op, *b)
+            if op == "*" and (a is x_jet or b is x_jet):
+                return jet_mul_variable(b if a is x_jet else a, x_jet)
+            return _JET_ARITH[op](a, b)
+        except JetDomainError as exc:  # a zero divisor
+            raise ExprDomainError(str(exc), offset) from exc
     if op == "^":
         raise ExprDomainError(
             "jet evaluation needs a numeric-literal exponent", offset)
+    if op == "^k" and a is x_jet and b in (2, 3):  # jet_powi's products
+        square = jet_mul_variable(x_jet, x_jet)
+        return square if b == 2 else jet_mul_variable(square, x_jet)
+    if type(a) is tuple:
+        if op == "neg":
+            return -a[0], -a[1]
+        a = _lift(a, x_jet)
+    if op == "neg":
+        return -a
     if op == "abs":
         c0 = a.coeffs[0]
         if np.any(c0 == 0.0):
@@ -431,8 +466,6 @@ def _jet_step(env, op, a, b, offset):
             return Jet(a.base_point, tuple(np.where(c0 > 0, c, -c) for c in a.coeffs))
         return a if c0 > 0 else -a
     try:
-        if op == "/":
-            return jet_div(a, b)
         if op != "^k":
             return jet_map(a, op)
         return jet_powi(a, int(b)) if b == int(b) else jet_map(a, "pow", exponent=b)
@@ -446,7 +479,8 @@ def _jet_step(env, op, a, b, offset):
 def eval_jet(e: Expr, x_jet: Jet, params: dict | None = None) -> Jet:
     """Jet of the expression as a function of x at x_jet's base point (at
     every point at once for a grid jet; a domain error at any point raises)."""
-    return _run(_tape(e), _jet_step, (x_jet, params or {}))
+    out = _run(_tape(e), _jet_step, (x_jet, params or {}))
+    return _lift(out, x_jet) if type(out) is tuple else out
 
 
 _DD_PI = (np.float64(ddmath.TWO_PI[0] / 2), np.float64(ddmath.TWO_PI[1] / 2))

@@ -10,10 +10,12 @@ the algorithms only use +, -, *, /.
 
 Every series is built one coefficient at a time from the earlier ones, as
 in the classical power-series algorithms (Knuth, TAOCP vol. 2, 4.7; Brent
-& Kung, J. ACM 25, 1978): products and quotients by the Cauchy recurrence,
-the elementary functions of `jet_map` by recurrences from their
-differential equations (O(D^2) products each), and the reversion by a table
-of truncated powers (about D^3/6).  Composition is Horner's rule (O(D^3)).
+& Kung, J. ACM 25, 1978): products and quotients by the Cauchy recurrence
+(O(D) against a constant operand or the variable x: `jet_const_arith`,
+`jet_mul_variable`), the elementary functions of `jet_map` by recurrences
+from their differential equations (O(D^2) products each), and the
+reversion by a table of truncated powers (about D^3/6).  Composition is
+Horner's rule (O(D^3)).
 """
 
 from __future__ import annotations
@@ -143,6 +145,67 @@ def jet_div(a: Jet, b: Jet) -> Jet:
             s = s - bc[j] * q[k - j]
         q.append(s / bc[0])
     return Jet(a.base_point, tuple(q))
+
+
+def jet_const_arith(a: Jet, op: str, v, z, left: bool = False) -> Jet:
+    """a op c, or c op a when `left`, for the constant jet c = (v, z, ..., z)
+    of a's degree, z a zero (signed for floats), in O(D) operations.
+
+    Equal bit for bit to jet_add, jet_sub, jet_mul or jet_div of a and the
+    lifted c: each higher coefficient of c only contributes terms z*a_j,
+    which are signed zeros or NaNs, and a sum of one value with such terms
+    does not depend on its order (nor does x - y differ from x + (-y)).  So
+    c_k = v*a_k + W_k with W_k the running sum of z*a_j (j < k), and
+    q_k = (a_k + N_k)/v with N_k the running sum of -(z*q_j).  c / a is not
+    covered: its quotient reads every coefficient of a.
+    """
+    ac = a.coeffs
+    if op == "+":
+        out = ([v + ac[0]] + [z + c for c in ac[1:]] if left
+               else [ac[0] + v] + [c + z for c in ac[1:]])
+    elif op == "-":
+        out = ([v - ac[0]] + [z - c for c in ac[1:]] if left
+               else [ac[0] - v] + [c - z for c in ac[1:]])
+    elif op == "*":
+        out, w = [v * ac[0]], None
+        for k in range(1, len(ac)):
+            t = z * ac[k - 1]
+            w = t if w is None else w + t
+            out.append(v * ac[k] + w)
+    elif op == "/" and not left:
+        if np.any(v == 0):
+            raise JetDomainError("division by a jet with zero constant term")
+        out, w = [ac[0] / v], None
+        for k in range(1, len(ac)):
+            t = -(z * out[k - 1])
+            w = t if w is None else w + t
+            out.append((ac[k] + w) / v)
+    else:
+        raise ValueError(f"unknown constant-operand jet operation {op!r}")
+    return Jet(a.base_point, tuple(out))
+
+
+def jet_mul_variable(a: Jet, x: Jet) -> Jet:
+    """a * x for a variable jet x = (x0, 1, 0, ..., 0) of a's degree
+    (jet_variable), in O(D) operations: c_k = (x0*a_k + 1*a_{k-1}) + W_k,
+    W_k the running sum of 0*a_j (j < k - 1).
+
+    Equal bit for bit to jet_mul(a, x) and jet_mul(x, a): apart from the
+    two products that the rounding combines, every term is a signed zero or
+    a NaN, and such terms leave a sum of two values independent of the order
+    of its terms.
+    """
+    x0, one = x.coeffs[0], x.coeffs[1]
+    ac = a.coeffs
+    out, w = [x0 * ac[0]], None
+    for k in range(1, len(ac)):
+        s = x0 * ac[k] + one * ac[k - 1]
+        if k > 1:
+            t = x.coeffs[2] * ac[k - 2]
+            w = t if w is None else w + t
+            s = s + w
+        out.append(s)
+    return Jet(a.base_point, tuple(out))
 
 
 def jet_arith(a: Jet, b: Jet, op: str) -> Jet:

@@ -73,8 +73,8 @@ class QuadratureSettings:
     nodes_per_panel: int = 24
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # also NaN
+            raise ValueError("tol must be positive and finite")
         if self.nodes_per_panel < 8:
             raise ValueError("nodes_per_panel must be at least 8")
         if self.max_panels < 8:

@@ -41,6 +41,8 @@ def parse_grid(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError("grid spec must be Tmin:Tmax:factor")
     t_min, t_max, factor = (float(v) for v in parts)
+    if not all(map(math.isfinite, (t_min, t_max, factor))):
+        raise ValueError("grid spec requires finite Tmin, Tmax and factor")
     if t_min <= 0 or t_max < t_min or factor <= 1:
         raise ValueError("grid spec requires 0 < Tmin <= Tmax and factor > 1")
     out = []

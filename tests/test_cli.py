@@ -114,6 +114,28 @@ def test_zero_tol_exits_1(tmp_path, capsys, command):
     assert "tol must be positive" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["quad", "study"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_1(tmp_path, capsys, command, tol):
+    cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
+    assert main([command, "--config", cfg, "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert "tol must be positive and finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("grid", ["1:inf:2", "1:nan:2", "nan:4:2", "inf:inf:2",
+                                  "1:4:inf", "1:4:nan"])
+def test_non_finite_grid_exits_1(tmp_path, capsys, grid):
+    # 1:inf:2 used to grow its grid until memory ran out; the nan specs
+    # gave an empty grid, a bare CSV header and exit 0.
+    cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
+    assert main(["study", "--config", cfg, "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert "finite Tmin, Tmax and factor" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, option", [
     ("study", ["--scan-points", "64"]), ("expand", ["--tol", "1e-8"]),
     ("audit", ["--tol", "1e-8"]), ("expand", ["--grid", "256:1024:4"]),

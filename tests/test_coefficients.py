@@ -9,8 +9,10 @@ from oscphase.coefficients import (PhaseProblem, amplitude_series,
                                    find_stationary_point, make_problem,
                                    mp_coefficients, recursion_coefficients,
                                    residual_Q, solve_x_of_y, taylor_data)
-from oscphase.errors import (DegenerateStationaryPoint, MultipleSignChanges,
-                             NewtonError, NoSignChange, StationaryAtEndpoint)
+from oscphase.errors import (DegenerateStationaryPoint, ExprDomainError,
+                             MultipleSignChanges, NewtonError, NoSignChange,
+                             StationaryAtEndpoint)
+from oscphase.expansion import stationary_phase_expand
 
 # Reversion ground truth for lambda_2 = lambda_3 = 1, g = 1: dx/dy for
 # y = t*sqrt(1+t), derived independently (hand reversion / sympy check in
@@ -168,6 +170,96 @@ class TestBisection:
                             lambda *args: calls.append(1) or eval_jet(*args))
         bisect_fprime(p, *bracket, steps=48)
         assert len(calls) <= 8
+
+
+class TestHeldJets:
+    """PhaseProblem.hold_jets: f and g walked once per held point, and every
+    reader of that point served by truncation, bit for bit."""
+
+    SPEC = ("T*(x^2 + x^3/3)", "1/(1+x^2)", -0.5, 0.5)
+
+    @staticmethod
+    def fresh():
+        return make_problem(*TestHeldJets.SPEC, n=2, T=16384.0)
+
+    def test_truncations_match_walks_at_each_degree(self):
+        p, ref = self.fresh(), self.fresh()
+        points = (0.1, p.alpha, p.beta)
+        p.hold_jets(points, 6, 4)
+        for x in points:
+            for degree in range(1, 7):
+                got, want = p.f_jet(x, degree), ref.f_jet(x, degree)
+                assert [c.hex() for c in got.coeffs] == [
+                    c.hex() for c in want.coeffs]
+            for degree in range(1, 5):
+                assert p.g_jet(x, degree).coeffs == ref.g_jet(x, degree).coeffs
+            assert p.f_dd(x) == ref.f_dd(x)
+
+    def test_one_walk_per_point_and_expression(self, monkeypatch):
+        import oscphase.coefficients as coefficients
+
+        p = self.fresh()
+        p.hold_jets((0.1, p.alpha, p.beta), 6, 4)
+        p.hold_jets((0.1,), 9, 9)  # already held: keeps its degrees
+        calls = []
+        eval_jet, eval_dd = coefficients.eval_jet, coefficients.eval_dd
+        monkeypatch.setattr(coefficients, "eval_jet",
+                            lambda *args: calls.append(1) or eval_jet(*args))
+        monkeypatch.setattr(coefficients, "eval_dd",
+                            lambda *args: calls.append(2) or eval_dd(*args))
+        for x in (0.1, p.alpha, p.beta):
+            p.f_jet(x, 6), p.f_jet(x, 2), p.g_jet(x, 4), p.f_dd(x)
+        assert sorted(calls) == [1] * 6 + [2]  # one dd walk for all three
+        p.f_jet(0.2, 2), p.f_jet(0.1, 7), p.f_dd(0.2)  # not held, or too high
+        assert sorted(calls) == [1] * 8 + [2] * 2
+
+    def test_failed_walk_raises_again_and_holds_nothing(self):
+        p = make_problem("x^2", "1/(x - 0.5)", -0.5, 0.5, n=2, T=1.0)
+        p.hold_jets((0.0, p.beta), 6, 4)
+        for _ in range(2):
+            with pytest.raises(ExprDomainError, match="division by a jet"):
+                p.g_jet(p.beta, 1)
+        assert p.g_jet(0.0, 4).coeffs == (-2.0, -4.0, -8.0, -16.0, -32.0)
+
+    def test_mp_jets_are_held_per_working_precision(self):
+        # gamma = 0 exactly at every precision, so only the precision in the
+        # key keeps a 30-digit jet out of a 50-digit run.
+        p = self.fresh()
+        stationary_phase_expand(p, mp_dps=30)
+        got = mp_coefficients(p, 50)
+        assert got == mp_coefficients(self.fresh(), 50)
+        assert got != mp_coefficients(self.fresh(), 30)
+
+    def test_signed_zero_points_are_held_apart(self):
+        p = make_problem("T*x", "1", -1.0, 1.0, n=1, T=1.0)
+        p.hold_jets((0.0,), 2, 2)
+        p.f_jet(0.0, 2)
+        assert p.f_jet(-0.0, 1).coeffs[0].hex() == "-0x0.0p+0"
+
+
+class TestMakeProblem:
+    def test_inferring_T_walks_f_on_the_scan_grid_once(self, monkeypatch):
+        import oscphase.coefficients as coefficients
+
+        walks = []
+        eval_jet = coefficients.eval_jet
+
+        def counting(e, x_jet, *args):
+            if np.size(x_jet.base_point) == coefficients.SCAN_POINTS:
+                walks.append(e)
+            return eval_jet(e, x_jet, *args)
+
+        monkeypatch.setattr(coefficients, "eval_jet", counting)
+        p = make_problem("4096*(x^2 + x^3/3)", "1/(1+x^2)", -0.5, 0.5, n=2)
+        assert p.T == 2.0 * 4096 * 1.5  # max |f''| = 2*4096*(1 + 0.5)
+        stationary_phase_expand(p)
+        assert walks == [p.f, p.g]
+
+    def test_f_reading_a_bound_T_is_walked_again(self):
+        # f reads params' T, the problem binds the inferred T: no reuse.
+        p = make_problem("T*x^2", "1", -1.0, 1.0, n=2, params={"T": 2.0})
+        assert p.T == 2.0 * 2.0 * p.M ** 2  # T = 2 in the walk that infers it
+        assert p.sample().f[2][0] == p.T
 
 
 class TestTaylorData:

@@ -265,6 +265,19 @@ class TestWalkCount:
         assert len(calls) <= 100
 
 
+    @pytest.mark.parametrize("mp_dps, runs", [(None, 18), (30, 19)])
+    def test_expand_runs_few_tapes(self, monkeypatch, mp_dps, runs):
+        # 27 and 28 when each reader of gamma, alpha and beta walked its own
+        # jet or phase there; now each point is walked once per expression.
+        p = parse_config(self.CONFIG.read_text()).to_problem()
+        calls = []
+        original = exprs._run
+        monkeypatch.setattr(exprs, "_run",
+                            lambda *args: calls.append(1) or original(*args))
+        stationary_phase_expand(p, mp_dps=mp_dps)
+        assert len(calls) <= runs
+
+
 class TestErrorScaleTerms:
     def test_fourth_term_example(self):
         p = make_problem("T*(x^2 + x^3/3)", "1/(1+x^2)", -0.5, 0.5, n=2, T=1e4)
@@ -315,6 +328,34 @@ class TestHypothesisAudit:
         p = make_problem("x^2 + x^3", "1", -0.35, 0.5, n=1, T=1.0, M=1.0)
         a = hypothesis_audit(p)  # f'' < 0 near -0.35
         assert not a.C2_lower_ok
+
+    @pytest.mark.parametrize("f, g, alpha, beta", [
+        ("T*(x^2 + x^3/3)", "1/(1+x^2)", -0.99, 0.5),  # gamma, sigma*f'' > 0
+        ("x^2 + x^3", "1", -0.35, 0.5),  # gamma, f'' changes sign
+        ("T*(x + x^2/4)", "1 + x", 0.0, 1.0),  # monotone, no gamma
+    ])
+    def test_f_and_minus_f_give_the_same_report(self, f, g, alpha, beta):
+        a = hypothesis_audit(make_problem(f, g, alpha, beta, n=2, T=2.0 ** 20))
+        b = hypothesis_audit(make_problem(f"-({f})", g, alpha, beta, n=2,
+                                          T=2.0 ** 20))
+        flip = {"- to +": "+ to -", "+ to -": "- to +", "f' > 0": "f' < 0"}
+        for old, new in flip.items():
+            if old in a.sign_profile:
+                assert b.sign_profile == a.sign_profile.replace(old, new)
+                break
+        else:
+            raise AssertionError(a.sign_profile)
+        assert (dataclasses.replace(a, sign_profile="")
+                == dataclasses.replace(b, sign_profile=""))
+
+    def test_maximum_reports_its_own_curvature_bound(self):
+        p = make_problem("-T*(x^2 + x^3/3)", "1/(1+x^2)", -0.99, 0.5, n=2,
+                         T=2.0 ** 20)
+        res = stationary_phase_expand(p)
+        assert res.audit.C2_lower_ok and res.orientation == "max"
+        assert res.audit.Delta == pytest.approx(8.754e-5, rel=1e-3)
+        assert not any("sigma*f''" in w for w in res.warnings)
+        assert "maximum orientation: sigma = -1 (f''(gamma) < 0)" in res.warnings
 
     def test_fpp_squared_beyond_float_range_reports_zero_delta(self):
         # C_f[2]^2 ~ 1e602 overflows; the audit reports Delta = 0 and the

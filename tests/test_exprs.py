@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from oscphase import ddmath
 from oscphase.coefficients import grid_jet
 from oscphase.exprs import (Bin, Call, Neg, Num, Sym, eval_array, eval_dd,
                             eval_jet, eval_real, format_expr, parse, symbols)
-from oscphase.jets import jet_variable
+from oscphase.jets import (jet_add, jet_constant, jet_div, jet_map, jet_mul,
+                           jet_powi, jet_sub, jet_variable)
 
 
 class TestParse:
@@ -355,3 +357,57 @@ def test_eval_dd_float_operands_give_the_full_dd_values(tree):
     finite = np.isfinite(want[0]) & np.isfinite(want[1])
     for g, w in zip(got, want):
         assert np.array_equal(g[finite], w[finite])
+
+
+def _eval_jet_lifted(e, x_jet, params):
+    """eval_jet with every number and parameter lifted to a constant jet and
+    every + - * / and integer power the full Cauchy form: the reference for
+    its O(D) constant and variable operands."""
+    x0 = x_jet.base_point
+
+    def const(v):
+        if isinstance(x0, np.ndarray):
+            v = np.full(x0.shape, float(v))
+        elif isinstance(x_jet.coeffs[0], mpmath.mpf):
+            v = mpmath.mpf(v)
+        return jet_constant(v, x0, x_jet.degree)
+
+    def ev(node):
+        if isinstance(node, Num):
+            return const(node.value)
+        if isinstance(node, Sym):
+            return x_jet if node.name == "x" else const(params[node.name])
+        if isinstance(node, Neg):
+            return -ev(node.child)
+        if isinstance(node, Call):
+            return jet_map(ev(node.arg), node.fn)
+        if node.op == "^":
+            return jet_powi(ev(node.left), int(node.right.value))
+        op = {"+": jet_add, "-": jet_sub, "*": jet_mul, "/": jet_div}
+        return op[node.op](ev(node.left), ev(node.right))
+    return ev(e)
+
+
+def _bits(jet):
+    return [c._mpf_ if isinstance(c, mpmath.mpf)
+            else [float(v).hex() for v in np.ravel(c)] for c in jet.coeffs]
+
+
+@pytest.mark.parametrize("carrier", ["float", "grid", "mp"])
+@given(_exprs(3))
+@settings(max_examples=80, deadline=None)
+def test_eval_jet_constant_and_variable_operands_give_the_lifted_bits(
+        carrier, tree):
+    x0 = {"float": 0.7, "mp": mpmath.mpf(0.7),
+          "grid": np.linspace(-2.0, 2.0, 9)}[carrier]
+    x_jet = jet_variable(x0, 5)
+    params = {"a": -1.3, "T": 2.7}  # a negative constant: zero signs move
+    with np.errstate(all="ignore"):
+        try:
+            want = _eval_jet_lifted(tree, x_jet, params)
+        except Exception:  # a domain error of the reference walk
+            with pytest.raises(ExprDomainError):
+                eval_jet(tree, x_jet, params)
+            return
+        got = eval_jet(tree, x_jet, params)
+    assert _bits(got) == _bits(want)

@@ -1,13 +1,18 @@
+import math
+
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscphase.errors import JetDomainError, JetShapeError
 from oscphase.exprs import parse
-from oscphase.jets import (Jet, jet_arith, jet_compose, jet_constant,
-                           jet_differentiate, jet_extract_derivative, jet_map,
-                           jet_mul, jet_revert, jet_variable)
+from oscphase.jets import (Jet, jet_add, jet_arith, jet_compose,
+                           jet_const_arith, jet_constant, jet_differentiate,
+                           jet_div, jet_extract_derivative, jet_map, jet_mul,
+                           jet_mul_variable, jet_revert, jet_sub,
+                           jet_variable)
 from oscphase.oracle import fd_derivatives
 
 
@@ -294,3 +299,77 @@ def test_jet_derivatives_match_finite_differences(text):
         for k in range(1, 5):
             exact = jet_extract_derivative(jet, k).real
             assert abs(fd[k - 1] - exact) <= 1e-5 * max(1.0, abs(exact))
+
+
+# Constant operands: jet_const_arith against the lifted constant jet, bit for
+# bit, on every carrier, with the values that make zero signs and NaNs move.
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.5, 5e-324, 3e300)
+special_floats = st.one_of(st.sampled_from(SPECIAL),
+                           st.floats(allow_nan=True, allow_infinity=True))
+LIFTED = {"+": jet_add, "-": jet_sub, "*": jet_mul, "/": jet_div}
+GRID = np.array([-0.5, 0.25, 1.0])
+
+
+def carrier_jet(carrier, rows):
+    """A degree-(len(rows) - 1) jet whose coefficient k holds rows[k]: its
+    first entry as a float or an mpf, or all three on a 3-point grid."""
+    if carrier == "grid":
+        return Jet(GRID, tuple(np.array(r) for r in rows))
+    if carrier == "mp":
+        return Jet(mpmath.mpf(0), tuple(mpmath.mpf(r[0]) for r in rows))
+    return Jet(0.0, tuple(r[0] for r in rows))
+
+
+def bits(jet):
+    out = []
+    for c in jet.coeffs:
+        if isinstance(c, mpmath.mpf):
+            out.append(c._mpf_)
+        else:
+            out.append(tuple(float(v).hex() for v in np.ravel(c)))
+    return out
+
+
+@pytest.mark.parametrize("carrier", ["float", "grid", "mp"])
+@pytest.mark.parametrize("op, left", [("+", False), ("+", True), ("-", False),
+                                      ("-", True), ("*", False), ("*", True),
+                                      ("/", False)])
+@given(rows=st.lists(st.lists(special_floats, min_size=3, max_size=3),
+                     min_size=2, max_size=7),
+       v=special_floats, z_negative=st.booleans(), negate=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_constant_operand_matches_lifted_jet(carrier, op, left, rows, v,
+                                             z_negative, negate):
+    a = carrier_jet(carrier, rows)
+    z = -0.0 if z_negative else 0.0
+    if negate:  # a negated constant: the pair a Neg node makes of (v, z)
+        v, z = -v, -z
+    if carrier == "mp":
+        v, z = mpmath.mpf(v), mpmath.mpf(0)
+    if op == "/" and v == 0:
+        with pytest.raises(JetDomainError):
+            jet_const_arith(a, op, v, z)
+        return
+    lifted = (Jet(GRID, (np.full(3, v),) + (np.full(3, z),) * a.degree)
+              if carrier == "grid"
+              else Jet(a.base_point, (v,) + (z,) * a.degree))
+    with np.errstate(all="ignore"):
+        want = LIFTED[op](lifted, a) if left else LIFTED[op](a, lifted)
+        got = jet_const_arith(a, op, v, z, left=left)
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("carrier", ["float", "grid", "mp"])
+@given(rows=st.lists(st.lists(special_floats, min_size=3, max_size=3),
+                     min_size=2, max_size=7),
+       x0=st.lists(special_floats, min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_variable_operand_matches_jet_mul(carrier, rows, x0):
+    a = carrier_jet(carrier, rows)
+    base = (np.array(x0) if carrier == "grid"
+            else mpmath.mpf(x0[0]) if carrier == "mp" else x0[0])
+    x = jet_variable(base, a.degree)
+    a = Jet(x.base_point, a.coeffs)
+    with np.errstate(all="ignore"):
+        got = jet_mul_variable(a, x)
+        assert bits(got) == bits(jet_mul(a, x)) == bits(jet_mul(x, a))
