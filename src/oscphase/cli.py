@@ -32,12 +32,10 @@ from dataclasses import dataclass, field
 from .coefficients import SCAN_POINTS, PhaseProblem, make_problem
 from .errors import (ConfigError, ExprError, OscPhaseError,
                      QuadratureNonConvergence, StationaryPointError)
-from .exprs import parse as parse_expr
-from .exprs import symbols
 from .expansion import hypothesis_audit, stationary_phase_expand
 from .oracle import QuadratureSettings, oscillatory_quadrature_detail
-from .study import (STUDY_MP_DPS, fitted_slopes, parse_grid, rows_to_csv,
-                    run_study)
+from .study import (STUDY_MP_DPS, fitted_slopes, oracle_report, parse_grid,
+                    rows_to_csv, run_study)
 
 _TOP_KEYS = ("f", "g", "alpha", "beta", "M", "N", "T", "U", "n")
 _REQUIRED = ("f", "g", "alpha", "beta", "n")
@@ -59,10 +57,6 @@ class ProblemConfig:
     params: dict = field(default_factory=dict)
 
     def to_problem(self, n_override: int | None = None) -> PhaseProblem:
-        # Stricter than make_problem: a [params] entry does not stand in
-        # for a missing T.
-        if self.T is None and "T" in symbols(parse_expr(self.f)):
-            raise ConfigError("T is required: f references the parameter T")
         return make_problem(self.f, self.g, self.alpha, self.beta,
                             self.n if n_override is None else n_override,
                             T=self.T, M=self.M, N=self.N, U=self.U,
@@ -175,6 +169,8 @@ def cmd_study(args) -> int:
     rows = run_study(p, ts, ns, QuadratureSettings(tol=args.tol),
                      mp_dps=STUDY_MP_DPS)
     sys.stdout.write(rows_to_csv(rows))
+    for line in oracle_report(rows):
+        sys.stderr.write(line + "\n")
     for n, slope in fitted_slopes(rows).items():
         sys.stderr.write(f"n={n}: fitted slope of log2|error| vs log2 T = {slope:.4f}\n")
     return 4 if any(r.failed for r in rows) else 0

@@ -19,7 +19,7 @@ import mpmath
 import numpy as np
 
 from . import ddmath, scalars
-from .errors import (DegenerateStationaryPoint, ExprDomainError,
+from .errors import (ConfigError, DegenerateStationaryPoint, ExprDomainError,
                      MultipleSignChanges, NewtonError, NoSignChange,
                      StationaryAtEndpoint)
 from .exprs import Expr, eval_dd, eval_jet, eval_real, parse, symbols
@@ -249,17 +249,18 @@ def make_problem(f: str, g: str, alpha: float, beta: float, n: int,
     """Convenience constructor from expression strings with the standard
     defaults (M = beta - alpha, N = U = 1, T inferred from curvature).
 
-    Inferring T walks f on the scan grid to the degree of the problem's grid
-    sample, which keeps that walk when f does not read T, so the scans that
-    follow do not walk f again."""
+    T may be omitted only when f does not read it (a params entry named T
+    does not stand in for it: the problem binds T itself).  Inferring T
+    walks f on the scan grid to the degree of the problem's grid sample,
+    which keeps that walk, so the scans that follow do not walk f again."""
     f_expr, g_expr = parse(f), parse(g)
     params = dict(params or {})
     if M is None:
         M = beta - alpha
     f_grid = None
     if T is None:
-        if "T" in symbols(f_expr) and "T" not in params:
-            raise ValueError("T is required: f references the parameter T")
+        if "T" in symbols(f_expr):
+            raise ConfigError("T is required: f references the parameter T")
         xs = np.linspace(alpha, beta, SCAN_POINTS)
         f_grid = grid_jet(f_expr, xs, max(2 * n + 3, 2),  # n < 1 fails below
                           {**params, "M": M, "N": N, "U": U})
@@ -267,7 +268,7 @@ def make_problem(f: str, g: str, alpha: float, beta: float, n: int,
     p = PhaseProblem(f=f_expr, g=g_expr, alpha=alpha, beta=beta, n=n,
                      T=float(T), M=float(M), N=float(N), U=float(U),
                      params=params)
-    if f_grid is not None and "T" not in symbols(f_expr):
+    if f_grid is not None:
         p.sample().__dict__["f"] = f_grid  # the cached_property's value
     return p
 

@@ -100,7 +100,7 @@ class NonFinitePhaseError(OscPhaseError):
 # --- oracle -----------------------------------------------------------------
 
 class QuadratureNonConvergence(OscPhaseError):
-    """Panel doubling hit the panel cap (or stagnated) before reaching tol."""
+    """Panel refinement hit the panel cap (or stagnated) before reaching tol."""
 
 
 class OracleFitError(OscPhaseError):

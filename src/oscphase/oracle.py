@@ -7,10 +7,12 @@ Three oracles live here:
   phase variation.  Deliberately free of any asymptotic machinery.  The
   integrand is evaluated in double-double so the result stays trustworthy
   at phase scales (T ~ 2^18) where plain float64 drowns in phase jitter.
-  Each pass certifies itself from the nodes it already evaluated: a rule
-  embedded in the 24 Gauss nodes (20 of them) gives the error estimate, in
-  the manner of Gauss-Kronrod pairs, and panels are halved only when that
-  estimate misses the tolerance.
+  The first pass runs on the phase split itself.  Each pass certifies
+  itself from the nodes it already evaluated: a rule embedded in the 24
+  Gauss nodes (20 of them) gives the error estimate, in the manner of
+  Gauss-Kronrod pairs.  When the estimate misses the tolerance, only the
+  panels whose own estimate misses their share of it are halved (QUADPACK's
+  QAG), and the pass reruns.
 
   A pass uses every CPU the process may run on.  The first pass with at
   least two chunks of 2^14 nodes per CPU starts one helper interpreter per
@@ -147,9 +149,10 @@ def _require_finite(*values) -> None:
             "integrand produced non-finite values (domain violation?)")
 
 
-def _unresolved_excess(d: ddmath.DD, c: np.ndarray) -> float:
+def _unresolved_excess(d: ddmath.DD, c: np.ndarray) -> tuple[float, np.ndarray]:
     """Sum of the coarse null values |c| over the panels whose embedded null
-    value |d| is not below _SMOOTH_DECAY of it.
+    value |d| is not below _SMOOTH_DECAY of it, and each panel's own
+    certificate: |d|, plus |c| where it counts towards that sum.
 
     d (dd) and c (float64) hold per-panel null sums, real and imaginary
     parts on a leading axis of length 2: d = q - q~ against the embedded
@@ -161,21 +164,22 @@ def _unresolved_excess(d: ddmath.DD, c: np.ndarray) -> float:
     """
     n1 = np.hypot(*ddmath.to_float(d))
     n2 = np.hypot(*c)
-    return float(n2[n1 > _SMOOTH_DECAY * n2].sum())
+    unresolved = n1 > _SMOOTH_DECAY * n2
+    return float(n2[unresolved].sum()), n1 + np.where(unresolved, n2, 0.0)
 
 
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _chunk_results(phase: Expr, weight: Expr, bindings: dict, edges: np.ndarray,
-                   order: int, embedded: bool) -> tuple[list, list, list]:
+                   order: int, embedded: bool) -> tuple[list, list, list, list]:
     """Per-chunk results over the panels between edges, in chunks of
     _CHUNK_NODES nodes (real and imaginary parts stacked on a leading axis
     of length 2).
 
-    Returns (sums, d_panels, excesses), each with one entry per chunk: the
-    dd sums of re and im; and, if embedded, the panels' dd (d_re, d_im)
-    against the embedded rule and the coarse null excess
-    (_unresolved_excess).  A non-finite phase raises
-    QuadratureNonConvergence.  Runs in the helper interpreters too.
+    Returns (sums, d_panels, excesses, certs), each with one entry per
+    chunk: the dd sums of re and im; and, if embedded, the panels' dd
+    (d_re, d_im) against the embedded rule, the coarse null excess and the
+    panels' own certificates (_unresolved_excess).  A non-finite phase
+    raises QuadratureNonConvergence.  Runs in the helper interpreters too.
     """
     (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(order)
     if embedded:
@@ -183,7 +187,7 @@ def _chunk_results(phase: Expr, weight: Expr, bindings: dict, edges: np.ndarray,
         c_w = ddmath.coarse_null_weights(order)
     n_panels = len(edges) - 1
     chunk = max(1, _CHUNK_NODES // order)
-    sums, d_panels, excesses = [], [], []
+    sums, d_panels, excesses, certs = [], [], [], []
     for start in range(0, n_panels, chunk):
         stop = min(start + chunk, n_panels)
         a = edges[start:stop]
@@ -206,9 +210,11 @@ def _chunk_results(phase: Expr, weight: Expr, bindings: dict, edges: np.ndarray,
         if embedded:
             d = ddmath.mul(ddmath.sum_nodes(ddmath.mul(node, d_w)), half)
             d_panels.append(d)
-            excesses.append(_unresolved_excess(
-                d, (node[0] * c_w).sum(axis=-1) * half[0]))
-    return sums, d_panels, excesses
+            excess, cert = _unresolved_excess(
+                d, (node[0] * c_w).sum(axis=-1) * half[0])
+            excesses.append(excess)
+            certs.append(cert)
+    return sums, d_panels, excesses, certs
 
 
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
@@ -216,12 +222,13 @@ def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
                      embedded: bool = False):
     """Integrate over the given panels in dd; returns (re, im) as dd scalars.
 
-    With embedded=True, returns ((re, im), (d_re, d_im), excess): the
-    Gauss-Legendre sums, their difference from the sums of the rule
-    embedded in the same nodes (ddmath.embedded_null_weights) and the
-    coarse null excess of the panels that rule does not resolve
-    (_unresolved_excess).  Non-finite phases or sums raise
-    QuadratureNonConvergence.
+    With embedded=True, returns ((re, im), (d_re, d_im), excess, cert):
+    the Gauss-Legendre sums, their difference from the sums of the rule
+    embedded in the same nodes (ddmath.embedded_null_weights), the coarse
+    null excess of the panels that rule does not resolve, and each panel's
+    own certificate (_unresolved_excess); these sum to at least
+    |d_re + i d_im| + excess.
+    Non-finite phases or sums raise QuadratureNonConvergence.
 
     The chunks (_chunk_results) are split into contiguous blocks: this
     process computes the first, and each ready helper interpreter one of the
@@ -239,11 +246,10 @@ def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
         return [(p.f, p.g, p.bindings, edges[lo:hi + 1], order, embedded)
                 for lo, hi in zip(cuts, cuts[1:] + [n_panels])]
 
-    sums, d_panels, excesses = [], [], []
-    for block_sums, block_d, block_excesses in _HELPERS.run(n_chunks, jobs):
-        sums += block_sums
-        d_panels += block_d
-        excesses += block_excesses
+    sums, d_panels, excesses, certs = [], [], [], []
+    for block in _HELPERS.run(n_chunks, jobs):
+        for results, block_results in zip((sums, d_panels, excesses, certs), block):
+            results += block_results
     re, im = (ddmath.sum_pairwise((np.array([s[k][0] for s in sums]),
                                    np.array([s[k][1] for s in sums])))
               for k in (0, 1))
@@ -256,7 +262,7 @@ def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
     d_hi = np.concatenate([d[0] for d in d_panels], axis=1)
     d_lo = np.concatenate([d[1] for d in d_panels], axis=1)
     d_re, d_im = (ddmath.sum_pairwise((d_hi[k], d_lo[k])) for k in (0, 1))
-    return (re, im), (d_re, d_im), excess
+    return (re, im), (d_re, d_im), excess, np.concatenate(certs)
 
 
 # --- helper interpreters ----------------------------------------------------
@@ -482,12 +488,12 @@ _HELPERS = _Helpers()
 atexit.register(_HELPERS.close)
 
 
-def _double_edges(edges: np.ndarray) -> np.ndarray:
+def _bisect_edges(edges: np.ndarray, panels: np.ndarray | None = None) -> np.ndarray:
+    """The edges with the midpoint 0.5*(a+b) added inside each panel that
+    the boolean mask panels selects, or inside every panel if it is None."""
     mids = 0.5 * (edges[:-1] + edges[1:])
-    out = np.empty(2 * len(edges) - 1)
-    out[0::2] = edges
-    out[1::2] = mids
-    return out
+    at = np.arange(len(mids)) if panels is None else np.flatnonzero(panels)
+    return np.insert(edges, at + 1, mids[at])
 
 
 @dataclass(frozen=True)
@@ -496,7 +502,7 @@ class QuadratureResult:
     re_dd: tuple
     im_dd: tuple
     panels: int
-    doublings: int
+    doublings: int  # refinement passes after the first; 0 if it certified
     diff: float = math.nan  # the certificate of the returned pass, < tol
 
     def mp_value(self) -> mpmath.mpc:
@@ -509,25 +515,29 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
                                   scan_points: int = SCAN_POINTS) -> QuadratureResult:
     """Full-detail quadrature result (dd parts exposed for the studies).
 
-    Starts on the phase-split panels halved once.  Each pass is certified
-    without further integrand evaluations: diff = |Q - Q~|, the dd
-    difference between the Gauss-Legendre sum Q and the sum Q~ of the rule
-    embedded in the same nodes (ddmath.embedded_null_weights), plus the
-    coarse null values of the panels where the two null rules do not decay
-    like a smooth integrand's (_unresolved_excess).  The panels are halved
-    until diff < tol; Q is returned.
+    Starts on the phase-split panels (build_breakpoints).  Each pass is
+    certified without further integrand evaluations: diff = |Q - Q~|, the
+    dd difference between the Gauss-Legendre sum Q and the sum Q~ of the
+    rule embedded in the same nodes (ddmath.embedded_null_weights), plus
+    the coarse null values of the panels where the two null rules do not
+    decay like a smooth integrand's (_unresolved_excess).  While diff >= tol,
+    the panels whose own certificate exceeds tol / (number of panels) are
+    halved, as in QUADPACK's QAG, and the pass reruns on the refined edges:
+    the per-panel certificates sum to at least diff, so one always does.
+    Once diff < tol, Q is returned.
     """
     settings = settings or QuadratureSettings()
-    edges = _double_edges(build_breakpoints(p, scan_points, settings.max_panels))
-    doublings = 1
+    edges = build_breakpoints(p, scan_points, settings.max_panels)
+    refinements = 0
     best_diff = None
     stagnant = 0
     while True:
-        if len(edges) - 1 > settings.max_panels:
+        n_panels = len(edges) - 1
+        if n_panels > settings.max_panels:
             raise QuadratureNonConvergence(
                 f"needed more than max_panels = {settings.max_panels} panels "
                 f"to reach tol = {settings.tol:g}")
-        (re_dd, im_dd), (d_re, d_im), excess = _panels_dd_numpy(
+        (re_dd, im_dd), (d_re, d_im), excess, cert = _panels_dd_numpy(
             p, edges, settings.nodes_per_panel, embedded=True)
         value = complex(ddmath.to_float(re_dd), ddmath.to_float(im_dd))
         # The difference is summed in dd; the collapsed doubles of the two
@@ -540,8 +550,8 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
                 f"certification floor {floor:.1e}")
         if diff < settings.tol:
             return QuadratureResult(value=value, re_dd=re_dd, im_dd=im_dd,
-                                    panels=len(edges) - 1,
-                                    doublings=doublings, diff=diff)
+                                    panels=n_panels, doublings=refinements,
+                                    diff=diff)
         # Against the smallest diff so far: a certificate that alternates
         # (a pole inside the interval) must not reset the count.
         if best_diff is not None and diff >= 0.5 * best_diff:
@@ -553,8 +563,11 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
         else:
             stagnant = 0
         best_diff = diff if best_diff is None else min(best_diff, diff)
-        edges = _double_edges(edges)
-        doublings += 1
+        missing = cert > settings.tol / n_panels
+        if not missing.any():  # only rounding can leave none
+            missing = cert == cert.max()
+        edges = _bisect_edges(edges, missing)
+        refinements += 1
 
 
 def oscillatory_quadrature(p: PhaseProblem,

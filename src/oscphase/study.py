@@ -18,7 +18,8 @@ import numpy as np
 from .coefficients import PhaseProblem
 from .errors import NoSignChange, OscPhaseError
 from .expansion import first_derivative_test, stationary_phase_expand
-from .oracle import QuadratureSettings, oscillatory_quadrature_detail
+from .oracle import (QuadratureResult, QuadratureSettings,
+                     oscillatory_quadrature_detail)
 
 STUDY_MP_DPS = 30
 
@@ -33,6 +34,7 @@ class StudyRow:
     error_scale: float
     theorem: str
     failed: bool = False
+    quad: QuadratureResult | None = None  # the oracle pass of this T
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -96,7 +98,7 @@ def run_study(base: PhaseProblem, Ts: list[float], ns: list[int],
                                      abs_error=float("nan"),
                                      error_scale=float("nan"),
                                      theorem=f"expansion failed: {exc}",
-                                     failed=True))
+                                     failed=True, quad=oracle_res))
                 continue
             with mpmath.workdps(max(mp_dps, 30)):
                 diff = res.value - oracle_res.mp_value()
@@ -105,8 +107,29 @@ def run_study(base: PhaseProblem, Ts: list[float], ns: list[int],
             rows.append(StudyRow(T=float(T), n=int(n), expansion=expansion_c,
                                  oracle=oracle_res.value, abs_error=abs_error,
                                  error_scale=res.error_scale,
-                                 theorem=res.theorem))
+                                 theorem=res.theorem, quad=oracle_res))
     return rows
+
+
+def oracle_report(rows: list[StudyRow]) -> list[str]:
+    """One line per T on the oracle pass: its panels, its refinement passes
+    and its certificate diff (or why it failed).  Then one line per row
+    whose error is not at least 10 * diff: the oracle cannot certify it."""
+    lines, last_T = [], None
+    for r in rows:
+        if r.T == last_T:
+            continue
+        last_T = r.T
+        if r.quad is None:
+            lines.append(f"T={r.T:.17g}: {r.theorem}")
+        else:
+            lines.append(f"T={r.T:.17g}: oracle panels={r.quad.panels} "
+                         f"refinements={r.quad.doublings} diff={r.quad.diff:.3e}")
+    for r in rows:
+        if r.quad is not None and r.abs_error < 10.0 * r.quad.diff:
+            lines.append(f"T={r.T:.17g} n={r.n}: uncertified: abs_error "
+                         f"{r.abs_error:.3e} < 10*diff = {10.0 * r.quad.diff:.3e}")
+    return lines
 
 
 def fitted_slopes(rows: list[StudyRow]) -> dict[int, float]:

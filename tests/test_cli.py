@@ -262,6 +262,32 @@ class TestCmdStudy:
         assert len(lines) == 1 + 3 * 2
         assert "fitted slope" in first.err
 
+    def test_stderr_reports_each_oracle_pass_and_the_uncertified_rows(
+            self, tmp_path, capsys):
+        cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
+        assert main(["study", "--config", cfg, "--grid", "256:4096:4",
+                     "--n", "1,2,3"]) == 0
+        captured = capsys.readouterr()
+        diffs = {}
+        for line in captured.err.splitlines():
+            if "oracle panels=" in line:
+                T, fields = line.split(": oracle ")
+                stats = dict(kv.split("=") for kv in fields.split())
+                assert int(stats["panels"]) > 0 and int(stats["refinements"]) >= 0
+                diffs[T.removeprefix("T=")] = float(stats["diff"])
+        assert list(diffs) == ["256", "1024", "4096"]
+        named = {line.split(": uncertified")[0]
+                 for line in captured.err.splitlines() if "uncertified" in line}
+        want = set()
+        for line in captured.out.splitlines()[1:]:
+            T, n, *_, abs_error, _ = line.split(",")
+            # diff is printed to 4 digits: leave out the rows on the edge
+            ratio = float(abs_error) / (10.0 * diffs[T])
+            assert not 0.999 < ratio < 1.001
+            if ratio < 1.0:
+                want.add(f"T={T} n={n}")
+        assert named == want and want
+
     def test_single_T_reports_nan_slope(self, tmp_path, capsys):
         cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
         assert main(["study", "--config", cfg, "--n", "2"]) == 0

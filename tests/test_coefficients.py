@@ -9,9 +9,9 @@ from oscphase.coefficients import (PhaseProblem, amplitude_series,
                                    find_stationary_point, make_problem,
                                    mp_coefficients, recursion_coefficients,
                                    residual_Q, solve_x_of_y, taylor_data)
-from oscphase.errors import (DegenerateStationaryPoint, ExprDomainError,
-                             MultipleSignChanges, NewtonError, NoSignChange,
-                             StationaryAtEndpoint)
+from oscphase.errors import (ConfigError, DegenerateStationaryPoint,
+                             ExprDomainError, MultipleSignChanges,
+                             NewtonError, NoSignChange, StationaryAtEndpoint)
 from oscphase.expansion import stationary_phase_expand
 
 # Reversion ground truth for lambda_2 = lambda_3 = 1, g = 1: dx/dy for
@@ -255,11 +255,11 @@ class TestMakeProblem:
         stationary_phase_expand(p)
         assert walks == [p.f, p.g]
 
-    def test_f_reading_a_bound_T_is_walked_again(self):
-        # f reads params' T, the problem binds the inferred T: no reuse.
-        p = make_problem("T*x^2", "1", -1.0, 1.0, n=2, params={"T": 2.0})
-        assert p.T == 2.0 * 2.0 * p.M ** 2  # T = 2 in the walk that infers it
-        assert p.sample().f[2][0] == p.T
+    def test_f_reading_T_needs_T_even_when_params_bind_it(self):
+        # The problem binds T itself, so the params' T would not be the T
+        # that f is integrated with.
+        with pytest.raises(ConfigError, match="T is required"):
+            make_problem("T*x^2", "1", -1.0, 1.0, n=2, params={"T": 2.0})
 
 
 class TestTaylorData:

@@ -14,7 +14,7 @@ from oscphase.coefficients import compute_coefficients, make_problem
 from oscphase.errors import ExprDomainError, QuadratureNonConvergence
 from oscphase.exprs import parse
 from oscphase import ddmath, oracle
-from oscphase.oracle import (_CHUNK_NODES, QuadratureSettings, _double_edges,
+from oscphase.oracle import (_CHUNK_NODES, QuadratureSettings, _bisect_edges,
                              _panels_dd_numpy, build_breakpoints,
                              fd_derivatives, numeric_reversion_oracle,
                              oscillatory_quadrature,
@@ -38,6 +38,21 @@ def fresnel_series(t: float, terms: int = 60) -> complex:
 
 # Frozen from fresnel_series(2.0) and double-checked against mpmath below.
 FRESNEL_2 = 0.48825340607534075 + 0.34341567836369824j
+
+# The dd parts of the canonical family's oracle value at T = 2^12, as the
+# seed's 2^21-node chunking gave them.
+SEED_2_12 = ((0.007826981205171064, -5.070545512218862e-19),
+             (0.007845535287802543, 5.574420525878459e-19))
+
+
+def as_mp(dd):
+    return mpmath.mpf(float(dd[0])) + mpmath.mpf(float(dd[1]))
+
+
+def within_seed_2_12(r, bound):
+    with mpmath.workdps(40):
+        return all(abs(as_mp(got) - (mpmath.mpf(hi) + mpmath.mpf(lo))) < bound
+                   for got, (hi, lo) in zip((r.re_dd, r.im_dd), SEED_2_12))
 
 
 def test_fresnel_series_oracle_self_check():
@@ -126,11 +141,12 @@ class TestOscillatoryQuadrature:
             assert abs(got_im - total.imag) <= 1e-28
 
     def test_numpy_path_is_chunk_invariant(self, canonical_family):
-        # 9,104 panels at T = 2^12 span many chunks; a split that is not on
-        # a chunk boundary must not change the dd sum, and the converged
-        # value must match the one the 2^21-node chunking gave.
+        # 9,104 panels (the phase split halved) at T = 2^12 span many
+        # chunks; a split that is not on a chunk boundary must not change
+        # the dd sum, and the converged value, which the phase split itself
+        # certifies, must match the one the 2^21-node chunking gave.
         p = canonical_family(2.0 ** 12)
-        edges = _double_edges(build_breakpoints(p))
+        edges = _bisect_edges(build_breakpoints(p))
         chunk = _CHUNK_NODES // 24
         split = 5 * chunk + chunk // 2 + 1
         assert len(edges) - 1 > 10 * chunk and split % chunk != 0
@@ -138,22 +154,14 @@ class TestOscillatoryQuadrature:
         left = _panels_dd_numpy(p, edges[:split + 1], 24)
         right = _panels_dd_numpy(p, edges[split:], 24)
 
-        def as_mp(dd):
-            return mpmath.mpf(float(dd[0])) + mpmath.mpf(float(dd[1]))
-
         with mpmath.workdps(40):
             for k in (0, 1):
                 halves = ddmath.add(left[k], right[k])
                 assert abs(as_mp(whole[k]) - as_mp(halves)) < 1e-28
 
-            r = oscillatory_quadrature_detail(p)
-            assert r.panels == len(edges) - 1
-            seed_re = (mpmath.mpf(0.007826981205171064)
-                       + mpmath.mpf(-5.070545512218862e-19))
-            seed_im = (mpmath.mpf(0.007845535287802543)
-                       + mpmath.mpf(5.574420525878459e-19))
-            assert abs(as_mp(r.re_dd) - seed_re) < 1e-30
-            assert abs(as_mp(r.im_dd) - seed_im) < 1e-30
+        r = oscillatory_quadrature_detail(p)
+        assert r.panels == len(build_breakpoints(p)) - 1
+        assert within_seed_2_12(r, 1e-30)
 
     def test_transcendental_phase_falls_back(self):
         # sin in the phase exercises the float64 fallback inside eval_dd
@@ -179,11 +187,21 @@ class TestEmbeddedCertificate:
         p = make_problem("T*(x^2 + x^3/3)", "abs(x + 0.45)/(1 + x^2)", -0.5, 0.5,
                          n=2, T=64.0)
         edges = build_breakpoints(p)[:9]
-        (re, im), _, excess = _panels_dd_numpy(p, edges, 24, embedded=True)
+        (re, im), (d_re, d_im), excess, cert = _panels_dd_numpy(
+            p, edges, 24, embedded=True)
         assert excess > 0  # the kink at -0.45 lies in these panels
         plain = _panels_dd_numpy(p, edges, 24)
         assert [float(v).hex() for part in plain for v in part] == \
             [float(v).hex() for part in (re, im) for v in part]
+        # Each panel's certificate is its own: a pass over that panel alone
+        # gives the same bits.  The kink's panel has the largest, and their
+        # sum bounds the pass's certificate.
+        alone = [_panels_dd_numpy(p, edges[i:i + 2], 24, embedded=True)[3][0]
+                 for i in range(len(edges) - 1)]
+        assert [v.hex() for v in cert] == [v.hex() for v in alone]
+        assert np.argmax(cert) == np.searchsorted(edges, -0.45) - 1
+        diff = math.hypot(ddmath.to_float(d_re), ddmath.to_float(d_im)) + excess
+        assert cert.sum() >= diff
 
     def test_converging_input_evaluates_each_node_once(self, monkeypatch, canonical_family):
         elements = []
@@ -197,8 +215,8 @@ class TestEmbeddedCertificate:
         p = canonical_family(64.0)
         settings = QuadratureSettings()
         r = oscillatory_quadrature_detail(p, settings)
-        assert r.doublings == 1
-        assert r.panels == len(_double_edges(build_breakpoints(p))) - 1
+        assert r.doublings == 0
+        assert r.panels == len(build_breakpoints(p)) - 1
         assert sum(elements) == r.panels * settings.nodes_per_panel
         assert 0 < r.diff < settings.tol
 
@@ -250,6 +268,83 @@ class TestEmbeddedCertificate:
             oscillatory_quadrature(p, QuadratureSettings(max_panels=20_000))
 
 
+JUMP = ("T*(x + x^2/10)", "(abs(x-1.3)/(x-1.3)+1)/2", 1.0, 2.0)
+
+
+class TestLocalRefinement:
+    @pytest.mark.parametrize("f, g, alpha, beta, split, most", [
+        ("T*(x^2 + x^3/3)", "abs(x - 0.123)", -0.5, 0.5, 0.123, 40),
+        ("T*x", "sqrt(x-1)", 1.0, 2.0, None, 60),
+    ])
+    def test_kink_and_endpoint_singularity_refine_locally(
+            self, f, g, alpha, beta, split, most):
+        # Halving every panel took these to 400 and 1,152 panels.
+        tol = 1e-8
+        p = make_problem(f, g, alpha, beta, n=2, T=16.0)
+        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=tol))
+        assert r.diff < tol and r.doublings > 0 and r.panels <= most
+        with mpmath.workdps(20):
+            def integrand(x):
+                phase = 16 * x if f == "T*x" else 16 * (x ** 2 + x ** 3 / 3)
+                weight = (mpmath.sqrt(x - 1) if split is None
+                          else abs(x - mpmath.mpf(str(split))))
+                return weight * mpmath.expjpi(2 * phase)
+
+            points = list(mpmath.linspace(alpha, beta, 33))
+            if split is not None:
+                points = sorted(points + [mpmath.mpf(str(split))])
+            ref = complex(mpmath.quad(integrand, points))
+        assert abs(r.value - ref) <= tol
+
+    def test_fine_tolerance_halves_only_the_panels_that_miss(self, canonical_family):
+        # Halving every panel took 9,104 panels to certify 1e-20.
+        p = canonical_family(2.0 ** 12)
+        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=1e-20))
+        assert r.diff < 1e-20
+        assert len(build_breakpoints(p)) - 1 < r.panels <= 4600
+        assert within_seed_2_12(r, 1e-30)
+
+    def test_each_pass_evaluates_each_of_its_nodes_once(self, monkeypatch):
+        passes, elements = [], []
+        e_unit_dd = ddmath.e_unit_dd
+        panels_dd = oracle._panels_dd_numpy
+
+        def counting(f):
+            elements.append(f[0].size)
+            return e_unit_dd(f)
+
+        def recording(p, edges, order, embedded=False):
+            passes.append((len(edges) - 1, len(elements)))
+            return panels_dd(p, edges, order, embedded)
+
+        monkeypatch.setattr(ddmath, "e_unit_dd", counting)
+        monkeypatch.setattr(oracle, "_panels_dd_numpy", recording)
+        p = make_problem("T*(x^2 + x^3/3)", "abs(x - 0.123)", -0.5, 0.5,
+                         n=2, T=16.0)
+        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=1e-8))
+        assert len(passes) == 1 + r.doublings > 1
+        assert passes[-1][0] == r.panels
+        starts = [start for _, start in passes] + [len(elements)]
+        for (panels, _), lo, hi in zip(passes, starts, starts[1:]):
+            assert sum(elements[lo:hi]) == panels * 24
+
+    def test_jump_in_g_stagnates_quickly(self):
+        # Each halving of the jump's panel only halves the certificate.
+        p = make_problem(*JUMP, n=2, T=1024.0)
+        start = time.perf_counter()
+        with pytest.raises(QuadratureNonConvergence, match="stagnated"):
+            oscillatory_quadrature(p)
+        assert time.perf_counter() - start < 1.0
+
+    def test_jump_in_g_exits_quad_with_code_3(self, tmp_path, capsys):
+        f, g, alpha, beta = JUMP
+        cfg = tmp_path / "jump.cfg"
+        cfg.write_text(f"f = {f}\ng = {g}\nalpha = {alpha}\nbeta = {beta}\n"
+                       "n = 2\nT = 1024\n")
+        assert main(["quad", "--config", str(cfg)]) == 3
+        assert "stagnated" in capsys.readouterr().err
+
+
 HELPER_WAIT_S = 60.0
 needs_two_cpus = pytest.mark.skipif(oracle._spare_cpus() < 1,
                                     reason="helpers start only with a spare CPU")
@@ -284,8 +379,8 @@ def record_blocks(monkeypatch):
 def serial_pass(p, edges):
     """The embedded pass as one serial loop: every chunk here, then the
     reductions in chunk order."""
-    sums, d_panels, excesses = oracle._chunk_results(p.f, p.g, p.bindings,
-                                                     edges, 24, True)
+    sums, d_panels, excesses, certs = oracle._chunk_results(
+        p.f, p.g, p.bindings, edges, 24, True)
     re, im = (ddmath.sum_pairwise((np.array([s[k][0] for s in sums]),
                                    np.array([s[k][1] for s in sums])))
               for k in (0, 1))
@@ -295,13 +390,13 @@ def serial_pass(p, edges):
     d_hi = np.concatenate([d[0] for d in d_panels], axis=1)
     d_lo = np.concatenate([d[1] for d in d_panels], axis=1)
     d_re, d_im = (ddmath.sum_pairwise((d_hi[k], d_lo[k])) for k in (0, 1))
-    return (re, im), (d_re, d_im), excess
+    return (re, im), (d_re, d_im), excess, np.concatenate(certs)
 
 
 def as_hex(result):
-    (re, im), (d_re, d_im), excess = result
+    (re, im), (d_re, d_im), excess, cert = result
     return [float(v).hex() for part in (re, im, d_re, d_im) for v in part] + \
-        [excess.hex()]
+        [excess.hex()] + [v.hex() for v in cert]
 
 
 @pytest.fixture
@@ -311,7 +406,7 @@ def split_pass():
     null excess, so the order of its sum shows in the bits."""
     p = make_problem("T*(x^2 + x^3/3)", "abs(sin(40*x))/(1+x^2)", -0.5, 0.5,
                      n=2, T=2.0 ** 12)
-    edges = _double_edges(build_breakpoints(p))
+    edges = _bisect_edges(build_breakpoints(p))
     n_chunks = -(-(len(edges) - 1) // (_CHUNK_NODES // 24))
     assert n_chunks >= 10
     serial = serial_pass(p, edges)
