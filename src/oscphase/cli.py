@@ -158,6 +158,7 @@ def cmd_quad(args) -> int:
                                            scan_points=args.scan_points)
     print(_fmt_complex_12(result.value))
     print(f"panels: {result.panels}")
+    print(f"nodes: {result.nodes}")
     return 0
 
 

@@ -3,7 +3,7 @@
 Three oracles live here:
 
 * oscillatory_quadrature -- direct adaptive Gauss-Legendre integration of
-  g(x) e(f(x)), with panels sized so each carries at most half a unit of
+  g(x) e(f(x)), starting on panels that each carry at most 0.9 units of
   phase variation.  Deliberately free of any asymptotic machinery.  The
   integrand is evaluated in double-double so the result stays trustworthy
   at phase scales (T ~ 2^18) where plain float64 drowns in phase jitter.
@@ -12,17 +12,18 @@ Three oracles live here:
   Gauss nodes (20 of them) gives the error estimate, in the manner of
   Gauss-Kronrod pairs.  When the estimate misses the tolerance, only the
   panels whose own estimate misses their share of it are halved (QUADPACK's
-  QAG), and the pass reruns.
+  QAG), and the next pass evaluates only their halves.
 
   A pass uses every CPU the process may run on.  The first pass with at
   least two chunks of 2^14 nodes per CPU starts one helper interpreter per
   spare CPU (a fresh "python -c" that imports this file; about 0.45 s to
   ready, 35 MB idle and up to about 80 MB at T = 2^18), without waiting for
   it; later passes hand each ready helper a contiguous block of chunks and
-  reduce all chunk results here, in chunk order, so every bit is that of a
-  serial pass.  The caller polls for a reply without sleeping for up to as
-  long as its own block took.  The helpers live until the process exits.  They see only
-  the expressions, bindings, edges and rule of each block: a function
+  join the per-panel results here, in panel order.  A panel's numbers do
+  not depend on its block, so every bit is that of a serial pass.  The
+  caller polls for a reply without sleeping for up to as long as its own
+  block took.  The helpers live until the process exits.  They see only
+  the expressions, bindings, panel edges and rule of each block: a function
   monkeypatched in this process is not patched there.  Nothing starts at
   import, for passes of fewer chunks, or on a machine with one CPU.
 * fd_derivatives -- central finite differences, the classic cross-check for
@@ -41,6 +42,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -52,7 +54,10 @@ from .errors import OracleFitError, QuadratureNonConvergence
 from .exprs import Expr, eval_array, eval_dd, eval_real
 from .expansion import hypothesis_audit
 
-_PHASE_PER_PANEL = 0.45  # units of f (turns); contract cap is 1/2
+# Units of f (turns) per starting panel: on 0.9 turns the 24-node rule
+# stays at the dd floor, and only the panels at a stationary point or a
+# kink need halving.
+_PHASE_PER_PANEL = 0.9
 _MAX_WIDTH_FRACTION = 1 / 16  # panels also stay narrow so g is resolved
 _CHUNK_NODES = 1 << 14  # one chunk's dd temporaries stay resident in a 2 MB L2
 _SMOOTH_DECAY = 1e-3  # null-value ratio that marks a panel resolved
@@ -149,10 +154,10 @@ def _require_finite(*values) -> None:
             "integrand produced non-finite values (domain violation?)")
 
 
-def _unresolved_excess(d: ddmath.DD, c: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum of the coarse null values |c| over the panels whose embedded null
-    value |d| is not below _SMOOTH_DECAY of it, and each panel's own
-    certificate: |d|, plus |c| where it counts towards that sum.
+def _unresolved_excess(d: ddmath.DD, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each panel's coarse null excess, its coarse null value |c| if its
+    embedded null value |d| is not below _SMOOTH_DECAY of it and 0
+    otherwise, and each panel's own certificate: |d| plus that excess.
 
     d (dd) and c (float64) hold per-panel null sums, real and imaginary
     parts on a leading axis of length 2: d = q - q~ against the embedded
@@ -164,38 +169,48 @@ def _unresolved_excess(d: ddmath.DD, c: np.ndarray) -> tuple[float, np.ndarray]:
     """
     n1 = np.hypot(*ddmath.to_float(d))
     n2 = np.hypot(*c)
-    unresolved = n1 > _SMOOTH_DECAY * n2
-    return float(n2[unresolved].sum()), n1 + np.where(unresolved, n2, 0.0)
+    excess = np.where(n1 > _SMOOTH_DECAY * n2, n2, 0.0)
+    return excess, n1 + excess
+
+
+class _PanelSums(NamedTuple):
+    """Per-panel results of a pass, one column per panel in edge order (real
+    and imaginary parts on a leading axis of length 2 where present): the
+    dd Gauss-Legendre sums q, the dd embedded null sums d = q - q~
+    (ddmath.embedded_null_weights), the coarse null excess and each panel's
+    own certificate (_unresolved_excess)."""
+
+    q_hi: np.ndarray
+    q_lo: np.ndarray
+    d_hi: np.ndarray
+    d_lo: np.ndarray
+    excess: np.ndarray
+    cert: np.ndarray
+
+    @classmethod
+    def join(cls, runs) -> _PanelSums:
+        """The results of consecutive runs of panels, as one."""
+        return cls(*(np.concatenate(column, axis=-1) for column in zip(*runs)))
 
 
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _chunk_results(phase: Expr, weight: Expr, bindings: dict, edges: np.ndarray,
-                   order: int, embedded: bool) -> tuple[list, list, list, list]:
-    """Per-chunk results over the panels between edges, in chunks of
-    _CHUNK_NODES nodes (real and imaginary parts stacked on a leading axis
-    of length 2).
-
-    Returns (sums, d_panels, excesses, certs), each with one entry per
-    chunk: the dd sums of re and im; and, if embedded, the panels' dd
-    (d_re, d_im) against the embedded rule, the coarse null excess and the
-    panels' own certificates (_unresolved_excess).  A non-finite phase
-    raises QuadratureNonConvergence.  Runs in the helper interpreters too.
+def _chunk_results(phase: Expr, weight: Expr, bindings: dict, a: np.ndarray,
+                   b: np.ndarray, order: int) -> _PanelSums:
+    """The _PanelSums of the panels [a[i], b[i]], computed in chunks of
+    _CHUNK_NODES nodes.  Each panel's numbers depend on its two edges
+    alone.  A non-finite phase raises QuadratureNonConvergence.  Runs in the
+    helper interpreters too.
     """
     (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(order)
-    if embedded:
-        d_w = ddmath.embedded_null_weights(order)
-        c_w = ddmath.coarse_null_weights(order)
-    n_panels = len(edges) - 1
+    d_w = ddmath.embedded_null_weights(order)
+    c_w = ddmath.coarse_null_weights(order)
     chunk = max(1, _CHUNK_NODES // order)
-    sums, d_panels, excesses, certs = [], [], [], []
-    for start in range(0, n_panels, chunk):
-        stop = min(start + chunk, n_panels)
-        a = edges[start:stop]
-        b = edges[start + 1:stop + 1]
-        mid = ddmath.mul(ddmath.add(ddmath.from_float(a), ddmath.from_float(b)),
-                         ddmath.from_float(0.5))
-        half = ddmath.mul(ddmath.sub(ddmath.from_float(b), ddmath.from_float(a)),
-                          ddmath.from_float(0.5))
+    parts = []
+    for start in range(0, len(a), chunk):
+        left = ddmath.from_float(a[start:start + chunk])
+        right = ddmath.from_float(b[start:start + chunk])
+        mid = ddmath.mul(ddmath.add(left, right), ddmath.from_float(0.5))
+        half = ddmath.mul(ddmath.sub(right, left), ddmath.from_float(0.5))
         mid2 = (mid[0][:, None], mid[1][:, None])
         half2 = (half[0][:, None], half[1][:, None])
         x = ddmath.add(mid2, ddmath.mul(half2, (xi_hi, xi_lo)))
@@ -206,63 +221,57 @@ def _chunk_results(phase: Expr, weight: Expr, bindings: dict, edges: np.ndarray,
         gw = ddmath.mul(eval_dd(weight, x, bindings), (w_hi, w_lo))
         node = ddmath.mul(gw, e)
         q = ddmath.mul(ddmath.sum_nodes(node), half)
-        sums.append([ddmath.sum_pairwise((q[0][k], q[1][k])) for k in (0, 1)])
-        if embedded:
-            d = ddmath.mul(ddmath.sum_nodes(ddmath.mul(node, d_w)), half)
-            d_panels.append(d)
-            excess, cert = _unresolved_excess(
-                d, (node[0] * c_w).sum(axis=-1) * half[0])
-            excesses.append(excess)
-            certs.append(cert)
-    return sums, d_panels, excesses, certs
+        d = ddmath.mul(ddmath.sum_nodes(ddmath.mul(node, d_w)), half)
+        excess, cert = _unresolved_excess(d, (node[0] * c_w).sum(axis=-1) * half[0])
+        parts.append((*q, *d, excess, cert))
+    return _PanelSums.join(parts)
 
 
-@np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
-                     embedded: bool = False):
-    """Integrate over the given panels in dd; returns (re, im) as dd scalars.
-
-    With embedded=True, returns ((re, im), (d_re, d_im), excess, cert):
-    the Gauss-Legendre sums, their difference from the sums of the rule
-    embedded in the same nodes (ddmath.embedded_null_weights), the coarse
-    null excess of the panels that rule does not resolve, and each panel's
-    own certificate (_unresolved_excess); these sum to at least
-    |d_re + i d_im| + excess.
-    Non-finite phases or sums raise QuadratureNonConvergence.
+                     panels: np.ndarray | None = None) -> _PanelSums:
+    """The _PanelSums of the panels between edges, or of only those that the
+    boolean mask panels selects, in dd.  A non-finite phase raises
+    QuadratureNonConvergence.
 
     The chunks (_chunk_results) are split into contiguous blocks: this
     process computes the first, and each ready helper interpreter one of the
-    later ones (_Helpers).  The per-chunk results are reduced here in chunk
-    order, so every bit is that of one serial pass.  A helper sees f, g,
-    the bindings, the block's edges, the order and embedded, and nothing
-    else: a function monkeypatched in this process is not patched there.
+    later ones (_Helpers).  A panel's numbers do not depend on its block, so
+    every bit is that of one serial pass.  A helper sees f, g, the
+    bindings, the block's panel edges and the order, and nothing else: a
+    function monkeypatched in this process is not patched there.
     """
-    n_panels = len(edges) - 1
+    a, b = edges[:-1], edges[1:]
+    if panels is not None:
+        a, b = a[panels], b[panels]
+    n_panels = len(a)
     chunk = max(1, _CHUNK_NODES // order)
     n_chunks = -(-n_panels // chunk)
 
     def jobs(blocks: int) -> list:
         cuts = [chunk * (n_chunks * k // blocks) for k in range(blocks)]
-        return [(p.f, p.g, p.bindings, edges[lo:hi + 1], order, embedded)
+        return [(p.f, p.g, p.bindings, a[lo:hi], b[lo:hi], order)
                 for lo, hi in zip(cuts, cuts[1:] + [n_panels])]
 
-    sums, d_panels, excesses, certs = [], [], [], []
-    for block in _HELPERS.run(n_chunks, jobs):
-        for results, block_results in zip((sums, d_panels, excesses, certs), block):
-            results += block_results
-    re, im = (ddmath.sum_pairwise((np.array([s[k][0] for s in sums]),
-                                   np.array([s[k][1] for s in sums])))
-              for k in (0, 1))
-    _require_finite(re[0], im[0])
-    if not embedded:
-        return re, im
-    excess = 0.0
-    for value in excesses:  # in chunk order, one rounding per chunk
-        excess += value
-    d_hi = np.concatenate([d[0] for d in d_panels], axis=1)
-    d_lo = np.concatenate([d[1] for d in d_panels], axis=1)
-    d_re, d_im = (ddmath.sum_pairwise((d_hi[k], d_lo[k])) for k in (0, 1))
-    return (re, im), (d_re, d_im), excess, np.concatenate(certs)
+    return _PanelSums.join(_HELPERS.run(n_chunks, jobs))
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _pairwise(hi: np.ndarray, lo: np.ndarray) -> tuple:
+    """The (re, im) dd totals of per-panel dd sums, each one
+    ddmath.sum_pairwise over the panels in edge order."""
+    return tuple(ddmath.sum_pairwise((hi[k], lo[k])) for k in (0, 1))
+
+
+def _refined(sums: _PanelSums, bisected: np.ndarray, children: np.ndarray,
+             fresh: _PanelSums) -> _PanelSums:
+    """sums with each bisected panel's column replaced by the two columns of
+    fresh that the mask children selects on the refined edges."""
+    def column(old, new):
+        out = np.empty(old.shape[:-1] + children.shape, dtype=old.dtype)
+        out[..., ~children] = old[..., ~bisected]
+        out[..., children] = new
+        return out
+    return _PanelSums(*map(column, sums, fresh))
 
 
 # --- helper interpreters ----------------------------------------------------
@@ -498,12 +507,19 @@ def _bisect_edges(edges: np.ndarray, panels: np.ndarray | None = None) -> np.nda
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """The oracle's value, in float and as dd parts, and how it was made:
+    the final panels, the refinement passes after the first (0 if it
+    certified), the integrand evaluations over all passes (nodes; a
+    refinement pass evaluates only the halves of the panels it bisects, so
+    this is not panels * nodes_per_panel) and the certificate diff < tol."""
+
     value: complex
     re_dd: tuple
     im_dd: tuple
     panels: int
-    doublings: int  # refinement passes after the first; 0 if it certified
-    diff: float = math.nan  # the certificate of the returned pass, < tol
+    doublings: int
+    nodes: int
+    diff: float = math.nan
 
     def mp_value(self) -> mpmath.mpc:
         return (mpmath.mpf(float(self.re_dd[0])) + mpmath.mpf(float(self.re_dd[1]))
@@ -522,13 +538,17 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
     the coarse null values of the panels where the two null rules do not
     decay like a smooth integrand's (_unresolved_excess).  While diff >= tol,
     the panels whose own certificate exceeds tol / (number of panels) are
-    halved, as in QUADPACK's QAG, and the pass reruns on the refined edges:
-    the per-panel certificates sum to at least diff, so one always does.
-    Once diff < tol, Q is returned.
+    halved, as in QUADPACK's QAG: the per-panel certificates sum to at
+    least diff, so one always is.  The next pass evaluates only the two
+    halves of each, and keeps the sums of every other panel.  Q, Q~ and
+    the excess are summed over all panels in edge order, so the result's
+    bits depend only on its final panels.  Once diff < tol, Q is returned.
     """
     settings = settings or QuadratureSettings()
+    order = settings.nodes_per_panel
     edges = build_breakpoints(p, scan_points, settings.max_panels)
-    refinements = 0
+    new = None  # the panels the next pass evaluates; None for all of them
+    refinements = nodes = 0
     best_diff = None
     stagnant = 0
     while True:
@@ -537,12 +557,17 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
             raise QuadratureNonConvergence(
                 f"needed more than max_panels = {settings.max_panels} panels "
                 f"to reach tol = {settings.tol:g}")
-        (re_dd, im_dd), (d_re, d_im), excess, cert = _panels_dd_numpy(
-            p, edges, settings.nodes_per_panel, embedded=True)
+        fresh = _panels_dd_numpy(p, edges, order, new)
+        nodes += len(fresh.cert) * order
+        sums = fresh if new is None else _refined(sums, missing, new, fresh)
+        re_dd, im_dd = _pairwise(sums.q_hi, sums.q_lo)
+        _require_finite(re_dd[0], im_dd[0])
+        d_re, d_im = _pairwise(sums.d_hi, sums.d_lo)
         value = complex(ddmath.to_float(re_dd), ddmath.to_float(im_dd))
         # The difference is summed in dd; the collapsed doubles of the two
         # rules would agree long before fine tolerances are certified.
-        diff = float(np.hypot(ddmath.to_float(d_re), ddmath.to_float(d_im))) + excess
+        diff = (float(np.hypot(ddmath.to_float(d_re), ddmath.to_float(d_im)))
+                + float(sums.excess.sum()))
         floor = 1e-28 * max(1.0, abs(value))
         if settings.tol < floor:
             raise QuadratureNonConvergence(
@@ -551,22 +576,24 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
         if diff < settings.tol:
             return QuadratureResult(value=value, re_dd=re_dd, im_dd=im_dd,
                                     panels=n_panels, doublings=refinements,
-                                    diff=diff)
+                                    nodes=nodes, diff=diff)
         # Against the smallest diff so far: a certificate that alternates
-        # (a pole inside the interval) must not reset the count.
+        # (a pole inside the interval) must not reset the count.  A kink's
+        # certificate need not halve at each bisection, hence 3 passes.
         if best_diff is not None and diff >= 0.5 * best_diff:
             stagnant += 1
-            if stagnant >= 2:
+            if stagnant >= 3:
                 raise QuadratureNonConvergence(
                     f"panel doubling stagnated at diff = {diff:.3e} "
                     f"(tol = {settings.tol:g} unattainable)")
         else:
             stagnant = 0
         best_diff = diff if best_diff is None else min(best_diff, diff)
-        missing = cert > settings.tol / n_panels
+        missing = sums.cert > settings.tol / n_panels
         if not missing.any():  # only rounding can leave none
-            missing = cert == cert.max()
+            missing = sums.cert == sums.cert.max()
         edges = _bisect_edges(edges, missing)
+        new = np.repeat(missing, missing + 1)
         refinements += 1
 
 

@@ -112,9 +112,10 @@ def run_study(base: PhaseProblem, Ts: list[float], ns: list[int],
 
 
 def oracle_report(rows: list[StudyRow]) -> list[str]:
-    """One line per T on the oracle pass: its panels, its refinement passes
-    and its certificate diff (or why it failed).  Then one line per row
-    whose error is not at least 10 * diff: the oracle cannot certify it."""
+    """One line per T on the oracle pass: its panels, its integrand
+    evaluations, its refinement passes and its certificate diff (or why it
+    failed).  Then one line per row whose error is not at least 10 * diff:
+    the oracle cannot certify it."""
     lines, last_T = [], None
     for r in rows:
         if r.T == last_T:
@@ -124,7 +125,8 @@ def oracle_report(rows: list[StudyRow]) -> list[str]:
             lines.append(f"T={r.T:.17g}: {r.theorem}")
         else:
             lines.append(f"T={r.T:.17g}: oracle panels={r.quad.panels} "
-                         f"refinements={r.quad.doublings} diff={r.quad.diff:.3e}")
+                         f"nodes={r.quad.nodes} refinements={r.quad.doublings} "
+                         f"diff={r.quad.diff:.3e}")
     for r in rows:
         if r.quad is not None and r.abs_error < 10.0 * r.quad.diff:
             lines.append(f"T={r.T:.17g} n={r.n}: uncertified: abs_error "

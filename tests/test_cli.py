@@ -92,7 +92,9 @@ class TestCmdQuad:
         assert main(["quad", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert out.startswith("0.488253406075 + 0.343415678364i")
-        assert "panels:" in out
+        panels, nodes = out.splitlines()[1:3]
+        assert panels.startswith("panels: ") and nodes.startswith("nodes: ")
+        assert int(nodes.split()[1]) >= 24 * int(panels.split()[1])
 
     def test_full_period_zero(self, tmp_path, capsys):
         cfg = write(tmp_path, "lin.cfg",
@@ -274,6 +276,7 @@ class TestCmdStudy:
                 T, fields = line.split(": oracle ")
                 stats = dict(kv.split("=") for kv in fields.split())
                 assert int(stats["panels"]) > 0 and int(stats["refinements"]) >= 0
+                assert int(stats["nodes"]) >= 24 * int(stats["panels"])
                 diffs[T.removeprefix("T=")] = float(stats["diff"])
         assert list(diffs) == ["256", "1024", "4096"]
         named = {line.split(": uncertified")[0]
