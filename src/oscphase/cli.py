@@ -167,8 +167,8 @@ def cmd_study(args) -> int:
     p = cfg.to_problem()
     ts = parse_grid(args.grid) if args.grid else [p.T]
     ns = args.n_list or [p.n]
-    rows = run_study(p, ts, ns, QuadratureSettings(tol=args.tol),
-                     mp_dps=STUDY_MP_DPS)
+    settings = None if args.tol is None else QuadratureSettings(tol=args.tol)
+    rows = run_study(p, ts, ns, settings, mp_dps=STUDY_MP_DPS)
     sys.stdout.write(rows_to_csv(rows))
     for line in oracle_report(rows):
         sys.stderr.write(line + "\n")
@@ -222,9 +222,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "study":
             s.add_argument("--scan-points", type=int, default=SCAN_POINTS,
                            help="stationary-scan grid density (default 512)")
-        if name in ("quad", "study"):
+        if name == "quad":
             s.add_argument("--tol", type=float, default=QuadratureSettings.tol,
                            help="quadrature tolerance (default %(default)s)")
+        if name == "study":
+            s.add_argument("--tol", type=float, default=None,
+                           help="quadrature tolerance at every T (default: "
+                                "per T, from the rows' error_scale)")
         if name == "study":
             s.add_argument("--grid", default=None,
                            help="T grid as Tmin:Tmax:factor")

@@ -542,3 +542,98 @@ def eval_dd(e: Expr, x: ddmath.DD, params: dict | None = None) -> ddmath.DD:
     which give the same bits as the full dd operations on (c, 0).
     """
     return _dd(_run(_tape(e), _dd_step, (x, params or {})))
+
+
+# The elementary functions eval_dd evaluates in float64 on the collapsed
+# argument, and the rounding assumed of them: 1 ulp of the result (glibc's
+# and numpy's float64 loops stay within about 0.65 ulp).
+_FALLBACKS = frozenset(("exp", "log", "sin", "cos", "atan", "^"))
+_ULP = 2.0 ** -52
+_HALF_ULP = 2.0 ** -53
+
+
+def _falls_back(op, b) -> bool:
+    return op in _FALLBACKS or (op == "^k" and not float(b).is_integer())
+
+
+def _plus(*errors):
+    """The sum of the error bounds that are not None (None if all are)."""
+    known = [e for e in errors if e is not None]
+    return sum(known[1:], known[0]) if known else None
+
+
+def _over(num, den):
+    """num / den where den > 0, and inf elsewhere."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
+
+
+def _error_step(env, op, a, b, offset):
+    """One instruction on (float64 value, bound on the dd value's error)
+    pairs; the bound is None while the value is exact to dd rounding."""
+    x, params = env
+    if op == "num":
+        return np.float64(a), None
+    if op == "sym":
+        if a == "x":
+            return x, None
+        if a == "pi" and a not in params:
+            return np.float64(math.pi), None
+        return np.float64(_resolve(a, params, offset)), None
+    va, ea = a
+    vb, eb = b if op in _BINARY else (b, None)
+    if _falls_back(op, b):
+        # The float64 fallback first drops the dd argument's low part.
+        ein = _plus(ea, _HALF_ULP * np.abs(va))
+        if op == "^k" or op == "^":
+            v = np.power(va, vb)
+            spread = _over(np.abs(vb) * ein, np.abs(va) - ein)
+            if op == "^":
+                spread = spread + np.abs(np.log(np.abs(va))) * _plus(
+                    eb, _HALF_ULP * np.abs(vb))
+            err = np.abs(v) * np.expm1(spread)
+        elif op == "exp":
+            v = np.exp(va)
+            err = np.abs(v) * np.expm1(ein)
+        elif op == "log":
+            v = np.log(va)
+            err = _over(ein, np.abs(va) - ein)
+        else:  # sin, cos and atan change by at most their argument's change
+            v = _NUMPY[op](va)
+            err = ein
+        return v, err + _ULP * np.abs(v)
+    if op in "+-":
+        return (va + vb if op == "+" else va - vb), _plus(ea, eb)
+    if op == "neg":
+        return -va, ea
+    if op == "abs":
+        return np.abs(va), ea
+    if op == "sqrt":
+        v = np.sqrt(va)
+        return v, None if ea is None else np.minimum(np.sqrt(ea), _over(ea, v))
+    if op == "^k":  # an integer power, in dd
+        k = int(b)
+        v = np.power(va, float(k))
+        if ea is None or k == 0:
+            return v, None
+        if k > 0:
+            return v, k * (np.abs(va) + ea) ** (k - 1) * ea
+        return v, -k * ea * _over(1.0, np.abs(va) - ea) ** (1 - k)
+    if ea is None and eb is None:
+        return (va * vb if op == "*" else va / vb), None
+    ea, eb = _plus(ea, 0.0), _plus(eb, 0.0)
+    if op == "*":
+        return va * vb, np.abs(va) * eb + np.abs(vb) * ea + ea * eb
+    q = va / vb
+    return q, _over(ea + np.abs(q) * eb, np.abs(vb) - eb)
+
+
+def eval_dd_error(e: Expr, x: ddmath.DD, params: dict | None = None):
+    """A bound on |eval_dd(e, x, params) - e(x)| from its float64 fallbacks
+    (exp, log, sin, cos, atan and non-integer powers), propagated to first
+    order through the later operations, or None for a tape without them
+    (its value is exact to dd rounding).  Runs in float64."""
+    code = _tape(e)
+    if not any(_falls_back(op, b) for op, _, b, *_ in code):
+        return None
+    return _run(code, _error_step, (_flt(x), params or {}))[1]

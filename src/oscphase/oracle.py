@@ -10,9 +10,11 @@ Three oracles live here:
   The first pass runs on the phase split itself.  Each pass certifies
   itself from the nodes it already evaluated: a rule embedded in the 24
   Gauss nodes (20 of them) gives the error estimate, in the manner of
-  Gauss-Kronrod pairs.  When the estimate misses the tolerance, only the
-  panels whose own estimate misses their share of it are halved (QUADPACK's
-  QAG), and the next pass evaluates only their halves.
+  Gauss-Kronrod pairs, sharpened on each smooth panel by how fast the null
+  values fall, plus a bound on the float64 rounding of any transcendental
+  function in f or g.  When the estimate misses the tolerance, only the
+  panels with the largest estimates are halved (QUADPACK's QAG), and the
+  next pass evaluates only their halves.
 
   A pass uses every CPU the process may run on.  The first pass with at
   least two chunks of 2^14 nodes per CPU starts one helper interpreter per
@@ -51,7 +53,7 @@ from . import ddmath
 from .coefficients import (SCAN_POINTS, PhaseProblem, bisect_fprime,
                            mp_refine_gamma, solve_x_of_y)
 from .errors import OracleFitError, QuadratureNonConvergence
-from .exprs import Expr, eval_array, eval_dd, eval_real
+from .exprs import Expr, eval_array, eval_dd, eval_dd_error, eval_real
 from .expansion import hypothesis_audit
 
 # Units of f (turns) per starting panel: on 0.9 turns the 24-node rule
@@ -67,12 +69,11 @@ _SMOOTH_DECAY = 1e-3  # null-value ratio that marks a panel resolved
 class QuadratureSettings:
     """Adaptive-quadrature knobs.
 
-    tol bounds the embedded-rule certificate of each pass: |Q - Q~|, the
-    absolute difference between the Gauss-Legendre sum Q and the sum Q~ of
-    the rule embedded in the same nodes, plus a coarse-rule term on panels
-    that rule does not resolve (see oscillatory_quadrature_detail).  Values
-    much below 1e-14 are generally unattainable and end in
-    QuadratureNonConvergence.
+    tol bounds the certificate of the result (see
+    oscillatory_quadrature_detail).  With polynomial and rational f and g
+    it can go down to about 1e-26; a tol below 1e-28 * |value|, or not above
+    the float64 rounding of a transcendental f or g (about 3e-13 for
+    T*(x + sin(x)/10) at T = 1000), ends in QuadratureNonConvergence.
     """
 
     tol: float = 1e-12
@@ -154,38 +155,58 @@ def _require_finite(*values) -> None:
             "integrand produced non-finite values (domain violation?)")
 
 
-def _unresolved_excess(d: ddmath.DD, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each panel's coarse null excess, its coarse null value |c| if its
-    embedded null value |d| is not below _SMOOTH_DECAY of it and 0
-    otherwise, and each panel's own certificate: |d| plus that excess.
+def _panel_certificates(d: ddmath.DD, c: np.ndarray) -> tuple:
+    """Each panel's weighted null value, coarse null excess and certificate.
 
     d (dd) and c (float64) hold per-panel null sums, real and imaginary
     parts on a leading axis of length 2: d = q - q~ against the embedded
-    rule, c = q - q^ against the coarse rule.  On a smooth panel the null
-    values fall by orders of magnitude from degree 11 to degree 19; where
-    they do not (a kink or an endpoint singularity inside the panel), the
-    Gauss and embedded rules share most nodes, and |d| can sit far below
-    the error of q.
+    rule (degree 19), c = q - q^ against the coarse rule (degree 11).  On a
+    smooth panel the null values fall by orders of magnitude from degree 11
+    to degree 19, and the Gauss sum q (degree 47) is closer still: d is
+    weighted by r / _SMOOTH_DECAY, where r = |d| / |c| is that fall.  Where
+    |d| is not below _SMOOTH_DECAY * |c| (a kink or an endpoint singularity
+    inside the panel), the Gauss and embedded rules share most nodes and |d|
+    can sit far below the error of q: d keeps its weight 1 and the excess
+    is |c| (0 elsewhere).  The certificate is |weighted d| + excess.
     """
-    n1 = np.hypot(*ddmath.to_float(d))
+    d = ddmath.to_float(d)
+    n1 = np.hypot(*d)
     n2 = np.hypot(*c)
-    excess = np.where(n1 > _SMOOTH_DECAY * n2, n2, 0.0)
-    return excess, n1 + excess
+    resolved = n1 <= _SMOOTH_DECAY * n2
+    weight = np.divide(n1, _SMOOTH_DECAY * n2, out=np.ones_like(n1),
+                       where=resolved & (n2 > 0))
+    excess = np.where(resolved, 0.0, n2)
+    return d * weight, excess, n1 * weight + excess
+
+
+def _rounding_noise(g: ddmath.DD, f_err, g_err, w: np.ndarray,
+                    half: np.ndarray) -> np.ndarray:
+    """Per panel, a bound on how far the float64 fallbacks of eval_dd move
+    the Gauss sum: |e(f + df) - e(f)| <= 2 pi |df| at each node, so the sum
+    moves by at most half * sum_j w_j (2 pi |g_j| df_j + dg_j).  The Gauss
+    and null sums share these node values, so no null rule sees this."""
+    if f_err is None and g_err is None:
+        return np.zeros(len(half))
+    spread = 0.0 if f_err is None else 2 * math.pi * np.abs(g[0]) * f_err
+    if g_err is not None:
+        spread = spread + g_err
+    return np.broadcast_to(spread * w, (len(half), len(w))).sum(axis=-1) * half
 
 
 class _PanelSums(NamedTuple):
     """Per-panel results of a pass, one column per panel in edge order (real
     and imaginary parts on a leading axis of length 2 where present): the
-    dd Gauss-Legendre sums q, the dd embedded null sums d = q - q~
-    (ddmath.embedded_null_weights), the coarse null excess and each panel's
-    own certificate (_unresolved_excess)."""
+    dd Gauss-Legendre sums q, the weighted embedded null values, the coarse
+    null excess and each panel's own certificate (_panel_certificates), and
+    the bound on the float64 rounding of the transcendental functions in f
+    and g (_rounding_noise)."""
 
     q_hi: np.ndarray
     q_lo: np.ndarray
-    d_hi: np.ndarray
-    d_lo: np.ndarray
+    null: np.ndarray
     excess: np.ndarray
     cert: np.ndarray
+    noise: np.ndarray
 
     @classmethod
     def join(cls, runs) -> _PanelSums:
@@ -218,12 +239,15 @@ def _chunk_results(phase: Expr, weight: Expr, bindings: dict, a: np.ndarray,
         _require_finite(f[0])
         e_re, e_im = ddmath.e_unit_dd(f)
         e = (np.stack((e_re[0], e_im[0])), np.stack((e_re[1], e_im[1])))
-        gw = ddmath.mul(eval_dd(weight, x, bindings), (w_hi, w_lo))
-        node = ddmath.mul(gw, e)
+        g = eval_dd(weight, x, bindings)
+        node = ddmath.mul(ddmath.mul(g, (w_hi, w_lo)), e)
         q = ddmath.mul(ddmath.sum_nodes(node), half)
         d = ddmath.mul(ddmath.sum_nodes(ddmath.mul(node, d_w)), half)
-        excess, cert = _unresolved_excess(d, (node[0] * c_w).sum(axis=-1) * half[0])
-        parts.append((*q, *d, excess, cert))
+        null, excess, cert = _panel_certificates(
+            d, (node[0] * c_w).sum(axis=-1) * half[0])
+        noise = _rounding_noise(g, eval_dd_error(phase, x, bindings),
+                                eval_dd_error(weight, x, bindings), w_hi, half[0])
+        parts.append((*q, null, excess, cert, noise))
     return _PanelSums.join(parts)
 
 
@@ -497,6 +521,19 @@ _HELPERS = _Helpers()
 atexit.register(_HELPERS.close)
 
 
+def _worst_panels(sums: _PanelSums, budget: float) -> np.ndarray:
+    """Mask of the fewest panels, taken by decreasing certificate, without
+    which the rest of the pass's rule certificate (the weighted null sum
+    and the excess of the other panels) is within budget: at least one."""
+    order = np.argsort(-sums.cert, kind="stable")
+    tail = np.cumsum(sums.null[:, order[::-1]], axis=-1)[:, ::-1]
+    tail_excess = np.cumsum(sums.excess[order[::-1]])[::-1]
+    rest = np.append(np.hypot(*tail[:, 1:]) + tail_excess[1:], 0.0)
+    missing = np.zeros(len(order), dtype=bool)
+    missing[order[:np.argmax(rest <= budget) + 1]] = True
+    return missing
+
+
 def _bisect_edges(edges: np.ndarray, panels: np.ndarray | None = None) -> np.ndarray:
     """The edges with the midpoint 0.5*(a+b) added inside each panel that
     the boolean mask panels selects, or inside every panel if it is None."""
@@ -532,24 +569,25 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
     """Full-detail quadrature result (dd parts exposed for the studies).
 
     Starts on the phase-split panels (build_breakpoints).  Each pass is
-    certified without further integrand evaluations: diff = |Q - Q~|, the
-    dd difference between the Gauss-Legendre sum Q and the sum Q~ of the
-    rule embedded in the same nodes (ddmath.embedded_null_weights), plus
-    the coarse null values of the panels where the two null rules do not
-    decay like a smooth integrand's (_unresolved_excess).  While diff >= tol,
-    the panels whose own certificate exceeds tol / (number of panels) are
-    halved, as in QUADPACK's QAG: the per-panel certificates sum to at
-    least diff, so one always is.  The next pass evaluates only the two
-    halves of each, and keeps the sums of every other panel.  Q, Q~ and
-    the excess are summed over all panels in edge order, so the result's
-    bits depend only on its final panels.  Once diff < tol, Q is returned.
+    certified without further integrand evaluations: diff = |sum of the
+    panels' weighted embedded null values| + their coarse excess
+    (_panel_certificates) + the bound on the float64 rounding of the
+    transcendental functions in f and g (_rounding_noise).  No refinement
+    lowers the rounding, so a tol not above it raises.  While diff >= tol,
+    the panels with the largest certificates are halved, as in QUADPACK's
+    QAG: the fewest without which the rest of the null sum and excess is
+    within half of what the rounding leaves of tol (_worst_panels).  The
+    next pass evaluates only the two halves of each, and keeps the sums of
+    every other panel.  Q, the null sum, the excess and the rounding bound
+    are summed over all panels in edge order, so the result's bits depend
+    only on its final panels.  Once diff < tol, Q is returned.
     """
     settings = settings or QuadratureSettings()
     order = settings.nodes_per_panel
     edges = build_breakpoints(p, scan_points, settings.max_panels)
     new = None  # the panels the next pass evaluates; None for all of them
     refinements = nodes = 0
-    best_diff = None
+    best = None
     stagnant = 0
     while True:
         n_panels = len(edges) - 1
@@ -562,25 +600,28 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
         sums = fresh if new is None else _refined(sums, missing, new, fresh)
         re_dd, im_dd = _pairwise(sums.q_hi, sums.q_lo)
         _require_finite(re_dd[0], im_dd[0])
-        d_re, d_im = _pairwise(sums.d_hi, sums.d_lo)
         value = complex(ddmath.to_float(re_dd), ddmath.to_float(im_dd))
-        # The difference is summed in dd; the collapsed doubles of the two
-        # rules would agree long before fine tolerances are certified.
-        diff = (float(np.hypot(ddmath.to_float(d_re), ddmath.to_float(d_im)))
-                + float(sums.excess.sum()))
+        rule = float(np.hypot(*sums.null.sum(axis=-1)) + sums.excess.sum())
+        noise = float(sums.noise.sum())
+        diff = rule + noise
         floor = 1e-28 * max(1.0, abs(value))
         if settings.tol < floor:
             raise QuadratureNonConvergence(
                 f"tol = {settings.tol:g} is below the attainable "
                 f"certification floor {floor:.1e}")
+        if not settings.tol > noise:  # also nan
+            raise QuadratureNonConvergence(
+                f"tol = {settings.tol:g} is below the float64 rounding of the "
+                f"transcendental functions in f or g, which may move the "
+                f"integral by {noise:.1e}")
         if diff < settings.tol:
             return QuadratureResult(value=value, re_dd=re_dd, im_dd=im_dd,
                                     panels=n_panels, doublings=refinements,
                                     nodes=nodes, diff=diff)
-        # Against the smallest diff so far: a certificate that alternates
+        # Against the smallest rule certificate so far: one that alternates
         # (a pole inside the interval) must not reset the count.  A kink's
         # certificate need not halve at each bisection, hence 3 passes.
-        if best_diff is not None and diff >= 0.5 * best_diff:
+        if best is not None and rule >= 0.5 * best:
             stagnant += 1
             if stagnant >= 3:
                 raise QuadratureNonConvergence(
@@ -588,10 +629,8 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
                     f"(tol = {settings.tol:g} unattainable)")
         else:
             stagnant = 0
-        best_diff = diff if best_diff is None else min(best_diff, diff)
-        missing = sums.cert > settings.tol / n_panels
-        if not missing.any():  # only rounding can leave none
-            missing = sums.cert == sums.cert.max()
+        best = rule if best is None else min(best, rule)
+        missing = _worst_panels(sums, 0.5 * (settings.tol - noise))
         edges = _bisect_edges(edges, missing)
         new = np.repeat(missing, missing + 1)
         refinements += 1

@@ -16,12 +16,19 @@ import mpmath
 import numpy as np
 
 from .coefficients import PhaseProblem
-from .errors import NoSignChange, OscPhaseError
+from .errors import NoSignChange, OscPhaseError, QuadratureNonConvergence
 from .expansion import first_derivative_test, stationary_phase_expand
 from .oracle import (QuadratureResult, QuadratureSettings,
                      oscillatory_quadrature_detail)
 
 STUDY_MP_DPS = 30
+# Without settings, run_study asks the oracle at each T for this fraction of
+# the smallest error_scale of that T's expansions, but for no less than
+# STUDY_TOL_FLOOR, above the oracle's own floor of 1e-28 * |value|.  The
+# errors run as low as 1e-6 of their error_scale (criterion 2, n = 3), and
+# a certificate below a tenth of an error vouches for it.
+STUDY_TOL_FRACTION = 1e-6
+STUDY_TOL_FLOOR = 1e-26
 
 
 @dataclass(frozen=True)
@@ -64,22 +71,54 @@ def expand_auto(p: PhaseProblem, mp_dps: int | None = None):
         return first_derivative_test(p, mp_dps=mp_dps)
 
 
+def _oracle_tol(expansions: list, default: float) -> float:
+    """The oracle tol for one T of a study without settings (see
+    STUDY_TOL_FRACTION), or default if no expansion gave an error_scale."""
+    scales = [res.error_scale for res in expansions
+              if not isinstance(res, OscPhaseError)
+              and math.isfinite(res.error_scale) and res.error_scale > 0]
+    if not scales:
+        return default
+    return min(default, max(STUDY_TOL_FLOOR, STUDY_TOL_FRACTION * min(scales)))
+
+
+def _oracle(p: PhaseProblem, tol: float, default: float) -> QuadratureResult:
+    """The oracle at tol; at default instead if tol is finer and cannot be
+    certified (a transcendental f or g rounds above it, say)."""
+    try:
+        return oscillatory_quadrature_detail(p, QuadratureSettings(tol=tol))
+    except QuadratureNonConvergence:
+        if tol >= default:
+            raise
+    return oscillatory_quadrature_detail(p, QuadratureSettings(tol=default))
+
+
 def run_study(base: PhaseProblem, Ts: list[float], ns: list[int],
               settings: QuadratureSettings | None = None,
               mp_dps: int = STUDY_MP_DPS) -> list[StudyRow]:
-    """One row per (T, n); the oracle value is shared across n for each T."""
-    settings = settings or QuadratureSettings()
+    """One row per (T, n); the oracle value is shared across n for each T.
+    Without settings the oracle's tol at each T follows that T's
+    error_scales (_oracle_tol)."""
     rows = []
     for T in Ts:
         p_t = replace(base, T=float(T))
+        expansions = []
+        for n in ns:
+            try:
+                expansions.append(expand_auto(replace(p_t, n=int(n)), mp_dps=mp_dps))
+            except OscPhaseError as exc:
+                expansions.append(exc)
         oracle_res = None
         oracle_exc = None
         try:
-            oracle_res = oscillatory_quadrature_detail(p_t, settings)
+            if settings is None:
+                default = QuadratureSettings.tol
+                oracle_res = _oracle(p_t, _oracle_tol(expansions, default), default)
+            else:
+                oracle_res = oscillatory_quadrature_detail(p_t, settings)
         except OscPhaseError as exc:
             oracle_exc = exc
-        for n in ns:
-            p = replace(p_t, n=int(n))
+        for n, res in zip(ns, expansions):
             if oracle_res is None:
                 rows.append(StudyRow(T=float(T), n=int(n),
                                      expansion=complex(float("nan"), float("nan")),
@@ -89,15 +128,13 @@ def run_study(base: PhaseProblem, Ts: list[float], ns: list[int],
                                      theorem=f"oracle failed: {oracle_exc}",
                                      failed=True))
                 continue
-            try:
-                res = expand_auto(p, mp_dps=mp_dps)
-            except OscPhaseError as exc:
+            if isinstance(res, OscPhaseError):
                 rows.append(StudyRow(T=float(T), n=int(n),
                                      expansion=complex(float("nan"), float("nan")),
                                      oracle=oracle_res.value,
                                      abs_error=float("nan"),
                                      error_scale=float("nan"),
-                                     theorem=f"expansion failed: {exc}",
+                                     theorem=f"expansion failed: {res}",
                                      failed=True, quad=oracle_res))
                 continue
             with mpmath.workdps(max(mp_dps, 30)):

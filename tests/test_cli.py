@@ -266,9 +266,10 @@ class TestCmdStudy:
 
     def test_stderr_reports_each_oracle_pass_and_the_uncertified_rows(
             self, tmp_path, capsys):
+        # At a fixed tol of 1e-12 the oracle leaves rows it cannot vouch for.
         cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
         assert main(["study", "--config", cfg, "--grid", "256:4096:4",
-                     "--n", "1,2,3"]) == 0
+                     "--n", "1,2,3", "--tol", "1e-12"]) == 0
         captured = capsys.readouterr()
         diffs = {}
         for line in captured.err.splitlines():
@@ -290,6 +291,16 @@ class TestCmdStudy:
             if ratio < 1.0:
                 want.add(f"T={T} n={n}")
         assert named == want and want
+
+    def test_default_tol_follows_the_rows_and_certifies_them(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
+        assert main(["study", "--config", cfg, "--grid", "256:4096:4",
+                     "--n", "1,2,3"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        diffs = [float(line.rsplit("diff=", 1)[1]) for line in err
+                 if "oracle panels=" in line]
+        assert len(diffs) == 3 and max(diffs) < 1e-15
+        assert not [line for line in err if "uncertified" in line]
 
     def test_single_T_reports_nan_slope(self, tmp_path, capsys):
         cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)

@@ -14,7 +14,8 @@ from oscphase.errors import (ExprDomainError, ExprSyntaxError,
 from oscphase import ddmath
 from oscphase.coefficients import grid_jet
 from oscphase.exprs import (Bin, Call, Neg, Num, Sym, eval_array, eval_dd,
-                            eval_jet, eval_real, format_expr, parse, symbols)
+                            eval_dd_error, eval_jet, eval_real, format_expr,
+                            parse, symbols)
 from oscphase.jets import (jet_add, jet_constant, jet_div, jet_map, jet_mul,
                            jet_powi, jet_sub, jet_variable)
 
@@ -357,6 +358,56 @@ def test_eval_dd_float_operands_give_the_full_dd_values(tree):
     finite = np.isfinite(want[0]) & np.isfinite(want[1])
     for g, w in zip(got, want):
         assert np.array_equal(g[finite], w[finite])
+
+
+def _mp_value(e, x, params):
+    """The tree's value at the mpf x, in the current mpmath precision."""
+    if isinstance(e, Num):
+        return mpmath.mpf(e.value)
+    if isinstance(e, Sym):
+        return x if e.name == "x" else mpmath.mpf(params[e.name])
+    if isinstance(e, Neg):
+        return -_mp_value(e.child, x, params)
+    if isinstance(e, Call):
+        return getattr(mpmath, e.fn)(_mp_value(e.arg, x, params))
+    a, b = _mp_value(e.left, x, params), _mp_value(e.right, x, params)
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a ** b}[e.op]
+
+
+class TestEvalDdError:
+    PARAMS = {"T": 982.77, "a": 1.3}
+
+    @pytest.mark.parametrize("text", [
+        "T*(x + sin(x)/10)",
+        "exp(x)*cos(3*x) - a*x",
+        "log(2+x)/sqrt(1+x^2) - atan(2*x)",
+        "(x+2)^1.5/(x - 3) + sqrt(cos(x)^2 + 1)",
+        "x^a + exp(-x)^3",
+        "T*x^2 + 1/(1 + exp(x))",
+    ])
+    def test_bound_holds_against_40_digits(self, text):
+        expr = parse(text)
+        rng = np.random.default_rng(5)
+        hi = rng.uniform(0.2, 3.1, 200)
+        x = ddmath.add(ddmath.from_float(hi), ddmath.from_float(hi * 5e-17))
+        got = eval_dd(expr, x, self.PARAMS)
+        bound = eval_dd_error(expr, x, self.PARAMS)
+        assert bound.shape == hi.shape and np.all(bound > 0)
+        with mpmath.workdps(40):
+            for i in range(len(hi)):
+                xi = mpmath.mpf(float(x[0][i])) + mpmath.mpf(float(x[1][i]))
+                want = _mp_value(expr, xi, self.PARAMS)
+                value = mpmath.mpf(float(got[0][i])) + mpmath.mpf(float(got[1][i]))
+                assert abs(value - want) <= bound[i]
+        # Not so loose that it says nothing: within a few hundred rounding
+        # units of the float64 values it bounds.
+        assert np.all(bound < 1e-13 * (1 + np.abs(ddmath.to_float(got))) * 1e3)
+
+    @pytest.mark.parametrize("text", ["T*(x^2 + x^3/3)", "1/(1+x^2)",
+                                      "sqrt(x) + abs(x - 1)^3", "pi*x^-2"])
+    def test_none_without_a_float64_fallback(self, text):
+        x = ddmath.from_float(np.linspace(0.5, 1.5, 7))
+        assert eval_dd_error(parse(text), x, self.PARAMS) is None
 
 
 def _eval_jet_lifted(e, x_jet, params):

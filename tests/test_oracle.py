@@ -148,9 +148,8 @@ class TestOscillatoryQuadrature:
     def test_numpy_path_is_chunk_invariant(self, canonical_family):
         # 9,108 panels (the phase split halved twice) at T = 2^12 span many
         # chunks; a split that is not on a chunk boundary must not change
-        # the dd sum, and the converged value, which the phase split with
-        # a few panels at gamma halved certifies, must match the one the
-        # 2^21-node chunking gave.
+        # the dd sum, and the converged value, which the phase split itself
+        # certifies, must match the one the 2^21-node chunking gave.
         p = canonical_family(2.0 ** 12)
         edges = _bisect_edges(_bisect_edges(build_breakpoints(p)))
         chunk = _CHUNK_NODES // 24
@@ -166,7 +165,7 @@ class TestOscillatoryQuadrature:
                 assert abs(as_mp(whole[k]) - as_mp(halves)) < 1e-28
 
         r = oscillatory_quadrature_detail(p)
-        assert len(build_breakpoints(p)) - 1 < r.panels <= 2300
+        assert r.panels == len(build_breakpoints(p)) - 1
         assert within_seed_2_12(r, 1e-30)
 
     def test_transcendental_phase_falls_back(self):
@@ -202,10 +201,31 @@ class TestEmbeddedCertificate:
                  for i in range(len(edges) - 1)]
         assert as_hex(sums) == as_hex(oracle._PanelSums.join(alone))
         assert np.argmax(sums.cert) == np.searchsorted(edges, -0.45) - 1
-        d_re, d_im = _pairwise(sums.d_hi, sums.d_lo)
-        diff = (math.hypot(ddmath.to_float(d_re), ddmath.to_float(d_im))
-                + sums.excess.sum())
+        diff = math.hypot(*sums.null.sum(axis=-1)) + sums.excess.sum()
         assert sums.cert.sum() >= diff
+
+    @pytest.mark.parametrize("f, g, alpha, beta, T", [
+        ("T*x^2", "1/(x^2 + 0.0001)", -1.0, 1.0, 64.0),
+        ("T*(x^2 + x^3/3)", "1/(1 + 2500*(x - 0.2)^2)", -0.5, 0.5, 256.0),
+        ("T*(x^2 + x^3/3)", "1/(1+x^2)", -0.5, 0.5, 1024.0),
+        ("T*(x + x^2/10)", "1/x", 1.0, 2.0, 1024.0),
+    ])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-16, 1e-20])
+    def test_decay_weighted_certificate_bounds_the_error(self, f, g, alpha, beta,
+                                                         T, tol):
+        # Poles at distance 0.01 and 0.02 from the interval, and the two
+        # criterion families; the reference is one pass over the phase
+        # split halved four times, where the 24-node rule is at the dd floor.
+        p = make_problem(f, g, alpha, beta, n=2, T=T)
+        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=tol))
+        edges = build_breakpoints(p)
+        for _ in range(4):
+            edges = _bisect_edges(edges)
+        fine = totals(_panels_dd_numpy(p, edges, 24))
+        with mpmath.workdps(40):
+            err = abs(mpmath.mpc(as_mp(r.re_dd), as_mp(r.im_dd))
+                      - mpmath.mpc(as_mp(fine[0]), as_mp(fine[1])))
+        assert err <= r.diff < tol
 
     def test_converging_input_evaluates_each_node_once(self, monkeypatch, canonical_family):
         elements = []
@@ -270,6 +290,42 @@ class TestEmbeddedCertificate:
         p = make_problem("T*x", "1/(x-1.4)", 1.0, 2.0, n=2, T=16.0)
         with pytest.raises(QuadratureNonConvergence, match="stagnated"):
             oscillatory_quadrature(p, QuadratureSettings(max_panels=20_000))
+
+
+# Transcendental phases: eval_dd takes sin in float64, and that rounding,
+# which the Gauss and null sums share, once sat above the certificate.
+TRANSCENDENTAL = [("1 + 0.434*x", 0.434, 0.618, 1.618, 982.774584426888),
+                  ("1 + 0.19*x", 0.19, 0.978, 1.978, 1014.9818645673258)]
+
+
+class TestRoundingNoise:
+    @pytest.mark.parametrize("g, slope, alpha, beta, T", TRANSCENDENTAL)
+    def test_certificate_bounds_the_error(self, g, slope, alpha, beta, T):
+        p = make_problem("T*(x + sin(x)/10)", g, alpha, beta, n=2, T=T)
+        r = oscillatory_quadrature_detail(p)
+        # The 24-node Gauss-Legendre sum at 34 digits on the same panels.
+        with mpmath.workdps(34):
+            rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
+            nodes = rule.calc_nodes(4, mpmath.mp.prec)
+            ref = mpmath.mpc(0)
+            edges = build_breakpoints(p)
+            for a, b in zip(edges[:-1], edges[1:]):
+                mid = (mpmath.mpf(a) + mpmath.mpf(b)) / 2
+                half = (mpmath.mpf(b) - mpmath.mpf(a)) / 2
+                for xi, w in nodes:
+                    x = mid + half * xi
+                    phase = T * (x + mpmath.sin(x) / 10)
+                    ref += half * w * (1 + slope * x) * mpmath.expjpi(2 * phase)
+            err = abs(r.mp_value() - ref)
+        assert r.diff < QuadratureSettings().tol and err <= r.diff
+        sums = _panels_dd_numpy(p, edges, 24)
+        assert sums.noise.sum() > sums.cert.sum()  # the rounding binds
+
+    @pytest.mark.parametrize("g, slope, alpha, beta, T", TRANSCENDENTAL)
+    def test_tol_below_the_rounding_raises(self, g, slope, alpha, beta, T):
+        p = make_problem("T*(x + sin(x)/10)", g, alpha, beta, n=2, T=T)
+        with pytest.raises(QuadratureNonConvergence, match="float64 rounding"):
+            oscillatory_quadrature(p, QuadratureSettings(tol=1e-16))
 
 
 JUMP = ("T*(x + x^2/10)", "(abs(x-1.3)/(x-1.3)+1)/2", 1.0, 2.0)
@@ -343,7 +399,7 @@ class TestLocalRefinement:
         assert r.nodes == sum(elements)
 
     @pytest.mark.parametrize("f, g, alpha, beta, T, tol, refinements", [
-        ("T*(x^2 + x^3/3)", "1/(1+x^2)", -0.5, 0.5, 2.0 ** 12, 1e-12, 1),
+        ("T*(x^2 + x^3/3)", "1/(1+x^2)", -0.5, 0.5, 2.0 ** 12, 1e-18, 1),
         ("T*(x^2 + x^3/3)", "abs(x - 0.123)", -0.5, 0.5, 16.0, 1e-8, 3),
     ])
     def test_refined_result_is_one_pass_over_its_final_panels(
@@ -362,9 +418,8 @@ class TestLocalRefinement:
         r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=tol))
         assert r.doublings >= refinements
         sums = panels_dd(p, passes[-1], 24)
-        d_re, d_im = _pairwise(sums.d_hi, sums.d_lo)
-        diff = (float(np.hypot(ddmath.to_float(d_re), ddmath.to_float(d_im)))
-                + float(sums.excess.sum()))
+        diff = (float(np.hypot(*sums.null.sum(axis=-1)) + sums.excess.sum())
+                + float(sums.noise.sum()))
         assert [float(v).hex() for part in totals(sums) for v in part] == \
             [float(v).hex() for part in (r.re_dd, r.im_dd) for v in part]
         assert diff.hex() == r.diff.hex()
@@ -386,12 +441,33 @@ class TestLocalRefinement:
             for got, want in zip((r.re_dd, r.im_dd), fine):
                 assert abs(as_mp(got) - as_mp(want)) < 1e-30
 
-    def test_default_tol_halves_only_the_panels_at_gamma(self, canonical_family):
+    def test_default_tol_certifies_the_phase_split(self, canonical_family):
         # The 0.45-turn start took 4,552 panels and 109,248 nodes.
         p = canonical_family(2.0 ** 12)
         r = oscillatory_quadrature_detail(p)
-        assert r.panels <= 2300 and r.nodes <= 56_000
-        assert r.nodes == (2 * r.panels - len(build_breakpoints(p)) + 1) * 24
+        assert r.doublings == 0 and r.panels <= 2300
+        assert r.nodes == r.panels * 24 <= 56_000
+
+    def test_fine_tol_halves_only_the_panels_at_gamma(self, monkeypatch,
+                                                       canonical_family):
+        # gamma = 0, and the panels next to it end within 0.04 of it; every
+        # other panel's null values fall fast enough.
+        p = canonical_family(2.0 ** 12)
+        start = build_breakpoints(p)
+        passes = []
+        panels_dd = oracle._panels_dd_numpy
+
+        def recording(p, edges, order, panels=None):
+            passes.append(edges)
+            return panels_dd(p, edges, order, panels)
+
+        monkeypatch.setattr(oracle, "_panels_dd_numpy", recording)
+        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=1e-20))
+        assert r.diff < 1e-20 and r.doublings >= 1
+        added = np.setdiff1d(passes[-1], start)
+        assert 0 < len(added) <= 16 and np.all(np.abs(added) < 0.04)
+        assert r.nodes == (2 * r.panels - len(start) + 1) * 24
+        assert within_seed_2_12(r, 1e-30)
 
     def test_jump_in_g_stagnates_quickly(self):
         # Each halving of the jump's panel only halves the certificate.
