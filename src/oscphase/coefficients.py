@@ -4,8 +4,8 @@ Everything downstream of the change of variables f(x) - f(gamma) = lam2 * y^2
 lives here: the Taylor data lam_k, eta_k at gamma, the forward series
 y(x - gamma), its reversion x(y), dx/dy (rho_k), the weight-times-Jacobian
 coefficients varpi_k, and the independent recursion route (mu_jk, eta'_m)
-that cross-checks them.  A residual diagnostic Q(y) measures how fast the
-truncated expansion of g(x) dx/dy approaches the real thing.
+that the tests check them against.  A residual diagnostic Q(y) measures how
+fast the truncated expansion of g(x) dx/dy approaches the real thing.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ NEWTON_STEPS = 60  # cap on the Newton polish of the stationary point
 BISECT_DEPTH = 10  # bisection steps per grid walk of f' (2^10 + 1 points)
 
 
-def grid_jet(e: Expr, xs: np.ndarray, degree: int, bindings: dict) -> tuple:
+def grid_jet(e: Expr, xs: np.ndarray, degree: int, bindings: dict,
+             breaks: list | None = None) -> tuple:
     """[k][i] = e^(k)(xs[i])/k! from one walk; overflow is silent, as in the
-    scalar walk, which these equal bit for bit."""
+    scalar walk, which these equal bit for bit.  breaks: see eval_jet."""
     with np.errstate(all="ignore"):
-        return eval_jet(e, jet_variable(xs, degree), bindings).coeffs
+        return eval_jet(e, jet_variable(xs, degree), bindings, breaks).coeffs
 
 
 def grid_sup(values: np.ndarray) -> float:
@@ -47,12 +48,14 @@ def grid_sup(values: np.ndarray) -> float:
 class GridSample:
     """A problem's f (to degree 2n+3) and g (to 2n+1) on one scan grid, each
     walked on first use only, so a scan that reads f never evaluates g; plus
-    the stationary point once located.  make_problem fills f in when it
-    infers T, from the walk that reads f''."""
+    the stationary point once located.  Each walk also notes in breaks the
+    kinks, poles and jumps on the grid (eval_jet).  make_problem fills f in
+    when it infers T, from the walk that reads f''."""
 
     def __init__(self, p: "PhaseProblem", scan_points: int):
         self.xs = np.linspace(p.alpha, p.beta, scan_points)
         self.gamma = None
+        self.breaks = {"f": [], "g": []}
         # No reference to p, which holds this sample: a cycle would keep
         # every problem's arrays alive until the garbage collector runs.
         self._f, self._g = (p.f, 2 * p.n + 3), (p.g, 2 * p.n + 1)
@@ -60,11 +63,13 @@ class GridSample:
 
     @cached_property
     def f(self) -> tuple:
-        return grid_jet(self._f[0], self.xs, self._f[1], self._bindings)
+        return grid_jet(self._f[0], self.xs, self._f[1], self._bindings,
+                        self.breaks["f"])
 
     @cached_property
     def g(self) -> tuple:
-        return grid_jet(self._g[0], self.xs, self._g[1], self._bindings)
+        return grid_jet(self._g[0], self.xs, self._g[1], self._bindings,
+                        self.breaks["g"])
 
     def sign_changes(self) -> list[tuple[float, float, float]]:
         """(x_lo, x_hi, f'(x_lo)) for each sign change of f' between
@@ -262,14 +267,16 @@ def make_problem(f: str, g: str, alpha: float, beta: float, n: int,
         if "T" in symbols(f_expr):
             raise ConfigError("T is required: f references the parameter T")
         xs = np.linspace(alpha, beta, SCAN_POINTS)
+        breaks = []
         f_grid = grid_jet(f_expr, xs, max(2 * n + 3, 2),  # n < 1 fails below
-                          {**params, "M": M, "N": N, "U": U})
+                          {**params, "M": M, "N": N, "U": U}, breaks)
         T = infer_T(f_grid, M)
     p = PhaseProblem(f=f_expr, g=g_expr, alpha=alpha, beta=beta, n=n,
                      T=float(T), M=float(M), N=float(N), U=float(U),
                      params=params)
     if f_grid is not None:
         p.sample().__dict__["f"] = f_grid  # the cached_property's value
+        p.sample().breaks["f"] = breaks
     return p
 
 
@@ -399,19 +406,14 @@ def recursion_coefficients(lam: Sequence, eta: Sequence, order: int):
     mu_jk are the coefficients of the (j/2)-power of the bracket series;
     eta'_m solves eta_m = sum_{k+l=m, k>=1} eta'_k mu_kl recursively; the
     check sequence is varpi_k = sum_l eta'_l rho_{k-l} with rho taken from
-    amplitude_series.
+    amplitude_series.  The reference the series route (compute_coefficients)
+    is tested against; no expansion runs it.
     """
-    return _recursion_route(lam, eta, order, amplitude_series(lam, eta, order)[1])
-
-
-def _recursion_route(lam: Sequence, eta: Sequence, order: int, rho: Sequence):
+    rho = amplitude_series(lam, eta, order)[1]
     bracket = _bracket_series(lam, order)
-    mu_rows = [None] * (order + 2)
-    for j in range(1, order + 2):
-        mu_rows[j] = jet_map(bracket, "pow", exponent=j / 2).coeffs
     identity = tuple((1.0 if k == 0 else 0.0) for k in range(order + 1))
-    mu_rows[0] = identity
-    mu = tuple(mu_rows)
+    mu = (identity,) + tuple(jet_map(bracket, "pow", exponent=j / 2).coeffs
+                             for j in range(1, order + 2))
 
     eta_prime = [eta[0]]
     for m in range(1, order + 1):
@@ -431,13 +433,11 @@ def _recursion_route(lam: Sequence, eta: Sequence, order: int, rho: Sequence):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """gamma plus every coefficient sequence of the change of variables.
+    """gamma plus the series route's coefficients of the change of variables.
 
     lam[k] = lambda_k (index 0 is f(gamma), index 1 is f'(gamma) ~ 0), of
-    -f at a maximum, so lam[2] > 0 in either orientation;
-    eta, rho, eta_prime, varpi, varpi_check are indexed 0..2n; mu[j][k] for
-    j = 0..2n+1, k = 0..2n.  varpi comes from the series route and
-    varpi_check from the recursion route.
+    -f at a maximum, so lam[2] > 0 in either orientation; eta, rho and
+    varpi are indexed 0..2n, x_of_y 0..2n+1 (amplitude_series).
     """
 
     gamma: float
@@ -445,10 +445,7 @@ class CoefficientSet:
     lam: tuple
     eta: tuple
     rho: tuple
-    eta_prime: tuple
-    mu: tuple
     varpi: tuple
-    varpi_check: tuple
     x_of_y: tuple
 
 
@@ -463,10 +460,8 @@ def compute_coefficients(p: PhaseProblem, gamma: float | None = None) -> Coeffic
         lam = tuple(-c for c in lam)
     order = 2 * p.n
     x_of_y, rho, varpi = amplitude_series(lam, eta, order)
-    mu, eta_prime, varpi_check = _recursion_route(lam, eta, order, rho)
     return CoefficientSet(gamma=gamma, order=order, lam=lam, eta=eta,
-                          rho=rho, eta_prime=eta_prime, mu=mu, varpi=varpi,
-                          varpi_check=varpi_check, x_of_y=x_of_y)
+                          rho=rho, varpi=varpi, x_of_y=x_of_y)
 
 
 def solve_x_of_y(p: PhaseProblem, gamma, lam2, y, f_gamma=None):

@@ -28,7 +28,6 @@ from .coefficients import (SCAN_POINTS, CoefficientSet, PhaseProblem,
 from .errors import (DegenerateStationaryPoint, NonFinitePhaseError,
                      SignChangeDetected, StationaryPointError,
                      StationaryTooCloseToEndpoint)
-from .exprs import abs_kinks
 from .jets import jet_differentiate, jet_div, jet_truncate
 
 
@@ -187,7 +186,23 @@ def first_derivative_test(p: PhaseProblem, scan_points: int = SCAN_POINTS,
                            boundary_alpha=b_alpha, boundary_beta=b_beta,
                            per_order_main=(), error_scale=error_scale,
                            orientation=orientation, theorem="fdt",
-                           warnings=(N1_WARNING,) if p.n == 1 else ())
+                           warnings=_input_warnings(p, scan_points))
+
+
+def _input_warnings(p: PhaseProblem, scan_points: int) -> tuple:
+    """One warning per abs(...) in f or g with a kink on the scan grid and
+    per divisor that changes sign there (a pole or a jump), then the n = 1
+    warning.  The grid walks of f and g, which the callers have made, noted
+    them (GridSample.breaks)."""
+    what = {"abs": "abs(...) in {} has a kink inside [alpha, beta]",
+            "/": "a divisor in {} changes sign inside [alpha, beta], "
+                 "a pole or a jump"}
+    sample = p.sample(scan_points)
+    return tuple([f"{what[op].format(label)} (offset {offset}); "
+                  "smoothness hypotheses fail"
+                  for label in ("f", "g")
+                  for offset, op in sorted(sample.breaks[label])]
+                 + [N1_WARNING] * (p.n == 1))
 
 
 @contextlib.contextmanager
@@ -384,15 +399,9 @@ def hypothesis_audit(p: PhaseProblem,
     if lam2 != 0:
         r_val = min(r1, r2, delta * M)
 
-    warnings = [f"abs(...) in {label} has a kink inside [alpha, beta] "
-                f"(offset {offset}); smoothness hypotheses fail"
-                for label, e in (("f", p.f), ("g", p.g))
-                for offset in abs_kinks(e, sample.xs, p.bindings)]
-    if p.n == 1:
-        warnings.append(N1_WARNING)
-
     return AuditReport(C_f=c_f, C_g=c_g, C2_lower_ok=c2_lower_ok,
                        Delta=delta, validity_ok=validity_ok,
                        r1=r1, r2=r2, r=r_val,
                        M_ok=bool(M >= p.beta - p.alpha),
-                       sign_profile=sign_profile, warnings=tuple(warnings))
+                       sign_profile=sign_profile,
+                       warnings=_input_warnings(p, scan_points))

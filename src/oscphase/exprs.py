@@ -11,8 +11,9 @@ Grammar (whitespace-insensitive):
 Functions: exp, log, sin, cos, sqrt, abs, atan.  Symbols are `x`, the builtin
 constant `pi`, or parameter names bound at evaluation time.  The analytic
 primitive set is deliberate: the expansion theorems need finitely many
-continuous derivatives, and these primitives cannot break that (abs is allowed
-for weights; the hypothesis audit flags a kink inside the interval).
+continuous derivatives, and these primitives cannot break that (abs and
+division can: the hypothesis audit flags a kink inside the interval, and a
+divisor that changes sign there, a pole or a jump).
 
 Each tree is compiled once into a tape, an instruction list with one slot
 per distinct subtree, and one interpreter runs it in four arithmetics:
@@ -382,23 +383,6 @@ def eval_array(e: Expr, x: np.ndarray, params: dict | None = None) -> np.ndarray
     return _run(_tape(e), _float_step, (x, params or {}, _NUMPY))
 
 
-def abs_kinks(e: Expr, xs: np.ndarray, params: dict | None = None) -> list[int]:
-    """Offsets, in source order, of the abs(...) whose argument takes both
-    signs on xs: a tape with an abs runs once in float64, warnings silenced."""
-    code, kinks = _tape(e), []
-    if not any(op == "abs" for op, *_ in code):
-        return kinks
-
-    def step(env, op, a, b, offset):
-        if op == "abs" and np.any(a > 0) and np.any(a < 0):
-            kinks.append(offset)
-        return _float_step(env, op, a, b, offset)
-
-    with np.errstate(all="ignore"):
-        _run(code, step, (xs, params or {}, _NUMPY))
-    return sorted(kinks)
-
-
 def _jet_constant(value, x_jet: Jet) -> tuple:
     """A number or parameter as the pair (v, z) that stands for the constant
     jet (v, z, ..., z) in x_jet's carrier.  On a grid v and z stay floats,
@@ -476,10 +460,22 @@ def _jet_step(env, op, a, b, offset):
                               else str(exc), offset) from exc
 
 
-def eval_jet(e: Expr, x_jet: Jet, params: dict | None = None) -> Jet:
+def eval_jet(e: Expr, x_jet: Jet, params: dict | None = None,
+             breaks: list | None = None) -> Jet:
     """Jet of the expression as a function of x at x_jet's base point (at
-    every point at once for a grid jet; a domain error at any point raises)."""
-    out = _run(_tape(e), _jet_step, (x_jet, params or {}))
+    every point at once for a grid jet; a domain error at any point raises).
+
+    With a list breaks, the walk appends (offset, op) for each abs(...)
+    whose argument and each division whose divisor reads x and takes both
+    signs over the points: a kink, and a pole or a jump."""
+    def watched(env, op, a, b, offset):
+        v = {"abs": a, "/": b}.get(op)
+        if isinstance(v, Jet) and np.any(v.coeffs[0] > 0) and np.any(v.coeffs[0] < 0):
+            breaks.append((offset, op))
+        return _jet_step(env, op, a, b, offset)
+
+    step = _jet_step if breaks is None else watched
+    out = _run(_tape(e), step, (x_jet, params or {}))
     return _lift(out, x_jet) if type(out) is tuple else out
 
 

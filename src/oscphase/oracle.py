@@ -25,7 +25,7 @@ Three oracles live here:
   not depend on its block, so every bit is that of a serial pass.  The
   caller polls for a reply without sleeping for up to as long as its own
   block took.  The helpers live until the process exits.  They see only
-  the expressions, bindings, panel edges and rule of each block: a function
+  the expressions, bindings and panel edges of each block: a function
   monkeypatched in this process is not patched there.  Nothing starts at
   import, for passes of fewer chunks, or on a machine with one CPU.
 * fd_derivatives -- central finite differences, the classic cross-check for
@@ -44,7 +44,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import mpmath
 import numpy as np
@@ -63,11 +63,16 @@ _PHASE_PER_PANEL = 0.9
 _MAX_WIDTH_FRACTION = 1 / 16  # panels also stay narrow so g is resolved
 _CHUNK_NODES = 1 << 14  # one chunk's dd temporaries stay resident in a 2 MB L2
 _SMOOTH_DECAY = 1e-3  # null-value ratio that marks a panel resolved
+# Gauss-Legendre nodes per panel: the null rules (degrees 11 and 19) and
+# _SMOOTH_DECAY are calibrated for this rule, and bound its error only.
+_NODES_PER_PANEL = 24
+_CHUNK_PANELS = _CHUNK_NODES // _NODES_PER_PANEL
+_MAX_PANELS = 4_000_000
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Adaptive-quadrature knobs.
+    """The oracle's one setting, tol; the rule (nodes_per_panel) is fixed.
 
     tol bounds the certificate of the result (see
     oscillatory_quadrature_detail).  With polynomial and rational f and g
@@ -77,16 +82,11 @@ class QuadratureSettings:
     """
 
     tol: float = 1e-12
-    max_panels: int = 4_000_000
-    nodes_per_panel: int = 24
+    nodes_per_panel: ClassVar[int] = _NODES_PER_PANEL
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:  # also NaN
             raise ValueError("tol must be positive and finite")
-        if self.nodes_per_panel < 8:
-            raise ValueError("nodes_per_panel must be at least 8")
-        if self.max_panels < 8:
-            raise ValueError("max_panels must be at least 8")
 
 
 def _drop_repeats(edges: np.ndarray) -> np.ndarray:
@@ -95,20 +95,19 @@ def _drop_repeats(edges: np.ndarray) -> np.ndarray:
     return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
-def _piece_breakpoints(p: PhaseProblem, a: float, b: float,
-                      max_panels: int) -> np.ndarray:
+def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
     """Panel edges on a monotone-phase piece: equal phase increments.
 
-    A phase change that is not finite, or that needs more than max_panels
+    A phase change that is not finite, or that needs more than _MAX_PANELS
     panels, raises QuadratureNonConvergence before anything is allocated.
     """
     fa = p.f_value(a)
     fb = p.f_value(b)
     total = abs(fb - fa)
-    if not total <= max_panels * _PHASE_PER_PANEL:  # also inf and nan
+    if not total <= _MAX_PANELS * _PHASE_PER_PANEL:  # also inf and nan
         raise QuadratureNonConvergence(
             f"phase change of {total:.3g} turns over [{a!r}, {b!r}] is not "
-            f"finite or needs more than max_panels = {max_panels} panels")
+            f"finite or needs more than max_panels = {_MAX_PANELS} panels")
     n_panels = max(1, int(math.ceil(total / _PHASE_PER_PANEL)))
     max_width = (p.beta - p.alpha) * _MAX_WIDTH_FRACTION
     n_panels = max(n_panels, int(math.ceil((b - a) / max_width)))
@@ -133,8 +132,7 @@ def _piece_breakpoints(p: PhaseProblem, a: float, b: float,
     return edges
 
 
-def build_breakpoints(p: PhaseProblem, scan_points: int = SCAN_POINTS,
-                      max_panels: int = QuadratureSettings.max_panels) -> np.ndarray:
+def build_breakpoints(p: PhaseProblem, scan_points: int = SCAN_POINTS) -> np.ndarray:
     """Initial panel edges: split at f' sign changes, then by phase (see
     _piece_breakpoints for the phase changes it refuses)."""
     roots = [bisect_fprime(p, *bracket, steps=60)
@@ -144,7 +142,7 @@ def build_breakpoints(p: PhaseProblem, scan_points: int = SCAN_POINTS,
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b <= a:
             continue
-        edges = _piece_breakpoints(p, a, b, max_panels)
+        edges = _piece_breakpoints(p, a, b)
         parts.append(edges if not parts else edges[1:])
     return np.concatenate(parts)
 
@@ -216,20 +214,19 @@ class _PanelSums(NamedTuple):
 
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _chunk_results(phase: Expr, weight: Expr, bindings: dict, a: np.ndarray,
-                   b: np.ndarray, order: int) -> _PanelSums:
+                   b: np.ndarray) -> _PanelSums:
     """The _PanelSums of the panels [a[i], b[i]], computed in chunks of
     _CHUNK_NODES nodes.  Each panel's numbers depend on its two edges
     alone.  A non-finite phase raises QuadratureNonConvergence.  Runs in the
     helper interpreters too.
     """
-    (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(order)
-    d_w = ddmath.embedded_null_weights(order)
-    c_w = ddmath.coarse_null_weights(order)
-    chunk = max(1, _CHUNK_NODES // order)
+    (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(_NODES_PER_PANEL)
+    d_w = ddmath.embedded_null_weights(_NODES_PER_PANEL)
+    c_w = ddmath.coarse_null_weights(_NODES_PER_PANEL)
     parts = []
-    for start in range(0, len(a), chunk):
-        left = ddmath.from_float(a[start:start + chunk])
-        right = ddmath.from_float(b[start:start + chunk])
+    for start in range(0, len(a), _CHUNK_PANELS):
+        left = ddmath.from_float(a[start:start + _CHUNK_PANELS])
+        right = ddmath.from_float(b[start:start + _CHUNK_PANELS])
         mid = ddmath.mul(ddmath.add(left, right), ddmath.from_float(0.5))
         half = ddmath.mul(ddmath.sub(right, left), ddmath.from_float(0.5))
         mid2 = (mid[0][:, None], mid[1][:, None])
@@ -251,7 +248,7 @@ def _chunk_results(phase: Expr, weight: Expr, bindings: dict, a: np.ndarray,
     return _PanelSums.join(parts)
 
 
-def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
+def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray,
                      panels: np.ndarray | None = None) -> _PanelSums:
     """The _PanelSums of the panels between edges, or of only those that the
     boolean mask panels selects, in dd.  A non-finite phase raises
@@ -261,19 +258,18 @@ def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray, order: int,
     process computes the first, and each ready helper interpreter one of the
     later ones (_Helpers).  A panel's numbers do not depend on its block, so
     every bit is that of one serial pass.  A helper sees f, g, the
-    bindings, the block's panel edges and the order, and nothing else: a
-    function monkeypatched in this process is not patched there.
+    bindings and the block's panel edges, and nothing else: a function
+    monkeypatched in this process is not patched there.
     """
     a, b = edges[:-1], edges[1:]
     if panels is not None:
         a, b = a[panels], b[panels]
     n_panels = len(a)
-    chunk = max(1, _CHUNK_NODES // order)
-    n_chunks = -(-n_panels // chunk)
+    n_chunks = -(-n_panels // _CHUNK_PANELS)
 
     def jobs(blocks: int) -> list:
-        cuts = [chunk * (n_chunks * k // blocks) for k in range(blocks)]
-        return [(p.f, p.g, p.bindings, a[lo:hi], b[lo:hi], order)
+        cuts = [_CHUNK_PANELS * (n_chunks * k // blocks) for k in range(blocks)]
+        return [(p.f, p.g, p.bindings, a[lo:hi], b[lo:hi])
                 for lo, hi in zip(cuts, cuts[1:] + [n_panels])]
 
     return _PanelSums.join(_HELPERS.run(n_chunks, jobs))
@@ -342,10 +338,9 @@ def _serve(fd: int) -> None:
     from multiprocessing.connection import Connection
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops helpers
-    order = QuadratureSettings.nodes_per_panel
-    ddmath.gauss_legendre_dd(order)
-    ddmath.embedded_null_weights(order)
-    ddmath.coarse_null_weights(order)
+    ddmath.gauss_legendre_dd(_NODES_PER_PANEL)
+    ddmath.embedded_null_weights(_NODES_PER_PANEL)
+    ddmath.coarse_null_weights(_NODES_PER_PANEL)
     with Connection(fd) as conn:
         conn.send(os.path.abspath(__file__))
         while True:
@@ -548,7 +543,7 @@ class QuadratureResult:
     the final panels, the refinement passes after the first (0 if it
     certified), the integrand evaluations over all passes (nodes; a
     refinement pass evaluates only the halves of the panels it bisects, so
-    this is not panels * nodes_per_panel) and the certificate diff < tol."""
+    this is not 24 times the panels) and the certificate diff < tol."""
 
     value: complex
     re_dd: tuple
@@ -583,20 +578,19 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
     only on its final panels.  Once diff < tol, Q is returned.
     """
     settings = settings or QuadratureSettings()
-    order = settings.nodes_per_panel
-    edges = build_breakpoints(p, scan_points, settings.max_panels)
+    edges = build_breakpoints(p, scan_points)
     new = None  # the panels the next pass evaluates; None for all of them
     refinements = nodes = 0
     best = None
     stagnant = 0
     while True:
         n_panels = len(edges) - 1
-        if n_panels > settings.max_panels:
+        if n_panels > _MAX_PANELS:
             raise QuadratureNonConvergence(
-                f"needed more than max_panels = {settings.max_panels} panels "
+                f"needed more than max_panels = {_MAX_PANELS} panels "
                 f"to reach tol = {settings.tol:g}")
-        fresh = _panels_dd_numpy(p, edges, order, new)
-        nodes += len(fresh.cert) * order
+        fresh = _panels_dd_numpy(p, edges, new)
+        nodes += len(fresh.cert) * _NODES_PER_PANEL
         sums = fresh if new is None else _refined(sums, missing, new, fresh)
         re_dd, im_dd = _pairwise(sums.q_hi, sums.q_lo)
         _require_finite(re_dd[0], im_dd[0])

@@ -371,6 +371,25 @@ class TestRecursionCoefficients:
         assert eta_prime[0] == eta[0]
         assert eta_prime[1] == eta[1]
 
+    def test_expansions_do_not_run_it(self, monkeypatch):
+        # The recursion route is the tests' reference; an expansion, float
+        # or mpmath, runs only the series route.
+        from oscphase import coefficients
+        calls = []
+        route = coefficients.recursion_coefficients
+
+        def counting(*args):
+            calls.append(args)
+            return route(*args)
+
+        monkeypatch.setattr(coefficients, "recursion_coefficients", counting)
+        for mp_dps in (None, 30):
+            p = make_problem("T*(x^2 + x^3/3)", "1/(1+x^2)", -0.5, 0.5,
+                             n=2, T=1024.0)
+            result = stationary_phase_expand(p, mp_dps=mp_dps)
+            assert result.theorem == "wsp" and result.coefficients is not None
+        assert calls == []
+
 
 class TestCrossRoute:
     def test_random_sets_agree_and_reflect(self):

@@ -5,6 +5,7 @@ import sys
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from oscphase import exprs
@@ -390,6 +391,55 @@ class TestHypothesisAudit:
         assert kinks == [f"abs(...) in g has a kink inside [alpha, beta] "
                          f"(offset {k}); smoothness hypotheses fail"
                          for k in offsets]
+
+
+KINK = ("abs(...) in g has a kink inside [alpha, beta] (offset 0); "
+        "smoothness hypotheses fail")
+POLE = ("a divisor in g changes sign inside [alpha, beta], a pole or a jump "
+        "(offset 1); smoothness hypotheses fail")
+
+
+class TestSmoothnessWarnings:
+    @pytest.mark.parametrize("f, g, alpha, beta, T, theorem, warning", [
+        ("T*(x + x^2/10)", "abs(x - 1.4)", 1.0, 2.0, 16.0, "fdt", KINK),
+        ("T*(x + x^2/10)", "1/(x - 1.4144667855116144)", 1.0, 2.0, 16.0,
+         "fdt", POLE),
+        ("T*(x^2 + x^3/3)", "1/(x - 0.3123)", -0.5, 0.5, 4096.0, "wsp", POLE),
+    ])
+    def test_audit_and_both_paths_warn(self, f, g, alpha, beta, T, theorem,
+                                       warning):
+        p = make_problem(f, g, alpha, beta, n=2, T=T)
+        assert hypothesis_audit(p).warnings == (warning,)
+        for mp_dps in (None, 30):
+            res = expand_auto(p, mp_dps=mp_dps)
+            assert res.theorem == theorem
+            assert [w for w in res.warnings if "smoothness" in w] == [warning]
+
+    @pytest.mark.parametrize("f, g, alpha, beta, T", [
+        ("T*(x + x^2/10)", "1/x", 1.0, 2.0, 16.0),
+        ("T*(x^2 + x^3/3)", "1/(x + 0.7)", -0.5, 0.5, 4096.0),
+    ])
+    def test_divisor_that_keeps_its_sign_is_not_warned(self, f, g, alpha,
+                                                       beta, T):
+        p = make_problem(f, g, alpha, beta, n=2, T=T)
+        assert hypothesis_audit(p).warnings == ()
+        for mp_dps in (None, 30):
+            assert not [w for w in expand_auto(p, mp_dps=mp_dps).warnings
+                        if "smoothness" in w]
+
+    def test_scan_walks_no_tape_of_its_own(self, monkeypatch):
+        # The grid walks of f and g note the kinks and sign changes.
+        runs = {}
+        for g in ("1/(x + 1)", "abs(x - 1.4)", "1/(x - 1.4144667855116144)"):
+            p = make_problem("T*(x + x^2/10)", g, 1.0, 2.0, n=2, T=16.0)
+            calls = []
+            original = exprs._run
+            monkeypatch.setattr(exprs, "_run",
+                                lambda *args: calls.append(1) or original(*args))
+            first_derivative_test(p)
+            monkeypatch.undo()
+            runs[g] = len(calls)
+        assert len(set(runs.values())) == 1, runs
 
 
 class TestUnitPhase:

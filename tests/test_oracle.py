@@ -101,14 +101,19 @@ class TestOscillatoryQuadrature:
         with pytest.raises(QuadratureNonConvergence):
             oscillatory_quadrature(p, QuadratureSettings(tol=1e-30))
 
-    def test_max_panels_exceeded(self):
+    def test_max_panels_exceeded(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 64)
         p = make_problem("T*x^2", "1", -1.0, 1.0, n=2, T=5000.0)
         with pytest.raises(QuadratureNonConvergence):
-            oscillatory_quadrature(p, QuadratureSettings(max_panels=64))
+            oscillatory_quadrature(p)
 
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
+        # The rule and the panel cap are fixed: tol is the only setting.
+        assert QuadratureSettings().nodes_per_panel == 24
+        with pytest.raises(TypeError):
             QuadratureSettings(nodes_per_panel=4)
+        with pytest.raises(TypeError):
+            QuadratureSettings(max_panels=64)
         with pytest.raises(ValueError):
             QuadratureSettings(tol=-1.0)
 
@@ -126,7 +131,7 @@ class TestOscillatoryQuadrature:
         p = make_problem("T*(x^2 + x^3/3)", "(1 + x)/(2 + x^2)", -0.5, 0.5,
                          n=2, T=64.0)
         edges = build_breakpoints(p)[:9]
-        re_dd, im_dd = totals(_panels_dd_numpy(p, edges, 24))
+        re_dd, im_dd = totals(_panels_dd_numpy(p, edges))
         (xh, xl), (wh, wl) = ddmath.gauss_legendre_dd(24)
         with mpmath.workdps(50):
             nodes = [(mpmath.mpf(float(xh[j])) + mpmath.mpf(float(xl[j])),
@@ -155,9 +160,9 @@ class TestOscillatoryQuadrature:
         chunk = _CHUNK_NODES // 24
         split = 5 * chunk + chunk // 2 + 1
         assert len(edges) - 1 > 10 * chunk and split % chunk != 0
-        whole = totals(_panels_dd_numpy(p, edges, 24))
-        left = totals(_panels_dd_numpy(p, edges[:split + 1], 24))
-        right = totals(_panels_dd_numpy(p, edges[split:], 24))
+        whole = totals(_panels_dd_numpy(p, edges))
+        left = totals(_panels_dd_numpy(p, edges[:split + 1]))
+        right = totals(_panels_dd_numpy(p, edges[split:]))
 
         with mpmath.workdps(40):
             for k in (0, 1):
@@ -192,12 +197,12 @@ class TestEmbeddedCertificate:
         p = make_problem("T*(x^2 + x^3/3)", "abs(x + 0.45)/(1 + x^2)", -0.5, 0.5,
                          n=2, T=64.0)
         edges = build_breakpoints(p)[:9]
-        sums = _panels_dd_numpy(p, edges, 24)
+        sums = _panels_dd_numpy(p, edges)
         assert sums.excess.sum() > 0  # the kink at -0.45 lies in these panels
         # Each panel's numbers are its own: a pass over that panel alone
         # gives the same bits, the Gauss sums among them.  The kink's panel
         # has the largest certificate, and their sum bounds the pass's.
-        alone = [_panels_dd_numpy(p, edges[i:i + 2], 24)
+        alone = [_panels_dd_numpy(p, edges[i:i + 2])
                  for i in range(len(edges) - 1)]
         assert as_hex(sums) == as_hex(oracle._PanelSums.join(alone))
         assert np.argmax(sums.cert) == np.searchsorted(edges, -0.45) - 1
@@ -221,7 +226,7 @@ class TestEmbeddedCertificate:
         edges = build_breakpoints(p)
         for _ in range(4):
             edges = _bisect_edges(edges)
-        fine = totals(_panels_dd_numpy(p, edges, 24))
+        fine = totals(_panels_dd_numpy(p, edges))
         with mpmath.workdps(40):
             err = abs(mpmath.mpc(as_mp(r.re_dd), as_mp(r.im_dd))
                       - mpmath.mpc(as_mp(fine[0]), as_mp(fine[1])))
@@ -284,12 +289,13 @@ class TestEmbeddedCertificate:
             oscillatory_quadrature(p)
         assert len(passes) == 1
 
-    def test_interior_pole_stagnates(self):
+    def test_interior_pole_stagnates(self, monkeypatch):
         # The certificate alternates between two values as the pole moves
         # between panels; the stagnation count must not reset on the way down.
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 20_000)
         p = make_problem("T*x", "1/(x-1.4)", 1.0, 2.0, n=2, T=16.0)
         with pytest.raises(QuadratureNonConvergence, match="stagnated"):
-            oscillatory_quadrature(p, QuadratureSettings(max_panels=20_000))
+            oscillatory_quadrature(p)
 
 
 # Transcendental phases: eval_dd takes sin in float64, and that rounding,
@@ -318,7 +324,7 @@ class TestRoundingNoise:
                     ref += half * w * (1 + slope * x) * mpmath.expjpi(2 * phase)
             err = abs(r.mp_value() - ref)
         assert r.diff < QuadratureSettings().tol and err <= r.diff
-        sums = _panels_dd_numpy(p, edges, 24)
+        sums = _panels_dd_numpy(p, edges)
         assert sums.noise.sum() > sums.cert.sum()  # the rounding binds
 
     @pytest.mark.parametrize("g, slope, alpha, beta, T", TRANSCENDENTAL)
@@ -376,9 +382,9 @@ class TestLocalRefinement:
             elements.append(f[0].size)
             return e_unit_dd(f)
 
-        def recording(p, edges, order, panels=None):
+        def recording(p, edges, panels=None):
             passes.append((edges, panels, len(elements)))
-            return panels_dd(p, edges, order, panels)
+            return panels_dd(p, edges, panels)
 
         monkeypatch.setattr(ddmath, "e_unit_dd", counting)
         monkeypatch.setattr(oracle, "_panels_dd_numpy", recording)
@@ -409,15 +415,15 @@ class TestLocalRefinement:
         passes = []
         panels_dd = oracle._panels_dd_numpy
 
-        def recording(p, edges, order, panels=None):
+        def recording(p, edges, panels=None):
             passes.append(edges)
-            return panels_dd(p, edges, order, panels)
+            return panels_dd(p, edges, panels)
 
         monkeypatch.setattr(oracle, "_panels_dd_numpy", recording)
         p = make_problem(f, g, alpha, beta, n=2, T=T)
         r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=tol))
         assert r.doublings >= refinements
-        sums = panels_dd(p, passes[-1], 24)
+        sums = panels_dd(p, passes[-1])
         diff = (float(np.hypot(*sums.null.sum(axis=-1)) + sums.excess.sum())
                 + float(sums.noise.sum()))
         assert [float(v).hex() for part in totals(sums) for v in part] == \
@@ -436,7 +442,7 @@ class TestLocalRefinement:
         p = make_problem(f, g, alpha, beta, n=n, T=T)
         r = oscillatory_quadrature_detail(p)
         monkeypatch.setattr(oracle, "_PHASE_PER_PANEL", 0.45)
-        fine = totals(_panels_dd_numpy(p, _bisect_edges(build_breakpoints(p)), 24))
+        fine = totals(_panels_dd_numpy(p, _bisect_edges(build_breakpoints(p))))
         with mpmath.workdps(40):
             for got, want in zip((r.re_dd, r.im_dd), fine):
                 assert abs(as_mp(got) - as_mp(want)) < 1e-30
@@ -457,9 +463,9 @@ class TestLocalRefinement:
         passes = []
         panels_dd = oracle._panels_dd_numpy
 
-        def recording(p, edges, order, panels=None):
+        def recording(p, edges, panels=None):
             passes.append(edges)
-            return panels_dd(p, edges, order, panels)
+            return panels_dd(p, edges, panels)
 
         monkeypatch.setattr(oracle, "_panels_dd_numpy", recording)
         r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=1e-20))
@@ -519,7 +525,7 @@ def record_blocks(monkeypatch):
 
 def serial_pass(p, edges):
     """The pass as one serial loop: every chunk here."""
-    return oracle._chunk_results(p.f, p.g, p.bindings, edges[:-1], edges[1:], 24)
+    return oracle._chunk_results(p.f, p.g, p.bindings, edges[:-1], edges[1:])
 
 
 def as_hex(sums):
@@ -553,7 +559,7 @@ class TestHelperInterpreters:
         assert all(os.sched_getaffinity(h.proc.pid) == os.sched_getaffinity(0)
                    for h in helpers)
         blocks = record_blocks(monkeypatch)
-        got = _panels_dd_numpy(p, edges, 24)
+        got = _panels_dd_numpy(p, edges)
         assert len(blocks) == 1 and 0 < blocks[0] < len(edges) - 1
         assert as_hex(got) == serial
 
@@ -570,7 +576,7 @@ class TestHelperInterpreters:
         helpers = ready_helpers(n_chunks)
         blocks = record_blocks(monkeypatch)
         with pytest.raises(QuadratureNonConvergence) as split:
-            _panels_dd_numpy(p, edges, 24)
+            _panels_dd_numpy(p, edges)
         assert str(split.value) == str(serial.value)
         assert len(blocks) == 2 and sum(blocks) == len(edges) - 1
         # An error in a job leaves the helper running.
@@ -583,12 +589,12 @@ class TestHelperInterpreters:
         for helper in helpers:
             helper.proc.kill()
             helper.proc.wait(timeout=HELPER_WAIT_S)
-        assert as_hex(_panels_dd_numpy(p, edges, 24)) == serial
+        assert as_hex(_panels_dd_numpy(p, edges)) == serial
         assert not set(helpers) & set(oracle._HELPERS.helpers)
-        assert as_hex(_panels_dd_numpy(p, edges, 24)) == serial
+        assert as_hex(_panels_dd_numpy(p, edges)) == serial
         # A replacement starts, and its split pass keeps the bits.
         ready_helpers(n_chunks)
-        assert as_hex(_panels_dd_numpy(p, edges, 24)) == serial
+        assert as_hex(_panels_dd_numpy(p, edges)) == serial
 
     def test_interrupt_with_a_job_outstanding_stops_the_helper(
             self, monkeypatch, split_pass):
@@ -600,7 +606,7 @@ class TestHelperInterpreters:
 
         monkeypatch.setattr(oracle, "_chunk_results", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            _panels_dd_numpy(p, edges, 24)
+            _panels_dd_numpy(p, edges)
         for helper in helpers:
             assert helper not in oracle._HELPERS.helpers
             assert helper.proc.returncode is not None
