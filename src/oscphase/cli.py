@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from .coefficients import SCAN_POINTS, PhaseProblem, make_problem
 from .errors import (ConfigError, ExprError, OscPhaseError,
                      QuadratureNonConvergence, StationaryPointError)
-from .expansion import hypothesis_audit, stationary_phase_expand
+from .expansion import (hypothesis_audit, smoothness_warnings,
+                        stationary_phase_expand)
 from .oracle import QuadratureSettings, oscillatory_quadrature_detail
 from .study import (STUDY_MP_DPS, fitted_slopes, oracle_report, parse_grid,
                     rows_to_csv, run_study)
@@ -159,6 +160,8 @@ def cmd_quad(args) -> int:
     print(_fmt_complex_12(result.value))
     print(f"panels: {result.panels}")
     print(f"nodes: {result.nodes}")
+    for w in smoothness_warnings(p, args.scan_points):
+        print(f"warning: {w}")
     return 0
 
 

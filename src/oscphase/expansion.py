@@ -189,20 +189,25 @@ def first_derivative_test(p: PhaseProblem, scan_points: int = SCAN_POINTS,
                            warnings=_input_warnings(p, scan_points))
 
 
-def _input_warnings(p: PhaseProblem, scan_points: int) -> tuple:
+def smoothness_warnings(p: PhaseProblem, scan_points: int = SCAN_POINTS) -> list:
     """One warning per abs(...) in f or g with a kink on the scan grid and
-    per divisor that changes sign there (a pole or a jump), then the n = 1
-    warning.  The grid walks of f and g, which the callers have made, noted
-    them (GridSample.breaks)."""
+    per divisor that changes sign there (a pole or a jump).  The grid walks
+    of f and g note them (GridSample.breaks); each walk runs once per grid,
+    here if no caller has made it."""
     what = {"abs": "abs(...) in {} has a kink inside [alpha, beta]",
             "/": "a divisor in {} changes sign inside [alpha, beta], "
                  "a pole or a jump"}
     sample = p.sample(scan_points)
-    return tuple([f"{what[op].format(label)} (offset {offset}); "
-                  "smoothness hypotheses fail"
-                  for label in ("f", "g")
-                  for offset, op in sorted(sample.breaks[label])]
-                 + [N1_WARNING] * (p.n == 1))
+    sample.f, sample.g  # the walks fill sample.breaks
+    return [f"{what[op].format(label)} (offset {offset}); "
+            "smoothness hypotheses fail"
+            for label in ("f", "g")
+            for offset, op in sorted(sample.breaks[label])]
+
+
+def _input_warnings(p: PhaseProblem, scan_points: int) -> tuple:
+    """smoothness_warnings, then the n = 1 warning."""
+    return tuple(smoothness_warnings(p, scan_points) + [N1_WARNING] * (p.n == 1))
 
 
 @contextlib.contextmanager

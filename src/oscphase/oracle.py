@@ -20,14 +20,15 @@ Three oracles live here:
   least two chunks of 2^14 nodes per CPU starts one helper interpreter per
   spare CPU (a fresh "python -c" that imports this file; about 0.45 s to
   ready, 35 MB idle and up to about 80 MB at T = 2^18), without waiting for
-  it; later passes hand each ready helper a contiguous block of chunks and
-  join the per-panel results here, in panel order.  A panel's numbers do
-  not depend on its block, so every bit is that of a serial pass.  The
-  caller polls for a reply without sleeping for up to as long as its own
-  block took.  The helpers live until the process exits.  They see only
-  the expressions, bindings and panel edges of each block: a function
-  monkeypatched in this process is not patched there.  Nothing starts at
-  import, for passes of fewer chunks, or on a machine with one CPU.
+  it.  Every later pass of at least 128 panels per CPU hands each ready
+  helper an equal contiguous block of panels and joins the per-panel
+  results here, in panel order.  A panel's numbers do not depend on its
+  block, so every bit is that of a serial pass.  The caller polls for a
+  reply without sleeping for up to as long as its own block took.  The
+  helpers live until the process exits.  They see only the expressions,
+  bindings and panel edges of each block: a function monkeypatched in this
+  process is not patched there.  Nothing starts at import, for passes of
+  fewer chunks, or on a machine with one CPU.
 * fd_derivatives -- central finite differences, the classic cross-check for
   the jet engine.
 * numeric_reversion_oracle -- brute-force recovery of the varpi coefficients
@@ -67,6 +68,10 @@ _SMOOTH_DECAY = 1e-3  # null-value ratio that marks a panel resolved
 # _SMOOTH_DECAY are calibrated for this rule, and bound its error only.
 _NODES_PER_PANEL = 24
 _CHUNK_PANELS = _CHUNK_NODES // _NODES_PER_PANEL
+# The fewest panels a pass hands each process: a block costs a helper's
+# round trip, about 0.3 ms beyond the block itself, and saves about 15 us a
+# panel (2-core VM), so 128 panels save several round trips.
+_MIN_BLOCK_PANELS = 128
 _MAX_PANELS = 4_000_000
 
 
@@ -254,25 +259,24 @@ def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray,
     boolean mask panels selects, in dd.  A non-finite phase raises
     QuadratureNonConvergence.
 
-    The chunks (_chunk_results) are split into contiguous blocks: this
-    process computes the first, and each ready helper interpreter one of the
-    later ones (_Helpers).  A panel's numbers do not depend on its block, so
-    every bit is that of one serial pass.  A helper sees f, g, the
-    bindings and the block's panel edges, and nothing else: a function
-    monkeypatched in this process is not patched there.
+    The panels are split into equal contiguous blocks: this process
+    computes the first, and each ready helper interpreter one of the later
+    ones (_Helpers).  A panel's numbers do not depend on its block, so every
+    bit is that of one serial pass.  A helper sees f, g, the bindings and
+    the block's panel edges, and nothing else: a function monkeypatched in
+    this process is not patched there.
     """
     a, b = edges[:-1], edges[1:]
     if panels is not None:
         a, b = a[panels], b[panels]
     n_panels = len(a)
-    n_chunks = -(-n_panels // _CHUNK_PANELS)
 
     def jobs(blocks: int) -> list:
-        cuts = [_CHUNK_PANELS * (n_chunks * k // blocks) for k in range(blocks)]
+        cuts = [n_panels * k // blocks for k in range(blocks)]
         return [(p.f, p.g, p.bindings, a[lo:hi], b[lo:hi])
                 for lo, hi in zip(cuts, cuts[1:] + [n_panels])]
 
-    return _PanelSums.join(_HELPERS.run(n_chunks, jobs))
+    return _PanelSums.join(_HELPERS.run(n_panels, jobs))
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -302,7 +306,7 @@ def _refined(sums: _PanelSums, bisected: np.ndarray, children: np.ndarray,
 _BOOT = ("import sys; sys.path.insert(0, sys.argv[1]); "
          "from oscphase.oracle import _serve; _serve(int(sys.argv[2]))")
 # A reply may take this long plus _REPLY_WAIT_RATIO times this process's own
-# block (the blocks differ by at most one chunk); later, the block is
+# block (the blocks differ by at most one panel); later, the block is
 # computed here.
 _REPLY_WAIT_S = 10.0
 _REPLY_WAIT_RATIO = 4.0
@@ -438,8 +442,9 @@ class _Helpers:
     """The helper interpreters of this process, one per spare CPU.
 
     They start on the first call with at least two chunks per process
-    (ready), without waiting for them, and a call uses only those that have
-    reported ready.  They live as long as the process: close runs at exit.
+    (ready), without waiting for them.  A call with at least
+    _MIN_BLOCK_PANELS panels per process uses those that have reported
+    ready.  They live as long as the process: close runs at exit.
     A helper that fails in a job is stopped and replaced on a later call;
     one that fails before it is ready stops all helpers for good, so does
     one that cannot be started.  One call at a time uses them: a call made
@@ -453,14 +458,17 @@ class _Helpers:
         self.helpers = []
         self.lock = threading.Lock()
 
-    def ready(self, n_chunks: int) -> list:
-        """The ready helpers a call with n_chunks chunks may use."""
+    def ready(self, n_panels: int) -> list:
+        """The ready helpers a call with n_panels panels may use: none
+        below _MIN_BLOCK_PANELS per process.  A call with two chunks per
+        process first starts those that are missing."""
         if self.pid != os.getpid():
             self.pid, self.spare, self.helpers = os.getpid(), _spare_cpus(), []
-        if self.spare < 1 or n_chunks < 2 * (1 + self.spare):
+        if self.spare < 1 or n_panels < (1 + self.spare) * _MIN_BLOCK_PANELS:
             return []
+        chunks = -(-n_panels // _CHUNK_PANELS)
         try:
-            while len(self.helpers) < self.spare:
+            while len(self.helpers) < self.spare and chunks >= 2 * (1 + self.spare):
                 self.helpers.append(_Helper())
         except OSError:
             self._give_up()
@@ -471,7 +479,7 @@ class _Helpers:
             return []
         return ready
 
-    def run(self, n_chunks: int, jobs) -> list:
+    def run(self, n_panels: int, jobs) -> list:
         """_chunk_results(*job) for each job of jobs(1 + the number of ready
         helpers), in order: the first here, each later one by its helper, or
         here if that helper returns None."""
@@ -479,7 +487,7 @@ class _Helpers:
             return [_chunk_results(*jobs(1)[0])]
         helpers = []
         try:
-            helpers = self.ready(n_chunks)
+            helpers = self.ready(n_panels)
             mine, *theirs = jobs(1 + len(helpers))
             for helper, job in zip(helpers, theirs):
                 helper.send(job)

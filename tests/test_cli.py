@@ -107,6 +107,23 @@ class TestCmdQuad:
         cfg = write(tmp_path, "fresnel.cfg", FRESNEL_CFG)
         assert main(["quad", "--config", cfg, "--tol", "1e-30"]) == 3
 
+    @pytest.mark.parametrize("g, warnings", [
+        ("1/(x - 1.4144667855116144)",
+         ["warning: a divisor in g changes sign inside [alpha, beta], a pole "
+          "or a jump (offset 1); smoothness hypotheses fail"]),
+        ("1/x", []),
+    ])
+    def test_divisor_that_changes_sign_is_warned(self, tmp_path, capsys, g,
+                                                  warnings):
+        # The oracle still returns a certified number for the pole, which
+        # sits at a panel midpoint; only the warning marks it.
+        cfg = write(tmp_path, "pole.cfg", f"f = T*(x + x^2/10)\ng = {g}\n"
+                    "alpha = 1\nbeta = 2\nn = 2\nT = 16\n")
+        assert main(["quad", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("panels: ") and lines[2].startswith("nodes: ")
+        assert lines[3:] == warnings
+
 
 @pytest.mark.parametrize("command", ["quad", "study"])
 def test_zero_tol_exits_1(tmp_path, capsys, command):

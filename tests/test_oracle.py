@@ -497,12 +497,12 @@ needs_two_cpus = pytest.mark.skipif(oracle._spare_cpus() < 1,
                                     reason="helpers start only with a spare CPU")
 
 
-def ready_helpers(n_chunks):
+def ready_helpers(edges):
     """Start the helper interpreters if need be and wait for them to report
     ready."""
     deadline = time.monotonic() + HELPER_WAIT_S
     while time.monotonic() < deadline:
-        helpers = oracle._HELPERS.ready(n_chunks)
+        helpers = oracle._HELPERS.ready(len(edges) - 1)
         if helpers:
             return helpers
         time.sleep(0.02)
@@ -533,6 +533,11 @@ def as_hex(sums):
     return [float(v).hex() for column in sums for v in np.ravel(column)]
 
 
+# The transcendental pool problem trans[0]: 1,138 panels, two chunks.
+TRANS_0 = {"f": "T*(x + sin(x)/10)", "g": "1 + 0.434*x", "alpha": 0.618,
+           "beta": 1.618, "n": 2, "T": 982.77}
+
+
 @pytest.fixture
 def split_pass():
     """A pass of 14 chunks at T = 2^12, its chunk count and its serial bits.
@@ -545,7 +550,7 @@ def split_pass():
     n_chunks = -(-(len(edges) - 1) // chunk)
     assert n_chunks >= 10
     serial = serial_pass(p, edges)
-    split = chunk * (n_chunks // 2)
+    split = (len(edges) - 1) // 2
     assert serial.excess[:split].any() and serial.excess[split:].any()
     return p, edges, n_chunks, as_hex(serial)
 
@@ -554,13 +559,36 @@ def split_pass():
 class TestHelperInterpreters:
     def test_split_pass_is_the_serial_pass_bit_for_bit(self, monkeypatch, split_pass):
         p, edges, n_chunks, serial = split_pass
-        helpers = ready_helpers(n_chunks)
+        helpers = ready_helpers(edges)
         # Started off this process's CPU; every CPU once ready.
         assert all(os.sched_getaffinity(h.proc.pid) == os.sched_getaffinity(0)
                    for h in helpers)
         blocks = record_blocks(monkeypatch)
         got = _panels_dd_numpy(p, edges)
         assert len(blocks) == 1 and 0 < blocks[0] < len(edges) - 1
+        assert as_hex(got) == serial
+
+    def test_a_two_chunk_pass_is_split_inside_a_chunk(self, monkeypatch,
+                                                      split_pass):
+        # Too few chunks to start the helpers, enough panels to use them.
+        p = make_problem(**TRANS_0)
+        edges = build_breakpoints(p)
+        serial = as_hex(serial_pass(p, edges))
+        helpers = ready_helpers(split_pass[1])
+        blocks = record_blocks(monkeypatch)
+        got = _panels_dd_numpy(p, edges)
+        assert blocks == [(len(edges) - 1) // (1 + len(helpers))]
+        assert blocks[0] < oracle._CHUNK_PANELS
+        assert as_hex(got) == serial
+
+    def test_a_pass_of_a_few_panels_stays_here(self, monkeypatch, split_pass):
+        p = make_problem("x^2", "1", -1.0, 1.0, n=2)
+        edges = build_breakpoints(p)
+        serial = as_hex(serial_pass(p, edges))
+        ready_helpers(split_pass[1])
+        blocks = record_blocks(monkeypatch)
+        got = _panels_dd_numpy(p, edges)
+        assert blocks == [len(edges) - 1] == [22]
         assert as_hex(got) == serial
 
     def test_non_finite_phase_in_a_helper_block_raises_the_serial_error(
@@ -573,7 +601,7 @@ class TestHelperInterpreters:
                          -0.5, 0.5, n=2, T=2.0 ** 12)
         with pytest.raises(QuadratureNonConvergence) as serial:
             serial_pass(p, edges)
-        helpers = ready_helpers(n_chunks)
+        helpers = ready_helpers(edges)
         blocks = record_blocks(monkeypatch)
         with pytest.raises(QuadratureNonConvergence) as split:
             _panels_dd_numpy(p, edges)
@@ -585,7 +613,7 @@ class TestHelperInterpreters:
 
     def test_helper_killed_between_calls(self, split_pass):
         p, edges, n_chunks, serial = split_pass
-        helpers = ready_helpers(n_chunks)
+        helpers = ready_helpers(edges)
         for helper in helpers:
             helper.proc.kill()
             helper.proc.wait(timeout=HELPER_WAIT_S)
@@ -593,13 +621,13 @@ class TestHelperInterpreters:
         assert not set(helpers) & set(oracle._HELPERS.helpers)
         assert as_hex(_panels_dd_numpy(p, edges)) == serial
         # A replacement starts, and its split pass keeps the bits.
-        ready_helpers(n_chunks)
+        ready_helpers(edges)
         assert as_hex(_panels_dd_numpy(p, edges)) == serial
 
     def test_interrupt_with_a_job_outstanding_stops_the_helper(
             self, monkeypatch, split_pass):
         p, edges, n_chunks, _ = split_pass
-        helpers = ready_helpers(n_chunks)
+        helpers = ready_helpers(edges)
 
         def interrupted(*job):
             raise KeyboardInterrupt
@@ -618,7 +646,9 @@ def test_no_helper_without_a_spare_cpu(monkeypatch):
     assert helpers.ready(10 ** 6) == [] and helpers.helpers == []
 
 
-def test_import_and_a_one_chunk_call_start_no_process():
+def fresh_oracle_call(problem: dict):
+    """One oracle call on make_problem(**problem) in a fresh interpreter:
+    its panels, the processes it started and this module's helpers."""
     code = ("import os, subprocess\n"
             "started = []\n"
             "class Spy(subprocess.Popen):\n"
@@ -631,14 +661,25 @@ def test_import_and_a_one_chunk_call_start_no_process():
             "from oscphase import oracle\n"
             "from oscphase.coefficients import make_problem\n"
             "r = oracle.oscillatory_quadrature_detail("
-            "make_problem('x^2', '1', -1.0, 1.0, n=2))\n"
+            f"make_problem(**{problem!r}))\n"
             "print(r.panels, len(started), len(oracle._HELPERS.helpers))\n")
     src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=HELPER_WAIT_S,
                          env={**os.environ, "PYTHONPATH": src})
-    panels, started, helpers = map(int, out.stdout.split())
+    return map(int, out.stdout.split())
+
+
+def test_import_and_a_one_chunk_call_start_no_process():
+    panels, started, helpers = fresh_oracle_call(
+        {"f": "x^2", "g": "1", "alpha": -1.0, "beta": 1.0, "n": 2})
     assert panels <= _CHUNK_NODES // 24
+    assert (started, helpers) == (0, 0)
+
+
+def test_a_two_chunk_call_starts_no_process():
+    panels, started, helpers = fresh_oracle_call(TRANS_0)
+    assert _CHUNK_NODES // 24 < panels <= 2 * (_CHUNK_NODES // 24)
     assert (started, helpers) == (0, 0)
 
 
