@@ -17,7 +17,9 @@ Usage:
 Each checkout runs its own benchmark; their BENCHMARK.json must agree on
 the command and the run length.  Runs go one after another, never in
 parallel, so they do not compete for the cores.  Exits 1 on a run that
-fails or reports "correct": false, with that run's stderr.
+fails or reports "correct": false, with that run's stderr, and, as
+perfbench/compare.py does, refuses runs that used different dd backends or
+machines of a different core count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
-from perfbench.compare import load  # noqa: E402  (reads the run logs)
+from perfbench.compare import COMPARABLE, _summary, load  # noqa: E402
 
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9
@@ -69,20 +71,13 @@ def run_once(checkout: pathlib.Path, bench: dict, workload: str, seed: int,
     log.flush()
 
 
-def quartiles(values: list) -> tuple:
-    """(q1, median, q3), as perfbench/compare.py reports them."""
-    if len(values) < 2:
-        return (values[0],) * 3
-    return tuple(statistics.quantiles(values, n=4))
-
-
 def judge(parent: list, change: list, better: str) -> tuple:
     """(pairs the change won, whether a gain may be claimed)."""
     sign = 1 if better == "lower" else -1
     won = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
-    p1, p_median, p3 = quartiles(parent)
-    gap = sign * (p_median - statistics.median(change))
-    return won, won >= WIN_SHARE * len(parent) and gap > p3 - p1
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else [0] * 3
+    gap = sign * (statistics.median(parent) - statistics.median(change))
+    return won, won >= WIN_SHARE * len(parent) and gap > q3 - q1
 
 
 def main(argv=None) -> int:
@@ -117,7 +112,13 @@ def main(argv=None) -> int:
         finally:
             for handle in handles.values():
                 handle.close()
-        values = {side: load(logs[side])[1] for side in SIDES}
+        loaded = {side: load(logs[side]) for side in SIDES}
+    for key in COMPARABLE:  # as perfbench/compare.py refuses them
+        seen = {env.get(key) for envs, _ in loaded.values() for env in envs}
+        if len(seen) > 1:
+            raise SystemExit(f"refusing to compare: runs differ in {key}: "
+                             f"{sorted(map(str, seen))}")
+    values = {side: loaded[side][1] for side in SIDES}
 
     print(f"{args.workload}: {len(args.seeds)} pairs, seeds "
           f"{args.seeds[0]}-{args.seeds[-1]}, --seconds {bench['run_seconds']}")
@@ -129,13 +130,11 @@ def main(argv=None) -> int:
         if not parent or not change or len(parent) != len(change):
             raise SystemExit(f"{metric['name']}: a run reported no value")
         won, gain = judge(parent, change, metric["better"])
-        summary = {side: "{1:.6g} [{0:.6g}, {2:.6g}]".format(*quartiles(v))
-                   for side, v in (("parent", parent), ("change", change))}
         p_median = statistics.median(parent)
         moved = (f"{(statistics.median(change) - p_median) / p_median:+.1%}"
                  if p_median else "n/a")
-        print(f"{metric['name']:18s} {summary['parent']:>34s} "
-              f"{summary['change']:>34s} {moved:>8s} "
+        print(f"{metric['name']:18s} {_summary(parent):>34s} "
+              f"{_summary(change):>34s} {moved:>8s} "
               f"{won:>3d}/{len(parent):<2d}  {'yes' if gain else 'no'}")
     return 0
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from oscphase.cli import main, parse_config
@@ -123,6 +125,24 @@ class TestCmdQuad:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("panels: ") and lines[2].startswith("nodes: ")
         assert lines[3:] == warnings
+
+    @pytest.mark.parametrize("g, scan", [
+        ("sqrt(x - 1)", []),                       # g's jet is undefined at alpha
+        ("abs(x - 1.5)", ["--scan-points", "3"]),  # a kink on a grid point
+    ])
+    def test_scan_that_cannot_walk_g_keeps_the_value(self, tmp_path, capsys,
+                                                     g, scan):
+        cfg = write(tmp_path, "edge.cfg", f"f = T*x\ng = {g}\n"
+                    "alpha = 1\nbeta = 2\nn = 2\nT = 16\n")
+        assert main(["quad", "--config", cfg] + scan) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert re.fullmatch(r"-?\d+\.\d{12} [+-] \d+\.\d{12}i", lines[0])
+        assert lines[1].startswith("panels: ") and lines[2].startswith("nodes: ")
+        assert len(lines) == 4 and lines[3].startswith(
+            "warning: the smoothness scan stopped: ")
+        assert lines[3].endswith("; smoothness hypotheses unchecked")
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["quad", "study"])
