@@ -13,7 +13,11 @@ section for extra expression parameters::
 
 Keys: f, g, alpha, beta, n (required); M, N, T, U (optional; defaults
 M = beta-alpha, N = 1, U = 1, T inferred as max|f''| * M^2 on the scan grid).
-Expressions may reference x, pi, T, M, N, U, and any [params] entries.
+Expressions may reference x, pi, T, M, N, U, and any [params] entries; a
+[params] name may not repeat or be one of x, T, M, N, U.  --scan-points sets
+the density of the problem's one scan grid (PhaseProblem.scan_points), which
+the T fit, the stationary-point search, the audit and the oracle's panel
+split all read.
 
 Exit codes: 0 success, 1 config error, 2 engine/hypothesis error (among
 them NonFinitePhaseError: f is not finite in double-double at an end of the
@@ -40,6 +44,7 @@ from .study import (STUDY_MP_DPS, fitted_slopes, oracle_report, parse_grid,
 
 _TOP_KEYS = ("f", "g", "alpha", "beta", "M", "N", "T", "U", "n")
 _REQUIRED = ("f", "g", "alpha", "beta", "n")
+_BOUND = ("x", "T", "M", "N", "U")  # names the problem binds over [params]
 
 
 @dataclass
@@ -57,11 +62,12 @@ class ProblemConfig:
     T: float | None = None
     params: dict = field(default_factory=dict)
 
-    def to_problem(self, n_override: int | None = None) -> PhaseProblem:
+    def to_problem(self, n_override: int | None = None,
+                   scan_points: int = SCAN_POINTS) -> PhaseProblem:
         return make_problem(self.f, self.g, self.alpha, self.beta,
                             self.n if n_override is None else n_override,
                             T=self.T, M=self.M, N=self.N, U=self.U,
-                            params=self.params)
+                            params=self.params, scan_points=scan_points)
 
 
 def parse_config(text: str) -> ProblemConfig:
@@ -84,6 +90,11 @@ def parse_config(text: str) -> ProblemConfig:
         key = key.strip()
         value = value.strip()
         if section == "params":
+            if key in _BOUND:
+                raise ConfigError(f"line {lineno}: parameter {key} would be "
+                                  "ignored: the problem binds that name")
+            if key in params:
+                raise ConfigError(f"line {lineno}: duplicate parameter: {key}")
             try:
                 params[key] = float(value)
             except ValueError:
@@ -124,10 +135,15 @@ def _fmt_complex_12(z: complex) -> str:
     return f"{z.real:.12f} {sign} {abs(z.imag):.12f}i"
 
 
+def _problem(args) -> PhaseProblem:
+    """The config's problem at the --n order, on the --scan-points grid."""
+    return _load(args.config).to_problem(n_override=args.n_int,
+                                          scan_points=args.scan_points)
+
+
 def cmd_expand(args) -> int:
-    cfg = _load(args.config)
-    p = cfg.to_problem(n_override=args.n_int)
-    res = stationary_phase_expand(p, scan_points=args.scan_points)
+    p = _problem(args)
+    res = stationary_phase_expand(p)
     cs = res.coefficients
     print(f"theorem: weighted stationary phase (order n = {p.n})")
     print(f"orientation: {res.orientation}")
@@ -153,10 +169,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_quad(args) -> int:
-    cfg = _load(args.config)
-    p = cfg.to_problem(n_override=args.n_int)
-    result = oscillatory_quadrature_detail(p, QuadratureSettings(tol=args.tol),
-                                           scan_points=args.scan_points)
+    p = _problem(args)
+    result = oscillatory_quadrature_detail(p, QuadratureSettings(tol=args.tol))
     print(_fmt_complex_12(result.value))
     print(f"panels: {result.panels}")
     print(f"nodes: {result.nodes}")
@@ -164,7 +178,7 @@ def cmd_quad(args) -> int:
     # visits alpha, beta and the grid, where g's jet may be undefined (as for
     # sqrt(x - 1) at x = 1).  The value stands either way.
     try:
-        warnings = smoothness_warnings(p, args.scan_points)
+        warnings = smoothness_warnings(p)
     except ExprDomainError as exc:
         warnings = [f"the smoothness scan stopped: {exc}; "
                     "smoothness hypotheses unchecked"]
@@ -189,9 +203,8 @@ def cmd_study(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = _load(args.config)
-    p = cfg.to_problem(n_override=args.n_int)
-    a = hypothesis_audit(p, scan_points=args.scan_points)
+    p = _problem(args)
+    a = hypothesis_audit(p)
     for r in sorted(a.C_f):
         print(f"C_f[{r}] = {a.C_f[r]:.17g}")
     for s in sorted(a.C_g):
@@ -232,7 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "comma-separated list (study)")
         if name != "study":
             s.add_argument("--scan-points", type=int, default=SCAN_POINTS,
-                           help="stationary-scan grid density (default 512)")
+                           help="density of the problem's scan grid "
+                                "(default 512)")
         if name == "quad":
             s.add_argument("--tol", type=float, default=QuadratureSettings.tol,
                            help="quadrature tolerance (default %(default)s)")

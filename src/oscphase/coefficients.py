@@ -11,7 +11,7 @@ fast the truncated expansion of g(x) dx/dy approaches the real thing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -26,7 +26,7 @@ from .exprs import Expr, eval_dd, eval_jet, eval_real, parse, symbols
 from .jets import (Jet, jet_compose, jet_differentiate, jet_map, jet_mul,
                    jet_revert, jet_truncate, jet_variable)
 
-SCAN_POINTS = 512  # sign-change scan density; CLI-overridable
+SCAN_POINTS = 512  # default scan grid density (PhaseProblem.scan_points)
 NEWTON_STEPS = 60  # cap on the Newton polish of the stationary point
 BISECT_DEPTH = 10  # bisection steps per grid walk of f' (2^10 + 1 points)
 
@@ -52,8 +52,8 @@ class GridSample:
     kinks, poles and jumps on the grid (eval_jet).  make_problem fills f in
     when it infers T, from the walk that reads f''."""
 
-    def __init__(self, p: "PhaseProblem", scan_points: int):
-        self.xs = np.linspace(p.alpha, p.beta, scan_points)
+    def __init__(self, p: "PhaseProblem"):
+        self.xs = np.linspace(p.alpha, p.beta, p.scan_points)
         self.gamma = None
         self.breaks = {"f": [], "g": []}
         # No reference to p, which holds this sample: a cycle would keep
@@ -148,7 +148,9 @@ class PhaseProblem:
     """One integral: f, g, the interval, and the size parameters M, N, T, U.
 
     n is the expansion order.  The error theory is certified for n >= 2;
-    n = 1 is accepted and flagged by reports.
+    n = 1 is accepted and flagged by reports.  scan_points is the density of
+    the one grid (sample) that every scan, gamma search, audit and panel
+    split of the problem reads.
     """
 
     f: Expr
@@ -161,34 +163,41 @@ class PhaseProblem:
     N: float = 1.0
     U: float = 1.0
     params: dict = field(default_factory=dict)
-    _samples: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    scan_points: int = SCAN_POINTS
     _points: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name, value in self.params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"parameter {name} must be finite")
         if not self.alpha < self.beta:
             raise ValueError("alpha must be less than beta")
         if self.M < self.beta - self.alpha:
             raise ValueError("M must be at least beta - alpha")
         for name in ("M", "N", "T", "U"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.scan_points < 2:
+            raise ValueError("scan_points must be at least 2")
 
     @property
     def bindings(self) -> dict:
         return {**self.params, "T": self.T, "M": self.M,
                 "N": self.N, "U": self.U}
 
-    def sample(self, scan_points: int = SCAN_POINTS) -> GridSample:
-        """The problem's f and g on its scan grid, built once per grid."""
-        if scan_points < 2:
-            raise ValueError("scan_points must be at least 2")
-        if scan_points not in self._samples:
-            self._samples[scan_points] = GridSample(self, scan_points)
-        return self._samples[scan_points]
+    def sample(self) -> GridSample:
+        """The problem's f and g on its scan grid, built on first use."""
+        return self._sample
+
+    @cached_property
+    def _sample(self) -> GridSample:
+        return GridSample(self)
 
     def hold_jets(self, points, f_degree: int, g_degree: int) -> None:
         """Keep f (to f_degree) and g (to g_degree) at these points, each
@@ -249,34 +258,28 @@ class PhaseProblem:
 
 def make_problem(f: str, g: str, alpha: float, beta: float, n: int,
                  T: float | None = None, M: float | None = None,
-                 N: float = 1.0, U: float = 1.0,
-                 params: dict | None = None) -> PhaseProblem:
+                 N: float = 1.0, U: float = 1.0, params: dict | None = None,
+                 scan_points: int = SCAN_POINTS) -> PhaseProblem:
     """Convenience constructor from expression strings with the standard
     defaults (M = beta - alpha, N = U = 1, T inferred from curvature).
 
     T may be omitted only when f does not read it (a params entry named T
     does not stand in for it: the problem binds T itself).  Inferring T
-    walks f on the scan grid to the degree of the problem's grid sample,
+    walks f on the problem's scan grid, to the degree of its grid sample,
     which keeps that walk, so the scans that follow do not walk f again."""
     f_expr, g_expr = parse(f), parse(g)
-    params = dict(params or {})
-    if M is None:
-        M = beta - alpha
-    f_grid = None
-    if T is None:
-        if "T" in symbols(f_expr):
-            raise ConfigError("T is required: f references the parameter T")
-        xs = np.linspace(alpha, beta, SCAN_POINTS)
-        breaks = []
-        f_grid = grid_jet(f_expr, xs, max(2 * n + 3, 2),  # n < 1 fails below
-                          {**params, "M": M, "N": N, "U": U}, breaks)
-        T = infer_T(f_grid, M)
+    if T is None and "T" in symbols(f_expr):
+        raise ConfigError("T is required: f references the parameter T")
     p = PhaseProblem(f=f_expr, g=g_expr, alpha=alpha, beta=beta, n=n,
-                     T=float(T), M=float(M), N=float(N), U=float(U),
-                     params=params)
-    if f_grid is not None:
-        p.sample().__dict__["f"] = f_grid  # the cached_property's value
-        p.sample().breaks["f"] = breaks
+                     T=1.0 if T is None else float(T),
+                     M=float(beta - alpha if M is None else M),
+                     N=float(N), U=float(U), params=dict(params or {}),
+                     scan_points=scan_points)
+    if T is None:  # f does not read the stand-in T: keep its walk
+        draft = p.sample()
+        p = replace(p, T=infer_T(draft.f, p.M))
+        p.sample().__dict__["f"] = draft.f  # the cached_property's value
+        p.sample().breaks["f"] = draft.breaks["f"]
     return p
 
 
@@ -289,8 +292,7 @@ def infer_T(f_grid: tuple, M: float) -> float:
     return worst * M * M
 
 
-def find_stationary_point(p: PhaseProblem,
-                          scan_points: int = SCAN_POINTS) -> float:
+def find_stationary_point(p: PhaseProblem) -> float:
     """Locate the single interior zero of f', or raise.
 
     Reads f' from the problem's grid sample, then refines the bracketed sign
@@ -300,7 +302,7 @@ def find_stationary_point(p: PhaseProblem,
     the problem holds f and g at gamma, alpha and beta to the degrees an
     expansion reads there (hold_jets), from the residual check on.
     """
-    sample = p.sample(scan_points)
+    sample = p.sample()
     if sample.gamma is not None:
         return sample.gamma
     brackets = sample.sign_changes()

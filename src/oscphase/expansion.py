@@ -22,9 +22,8 @@ import mpmath
 import numpy as np
 
 from . import ddmath, scalars
-from .coefficients import (SCAN_POINTS, CoefficientSet, PhaseProblem,
-                           compute_coefficients, find_stationary_point,
-                           grid_sup, mp_coefficients)
+from .coefficients import (CoefficientSet, PhaseProblem, compute_coefficients,
+                           find_stationary_point, grid_sup, mp_coefficients)
 from .errors import (DegenerateStationaryPoint, NonFinitePhaseError,
                      SignChangeDetected, StationaryPointError,
                      StationaryTooCloseToEndpoint)
@@ -103,14 +102,13 @@ class AuditReport:
     warnings: tuple = ()
 
 
-def _weight_scale(p: PhaseProblem, s_max: int,
-                  scan_points: int = SCAN_POINTS) -> float:
+def _weight_scale(p: PhaseProblem, s_max: int) -> float:
     """Effective weight size: U capped by the fitted sup of |g^(s)| N^s.
 
     Keeps the error scale honest when the weight is much smaller than the
     declared U (a weight that is identically zero has zero error scale).
     """
-    g = p.sample(scan_points).g
+    g = p.sample().g
     fitted = max(grid_sup(abs(g[s])) * math.factorial(s) * p.N ** s
                  for s in range(s_max + 1))
     return min(p.U, fitted)
@@ -146,12 +144,11 @@ def boundary_terms(p: PhaseProblem, x0: float, count: int) -> list:
     return values
 
 
-def fdt_error_terms(p: PhaseProblem, min_fprime: float,
-                    scan_points: int = SCAN_POINTS) -> list[float]:
+def fdt_error_terms(p: PhaseProblem, min_fprime: float) -> list[float]:
     """The three error-term magnitudes of the first-derivative test with all
     constants set to one; min_fprime is min(|f'(alpha)|, |f'(beta)|)."""
     n, M, N, T = p.n, p.M, p.N, p.T
-    u_eff = _weight_scale(p, n + 1, scan_points)
+    u_eff = _weight_scale(p, n + 1)
     m = min_fprime
     e1 = 0.0
     for j in range(1, n // 2 + 1):
@@ -166,10 +163,10 @@ def fdt_error_terms(p: PhaseProblem, min_fprime: float,
     return [e1, e2, e3]
 
 
-def first_derivative_test(p: PhaseProblem, scan_points: int = SCAN_POINTS,
+def first_derivative_test(p: PhaseProblem, *,
                           mp_dps: int | None = None) -> ExpansionResult:
     """Boundary-only expansion, valid when f' and f'' keep constant signs."""
-    f = p.sample(scan_points).f
+    f = p.sample().f
     if not (np.all(f[1] > 0) or np.all(f[1] < 0)):
         raise SignChangeDetected(
             "f' changes sign or vanishes on the grid; use the stationary path")
@@ -181,23 +178,23 @@ def first_derivative_test(p: PhaseProblem, scan_points: int = SCAN_POINTS,
         b_alpha, b_beta = _end_terms(p, num(p.alpha), num(p.beta), p.n)
         value, main = b_beta - b_alpha, num(0) + 0j  # main: a complex zero
     min_fp = min(abs(p.fprime(p.alpha)), abs(p.fprime(p.beta)))
-    error_scale = float(sum(fdt_error_terms(p, min_fp, scan_points)))
+    error_scale = float(sum(fdt_error_terms(p, min_fp)))
     return ExpansionResult(value=value, main_term=main,
                            boundary_alpha=b_alpha, boundary_beta=b_beta,
                            per_order_main=(), error_scale=error_scale,
                            orientation=orientation, theorem="fdt",
-                           warnings=_input_warnings(p, scan_points))
+                           warnings=_input_warnings(p))
 
 
-def smoothness_warnings(p: PhaseProblem, scan_points: int = SCAN_POINTS) -> list:
+def smoothness_warnings(p: PhaseProblem) -> list:
     """One warning per abs(...) in f or g with a kink on the scan grid and
     per divisor that changes sign there (a pole or a jump).  The grid walks
-    of f and g note them (GridSample.breaks); each walk runs once per grid,
-    here if no caller has made it."""
+    of f and g note them (GridSample.breaks); each walk runs once per
+    problem, here if no caller has made it."""
     what = {"abs": "abs(...) in {} has a kink inside [alpha, beta]",
             "/": "a divisor in {} changes sign inside [alpha, beta], "
                  "a pole or a jump"}
-    sample = p.sample(scan_points)
+    sample = p.sample()
     sample.f, sample.g  # the walks fill sample.breaks
     return [f"{what[op].format(label)} (offset {offset}); "
             "smoothness hypotheses fail"
@@ -205,9 +202,9 @@ def smoothness_warnings(p: PhaseProblem, scan_points: int = SCAN_POINTS) -> list
             for offset, op in sorted(sample.breaks[label])]
 
 
-def _input_warnings(p: PhaseProblem, scan_points: int) -> tuple:
+def _input_warnings(p: PhaseProblem) -> tuple:
     """smoothness_warnings, then the n = 1 warning."""
-    return tuple(smoothness_warnings(p, scan_points) + [N1_WARNING] * (p.n == 1))
+    return tuple(smoothness_warnings(p) + [N1_WARNING] * (p.n == 1))
 
 
 @contextlib.contextmanager
@@ -238,14 +235,13 @@ def _ordered_sum(values):
     return total
 
 
-def error_scale_terms(p: PhaseProblem, gamma: float,
-                      scan_points: int = SCAN_POINTS) -> list[float]:
+def error_scale_terms(p: PhaseProblem, gamma: float) -> list[float]:
     """The four O-term magnitudes of the stationary-phase expansion, in the
     fixed reporting order, with implied constants set to one."""
     if not (p.alpha < gamma < p.beta):
         raise StationaryTooCloseToEndpoint("gamma must lie strictly inside")
     n, M, N, T = p.n, p.M, p.N, p.T
-    u_eff = _weight_scale(p, 2 * n + 1, scan_points)
+    u_eff = _weight_scale(p, 2 * n + 1)
     da, db = gamma - p.alpha, p.beta - gamma
     t1 = (u_eff * M ** (2 * n + 5) / (T ** (n + 2) * N ** (n + 2))
           * (da ** -(n + 2) + db ** -(n + 2)))
@@ -257,7 +253,7 @@ def error_scale_terms(p: PhaseProblem, gamma: float,
     return [t1, t2, t3, t4]
 
 
-def stationary_phase_expand(p: PhaseProblem, scan_points: int = SCAN_POINTS,
+def stationary_phase_expand(p: PhaseProblem, *,
                             mp_dps: int | None = None) -> ExpansionResult:
     """Full stationary-phase expansion around the single interior zero of f'.
 
@@ -266,7 +262,7 @@ def stationary_phase_expand(p: PhaseProblem, scan_points: int = SCAN_POINTS,
     from the oriented coefficients.  With mp_dps set, the coefficients,
     phases and boundary terms run in mpmath at that precision.
     """
-    gamma = find_stationary_point(p, scan_points)
+    gamma = find_stationary_point(p)
     width = p.beta - p.alpha
     if min(gamma - p.alpha, p.beta - gamma) < 1e-6 * width:
         raise StationaryTooCloseToEndpoint(
@@ -278,7 +274,7 @@ def stationary_phase_expand(p: PhaseProblem, scan_points: int = SCAN_POINTS,
         raise DegenerateStationaryPoint(
             f"f''(gamma) = {d2:.3e} within tolerance of zero")
     sigma = 1 if d2 > 0 else -1
-    audit = hypothesis_audit(p, scan_points)
+    audit = hypothesis_audit(p)
     warnings = [N1_WARNING] if p.n == 1 else []
     if sigma < 0:
         warnings.append("maximum orientation: sigma = -1 (f''(gamma) < 0)")
@@ -292,7 +288,7 @@ def stationary_phase_expand(p: PhaseProblem, scan_points: int = SCAN_POINTS,
     with _arithmetic(mp_dps):
         cs = (compute_coefficients(p, gamma=gamma) if mp_dps is None
               else mp_coefficients(p, mp_dps))
-        result = _wsp_core(p, cs, sigma, scan_points)
+        result = _wsp_core(p, cs, sigma)
     if sigma < 0 and mp_dps is not None:
         result = _frozen_max_rounding(result)
     return replace(result, audit=audit, warnings=tuple(dict.fromkeys(warnings)))
@@ -311,8 +307,7 @@ def _frozen_max_rounding(res: ExpansionResult) -> ExpansionResult:
                    **{name: rounded(getattr(res, name)) for name in parts})
 
 
-def _wsp_core(p: PhaseProblem, cs: CoefficientSet, sigma: int,
-              scan_points: int) -> ExpansionResult:
+def _wsp_core(p: PhaseProblem, cs: CoefficientSet, sigma: int) -> ExpansionResult:
     n = p.n
     lam2 = cs.lam[2]
     num = type(cs.gamma)  # float, or mpf at the working precision
@@ -331,7 +326,7 @@ def _wsp_core(p: PhaseProblem, cs: CoefficientSet, sigma: int,
 
     b_alpha, b_beta = _end_terms(p, num(p.alpha), num(p.beta), n + 1)
     value = main + b_beta - b_alpha
-    error_scale = float(sum(error_scale_terms(p, float(cs.gamma), scan_points)))
+    error_scale = float(sum(error_scale_terms(p, float(cs.gamma))))
     return ExpansionResult(value=value, main_term=main, boundary_alpha=b_alpha,
                            boundary_beta=b_beta, per_order_main=tuple(per_order),
                            error_scale=error_scale,
@@ -339,8 +334,7 @@ def _wsp_core(p: PhaseProblem, cs: CoefficientSet, sigma: int,
                            theorem="wsp", gamma=float(cs.gamma), coefficients=cs)
 
 
-def hypothesis_audit(p: PhaseProblem,
-                     scan_points: int = SCAN_POINTS) -> AuditReport:
+def hypothesis_audit(p: PhaseProblem) -> AuditReport:
     """Fit the theorem's size constants on the scan grid and evaluate the
     smallness radius Delta, the validity condition, and the y-ranges r1, r2.
 
@@ -349,7 +343,7 @@ def hypothesis_audit(p: PhaseProblem,
     there is no gamma), so f and -f give the same report but for the
     direction in the sign profile."""
     n, M, N, T, U = p.n, p.M, p.N, p.T, p.U
-    sample = p.sample(scan_points)
+    sample = p.sample()
     f, g = sample.f, sample.g
     c_f = {r: grid_sup(abs(f[r])) * math.factorial(r) * M ** r / T
            for r in range(2, 2 * n + 4)}
@@ -369,7 +363,7 @@ def hypothesis_audit(p: PhaseProblem,
         _, near, f_lo = changes[0]
         direction = "- to +" if f_lo < 0 else "+ to -"
         try:
-            gamma = find_stationary_point(p, scan_points)
+            gamma = find_stationary_point(p)
             sign_profile = f"f' changes sign once ({direction}) at gamma = {gamma!r}"
             lam2 = p.fprime2(gamma)[1] / 2.0
             if lam2 != 0:
@@ -409,4 +403,4 @@ def hypothesis_audit(p: PhaseProblem,
                        r1=r1, r2=r2, r=r_val,
                        M_ok=bool(M >= p.beta - p.alpha),
                        sign_profile=sign_profile,
-                       warnings=_input_warnings(p, scan_points))
+                       warnings=_input_warnings(p))

@@ -51,8 +51,8 @@ import mpmath
 import numpy as np
 
 from . import ddmath
-from .coefficients import (SCAN_POINTS, PhaseProblem, bisect_fprime,
-                           mp_refine_gamma, solve_x_of_y)
+from .coefficients import (PhaseProblem, bisect_fprime, mp_refine_gamma,
+                           solve_x_of_y)
 from .errors import OracleFitError, QuadratureNonConvergence
 from .exprs import Expr, eval_array, eval_dd, eval_dd_error, eval_real
 from .expansion import hypothesis_audit
@@ -137,11 +137,11 @@ def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
     return edges
 
 
-def build_breakpoints(p: PhaseProblem, scan_points: int = SCAN_POINTS) -> np.ndarray:
+def build_breakpoints(p: PhaseProblem) -> np.ndarray:
     """Initial panel edges: split at f' sign changes, then by phase (see
     _piece_breakpoints for the phase changes it refuses)."""
     roots = [bisect_fprime(p, *bracket, steps=60)
-             for bracket in p.sample(scan_points).sign_changes()]
+             for bracket in p.sample().sign_changes()]
     cuts = [p.alpha] + roots + [p.beta]
     parts = []
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -566,9 +566,9 @@ class QuadratureResult:
                 + 1j * (mpmath.mpf(float(self.im_dd[0])) + mpmath.mpf(float(self.im_dd[1]))))
 
 
-def oscillatory_quadrature_detail(p: PhaseProblem,
-                                  settings: QuadratureSettings | None = None,
-                                  scan_points: int = SCAN_POINTS) -> QuadratureResult:
+def oscillatory_quadrature_detail(
+        p: PhaseProblem,
+        settings: QuadratureSettings | None = None) -> QuadratureResult:
     """Full-detail quadrature result (dd parts exposed for the studies).
 
     Starts on the phase-split panels (build_breakpoints).  Each pass is
@@ -586,7 +586,7 @@ def oscillatory_quadrature_detail(p: PhaseProblem,
     only on its final panels.  Once diff < tol, Q is returned.
     """
     settings = settings or QuadratureSettings()
-    edges = build_breakpoints(p, scan_points)
+    edges = build_breakpoints(p)
     new = None  # the panels the next pass evaluates; None for all of them
     refinements = nodes = 0
     best = None

@@ -77,6 +77,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(FRESNEL_CFG + "f = x\n")
 
+    def test_duplicate_parameter(self):
+        with pytest.raises(ConfigError, match="line 8: duplicate parameter: c"):
+            parse_config(FRESNEL_CFG + "[params]\nc = 1\nc = 2\n")
+
+    @pytest.mark.parametrize("name", ["x", "T", "M", "N", "U"])
+    def test_parameter_the_problem_binds(self, name):
+        # [params] M = 100 with g = 1 + M*x used to give g = 1 + 2*x.
+        with pytest.raises(ConfigError, match=f"line 7: parameter {name} "
+                                              "would be ignored"):
+            parse_config(FRESNEL_CFG + f"[params]\n{name} = 100\n")
+
     def test_t_inferred_from_curvature(self):
         cfg = parse_config(QUADRATIC_CFG)
         p = cfg.to_problem()
@@ -285,6 +296,33 @@ def test_scan_grid_below_two_points_exits_1(tmp_path, capsys, command, points):
     cfg = write(tmp_path, "cubic.cfg", CUBIC_CFG)
     assert main([command, "--config", cfg, "--scan-points", points]) == 1
     assert "scan_points must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_scan_grid_below_two_points_exits_1_when_T_is_inferred(
+        tmp_path, capsys, points):
+    cfg = write(tmp_path, "quadratic.cfg", QUADRATIC_CFG)
+    assert main(["expand", "--config", cfg, "--scan-points", points]) == 1
+    assert "scan_points must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["expand", "audit"])
+@pytest.mark.parametrize("key, value", [
+    ("alpha", "nan"), ("beta", "inf"), ("M", "nan"), ("M", "inf"),
+    ("N", "nan"), ("U", "inf"), ("T", "nan"), ("T", "inf"), ("c", "nan"),
+])
+def test_non_finite_problem_input_exits_1(tmp_path, capsys, command, key,
+                                          value):
+    top = {"f": "T*(x^2 + x^3/3)", "g": "1/(1+c*x^2)", "alpha": "-0.5",
+           "beta": "0.5", "n": "2", "T": "1024"}
+    params = {"c": "0.5"}
+    (params if key == "c" else top)[key] = value
+    text = "".join(f"{k} = {v}\n" for k, v in top.items())
+    text += "[params]\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+    assert main([command, "--config", write(tmp_path, "c.cfg", text)]) == 1
+    captured = capsys.readouterr()
+    field = "parameter c" if key == "c" else key
+    assert captured.err.startswith(f"{field} must be") and captured.out == ""
 
 
 class TestCmdStudy:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 
 from oscphase.coefficients import (PhaseProblem, amplitude_series,
                                    bisect_fprime, compute_coefficients,
-                                   find_stationary_point, make_problem,
-                                   mp_coefficients, recursion_coefficients,
-                                   residual_Q, solve_x_of_y, taylor_data)
+                                   find_stationary_point, grid_jet,
+                                   infer_T, make_problem, mp_coefficients,
+                                   recursion_coefficients, residual_Q,
+                                   solve_x_of_y, taylor_data)
 from oscphase.errors import (ConfigError, DegenerateStationaryPoint,
                              ExprDomainError, MultipleSignChanges,
                              NewtonError, NoSignChange, StationaryAtEndpoint)
@@ -93,8 +95,8 @@ class TestFindStationaryPoint:
         monkeypatch.setattr(PhaseProblem, "fprime", lambda self, x: 0.0)
         monkeypatch.setattr(PhaseProblem, "fprime2",
                             lambda self, x: (x - after[x], 1.0))
-        p = make_problem("x^2", "1", -1.0, 1.0, n=2, T=1.0)
-        assert find_stationary_point(p, scan_points=513) == 0.25
+        p = make_problem("x^2", "1", -1.0, 1.0, n=2, T=1.0, scan_points=513)
+        assert find_stationary_point(p) == 0.25
 
     def test_nan_fprime_at_gamma_raises(self, monkeypatch):
         # Bisection reads f' from grid walks and Newton reads fprime2, so
@@ -260,6 +262,45 @@ class TestMakeProblem:
         # that f is integrated with.
         with pytest.raises(ConfigError, match="T is required"):
             make_problem("T*x^2", "1", -1.0, 1.0, n=2, params={"T": 2.0})
+
+    def test_T_is_inferred_on_the_problem_s_own_grid(self):
+        # |f''| = 49 |sin(7x)| peaks between the points of either grid, so
+        # the 64- and 512-point grids give different T.
+        args = ("sin(7*x)", "1", -0.5, 0.5, 2)
+        p = make_problem(*args, scan_points=64)
+        assert len(p.sample().xs) == 64
+        assert p.T == infer_T(p.sample().f, p.M)
+        walk = grid_jet(p.f, np.linspace(-0.5, 0.5, 64), 2, p.bindings)
+        assert p.T == infer_T(walk, p.M) != make_problem(*args).T
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_scan_points_are_checked_before_T_is_inferred(self, points):
+        with pytest.raises(ValueError, match="scan_points must be at least 2"):
+            make_problem("x^2", "1", -1.0, 1.0, n=2, scan_points=points)
+
+    def test_replace_keeps_the_grid(self):
+        p = make_problem("x^2", "1", -1.0, 1.0, n=2, T=4.0, scan_points=64)
+        q = replace(p, T=8.0)
+        assert q.scan_points == 64 and len(q.sample().xs) == 64
+        assert q.sample() is not p.sample()
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("alpha", {"alpha": math.nan}),
+        ("beta", {"beta": math.inf}),
+        ("alpha", {"alpha": -math.inf}),
+        ("M", {"M": math.nan}),
+        ("M", {"M": math.inf}),
+        ("N", {"N": math.nan}),
+        ("T", {"T": math.nan}),
+        ("T", {"T": math.inf}),
+        ("U", {"U": math.inf}),
+        ("parameter c", {"params": {"c": math.nan}}),
+        ("parameter c", {"params": {"c": -math.inf}}),
+    ])
+    def test_non_finite_inputs_are_refused(self, field, kwargs):
+        args = {"alpha": -1.0, "beta": 1.0, "T": 4.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make_problem("T*x^2", "1 + c*x", n=2, **args)
 
 
 class TestTaylorData:

@@ -233,6 +233,24 @@ class TestStationaryPhaseExpand:
         res_mp = stationary_phase_expand(p, mp_dps=35)
         assert complex(res_mp.value) == pytest.approx(res_f.value, rel=1e-13)
 
+    def test_float_and_mp_read_the_problem_s_one_grid(self):
+        # f' has three zeros 0.004 apart near 0.3: 64 points see one sign
+        # change, 512 points see three.  The mp run used to rescan on 512.
+        p = make_problem("T*((x-0.3)^4/4 - 0.004^2*(x-0.3)^2/2)",
+                         "1/(1+x^2)", 0.0, 1.0, n=2, T=1e6, scan_points=64)
+        res_f = stationary_phase_expand(p)
+        res_mp = stationary_phase_expand(p, mp_dps=30)
+        assert res_mp.gamma == res_f.gamma
+        assert complex(res_mp.value) == pytest.approx(res_f.value, rel=1e-12)
+
+    @pytest.mark.parametrize("expand", [stationary_phase_expand,
+                                        first_derivative_test])
+    def test_mp_dps_is_keyword_only(self, expand):
+        # A positional 512, once a grid density, must not run 512 digits.
+        p = make_problem("T*(x^2 + x^3/3)", "1", -0.5, 0.5, n=2, T=1024.0)
+        with pytest.raises(TypeError):
+            expand(p, 512)
+
 
 class TestWalkCount:
     """Scans read the problem's grid sample instead of walking per point."""
