@@ -8,7 +8,10 @@ odd-numbered ones.  Then prints, per end-to-end metric of the workload, each
 side's median [q1, q3], the change of the median, the pairs the change won
 (ties count for neither) and whether a gain may be claimed: the change won
 at least nine tenths of the pairs, and its median is better than the
-parent's by more than the parent's IQR (q3 - q1).
+parent's by more than the parent's IQR (q3 - q1).  Last, it prints each
+pair's steal share: the share of this machine's CPU time (the "cpu" line of
+/proc/stat, read before and after each run) that its hypervisor gave to
+other guests while the pair ran.  The share takes no part in the judgement.
 
 Usage:
     python3 scripts/pairs.py --parent ../parent --change . \\
@@ -50,17 +53,51 @@ def parse_seeds(text: str) -> range:
     return seeds
 
 
+def cpu_times(stat: str) -> tuple[int, int]:
+    """(steal, total) clock ticks of the aggregate "cpu" line of the text of
+    /proc/stat: total sums user, nice, system, idle, iowait, irq, softirq
+    and steal (guest time is already part of user and nice); a kernel that
+    reports no steal column counts 0."""
+    for line in stat.splitlines():
+        fields = line.split()
+        if fields[:1] == ["cpu"]:
+            ticks = [int(v) for v in fields[1:9]]
+            return (ticks[7] if len(ticks) == 8 else 0), sum(ticks)
+    raise ValueError("no cpu line in /proc/stat")
+
+
+def read_cpu_times() -> tuple[int, int] | None:
+    """cpu_times of this machine now, or None where /proc/stat is missing."""
+    try:
+        return cpu_times(pathlib.Path("/proc/stat").read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return None
+
+
+def steal_share(spans: list) -> float:
+    """The steal share of the (before, after) cpu_times of some runs, nan
+    if any is missing or no tick passed."""
+    if any(None in span for span in spans):
+        return float("nan")
+    steal = sum(after[0] - before[0] for before, after in spans)
+    total = sum(after[1] - before[1] for before, after in spans)
+    return steal / total if total > 0 else float("nan")
+
+
 def benchmark(checkout: pathlib.Path) -> dict:
     return json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def run_once(checkout: pathlib.Path, bench: dict, workload: str, seed: int,
-             log) -> None:
-    """Append the stdout of one untraced run to log; exit 1 if it failed."""
+             log) -> tuple:
+    """Append the stdout of one untraced run to log and return the
+    machine's cpu_times before and after it; exit 1 if it failed."""
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(bench["run_seconds"])]
+    before = read_cpu_times()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=False)
+    after = read_cpu_times()
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
     if proc.returncode != 0 or result.get("correct") is not True:
@@ -69,6 +106,7 @@ def run_once(checkout: pathlib.Path, bench: dict, workload: str, seed: int,
                          f"{proc.stderr[-2000:]}")
     log.write(proc.stdout)
     log.flush()
+    return before, after
 
 
 def judge(parent: list, change: list, better: str) -> tuple:
@@ -98,17 +136,20 @@ def main(argv=None) -> int:
     if args.workload not in [w["name"] for w in bench["workloads"]]:
         raise SystemExit(f"BENCHMARK.json declares no workload {args.workload}")
 
+    steal = []  # per pair, {side: (before, after)}
     with tempfile.TemporaryDirectory() as tmp:
         logs = {side: pathlib.Path(tmp, f"{side}.log") for side in SIDES}
         handles = {side: logs[side].open("w") for side in SIDES}
         try:
             for pair, seed in enumerate(args.seeds):
+                steal.append({})
                 for side in SIDES[::-1] if pair % 2 else SIDES:
                     t0 = time.perf_counter()
-                    run_once(checkouts[side], bench, args.workload, seed,
-                             handles[side])
-                    print(f"seed {seed} {side}: {time.perf_counter() - t0:.0f} s",
-                          file=sys.stderr)
+                    span = run_once(checkouts[side], bench, args.workload,
+                                    seed, handles[side])
+                    steal[-1][side] = span
+                    print(f"seed {seed} {side}: {time.perf_counter() - t0:.0f} s, "
+                          f"steal {steal_share([span]):.1%}", file=sys.stderr)
         finally:
             for handle in handles.values():
                 handle.close()
@@ -136,6 +177,11 @@ def main(argv=None) -> int:
         print(f"{metric['name']:18s} {_summary(parent):>34s} "
               f"{_summary(change):>34s} {moved:>8s} "
               f"{won:>3d}/{len(parent):<2d}  {'yes' if gain else 'no'}")
+    print("steal share per pair (of this machine's CPU time while it ran):")
+    for seed, spans in zip(args.seeds, steal):
+        print(f"  seed {seed}: {steal_share(list(spans.values())):.1%} "
+              f"(parent {steal_share([spans['parent']]):.1%}, "
+              f"change {steal_share([spans['change']]):.1%})")
     return 0
 
 

@@ -33,7 +33,8 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 
-from .coefficients import SCAN_POINTS, PhaseProblem, make_problem
+from .coefficients import (BOUND_NAMES, SCAN_POINTS, PhaseProblem,
+                           make_problem)
 from .errors import (ConfigError, ExprDomainError, ExprError, OscPhaseError,
                      QuadratureNonConvergence, StationaryPointError)
 from .expansion import (hypothesis_audit, smoothness_warnings,
@@ -44,7 +45,6 @@ from .study import (STUDY_MP_DPS, fitted_slopes, oracle_report, parse_grid,
 
 _TOP_KEYS = ("f", "g", "alpha", "beta", "M", "N", "T", "U", "n")
 _REQUIRED = ("f", "g", "alpha", "beta", "n")
-_BOUND = ("x", "T", "M", "N", "U")  # names the problem binds over [params]
 
 
 @dataclass
@@ -90,7 +90,7 @@ def parse_config(text: str) -> ProblemConfig:
         key = key.strip()
         value = value.strip()
         if section == "params":
-            if key in _BOUND:
+            if key in BOUND_NAMES:
                 raise ConfigError(f"line {lineno}: parameter {key} would be "
                                   "ignored: the problem binds that name")
             if key in params:

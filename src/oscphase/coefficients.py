@@ -29,6 +29,7 @@ from .jets import (Jet, jet_compose, jet_differentiate, jet_map, jet_mul,
 SCAN_POINTS = 512  # default scan grid density (PhaseProblem.scan_points)
 NEWTON_STEPS = 60  # cap on the Newton polish of the stationary point
 BISECT_DEPTH = 10  # bisection steps per grid walk of f' (2^10 + 1 points)
+BOUND_NAMES = ("x", "T", "M", "N", "U")  # a problem binds these over params
 
 
 def grid_jet(e: Expr, xs: np.ndarray, degree: int, bindings: dict,
@@ -172,6 +173,9 @@ class PhaseProblem:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name, value in self.params.items():
+            if name in BOUND_NAMES:
+                raise ValueError(f"parameter {name} would be ignored: the "
+                                 "problem binds that name")
             if not math.isfinite(value):
                 raise ValueError(f"parameter {name} must be finite")
         if not self.alpha < self.beta:

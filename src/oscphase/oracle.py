@@ -4,7 +4,9 @@ Three oracles live here:
 
 * oscillatory_quadrature -- direct adaptive Gauss-Legendre integration of
   g(x) e(f(x)), starting on panels that each carry at most 0.9 units of
-  phase variation.  Deliberately free of any asymptotic machinery.  The
+  phase variation, or 1.8 where an a-priori bound on their certificates
+  stays within a quarter of tol (a smooth g and a coarse tol, such as the
+  default 1e-12).  Deliberately free of any asymptotic machinery.  The
   integrand is evaluated in double-double so the result stays trustworthy
   at phase scales (T ~ 2^18) where plain float64 drowns in phase jitter.
   The first pass runs on the phase split itself.  Each pass certifies
@@ -39,6 +41,7 @@ Three oracles live here:
 from __future__ import annotations
 
 import atexit
+import functools
 import math
 import os
 import sys
@@ -53,13 +56,15 @@ import numpy as np
 from . import ddmath
 from .coefficients import (PhaseProblem, bisect_fprime, mp_refine_gamma,
                            solve_x_of_y)
-from .errors import OracleFitError, QuadratureNonConvergence
-from .exprs import Expr, eval_array, eval_dd, eval_dd_error, eval_real
+from .errors import ExprDomainError, OracleFitError, QuadratureNonConvergence
+from .exprs import (Expr, eval_array, eval_dd, eval_dd_error, eval_real,
+                    parse)
 from .expansion import hypothesis_audit
 
 # Units of f (turns) per starting panel: on 0.9 turns the 24-node rule
 # stays at the dd floor, and only the panels at a stationary point or a
-# kink need halving.
+# kink need halving.  A tol that allows it starts on twice as many turns
+# (_start_turns), with the panels next to a stationary point kept at 0.9.
 _PHASE_PER_PANEL = 0.9
 _MAX_WIDTH_FRACTION = 1 / 16  # panels also stay narrow so g is resolved
 _CHUNK_NODES = 1 << 14  # one chunk's dd temporaries stay resident in a 2 MB L2
@@ -83,7 +88,11 @@ class QuadratureSettings:
     oscillatory_quadrature_detail).  With polynomial and rational f and g
     it can go down to about 1e-26; a tol below 1e-28 * |value|, or not above
     the float64 rounding of a transcendental f or g (about 3e-13 for
-    T*(x + sin(x)/10) at T = 1000), ends in QuadratureNonConvergence.
+    T*(x + sin(x)/10) at T = 1000), ends in QuadratureNonConvergence.  tol
+    also sets the start: 1.8-turn panels where
+    1.95e-13 * (beta - alpha)/2 * max|g| <= tol/4 and g is smooth on the
+    scan grid (the default tol, on the criterion families), else 0.9-turn
+    panels (see build_breakpoints).
     """
 
     tol: float = 1e-12
@@ -100,8 +109,12 @@ def _drop_repeats(edges: np.ndarray) -> np.ndarray:
     return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
-def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
-    """Panel edges on a monotone-phase piece: equal phase increments.
+def _piece_breakpoints(p: PhaseProblem, a: float, b: float,
+                       turns: float) -> np.ndarray:
+    """Panel edges on a monotone-phase piece: equal phase increments of at
+    most turns.  Where these carry more than _PHASE_PER_PANEL, the panel
+    next to a root of f' (an end of the piece other than alpha or beta),
+    where f is quadratic, is halved in phase.
 
     A phase change that is not finite, or that needs more than _MAX_PANELS
     panels, raises QuadratureNonConvergence before anything is allocated.
@@ -109,20 +122,26 @@ def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
     fa = p.f_value(a)
     fb = p.f_value(b)
     total = abs(fb - fa)
-    if not total <= _MAX_PANELS * _PHASE_PER_PANEL:  # also inf and nan
+    if not total <= _MAX_PANELS * turns:  # also inf and nan
         raise QuadratureNonConvergence(
             f"phase change of {total:.3g} turns over [{a!r}, {b!r}] is not "
             f"finite or needs more than max_panels = {_MAX_PANELS} panels")
-    n_panels = max(1, int(math.ceil(total / _PHASE_PER_PANEL)))
+    n_panels = max(1, int(math.ceil(total / turns)))
     max_width = (p.beta - p.alpha) * _MAX_WIDTH_FRACTION
     n_panels = max(n_panels, int(math.ceil((b - a) / max_width)))
-    if n_panels == 1:
+    wide = turns > _PHASE_PER_PANEL and total > _PHASE_PER_PANEL * n_panels
+    halve = [i for i, at_root in ((1, a > p.alpha), (n_panels, b < p.beta))
+             if wide and at_root]
+    if n_panels == 1 and not halve:
         return np.array([a, b])
     k = max(257, min(4 * n_panels + 1, 4_000_000))
     xs = np.linspace(a, b, k)
     cum = np.abs(eval_array(p.f, xs, p.bindings) - fa)
     cum = np.maximum.accumulate(cum)  # guard tiny non-monotonicity
     levels = np.linspace(0.0, cum[-1], n_panels + 1)
+    # A lone panel between two roots is halved once: its two halves meet.
+    levels = np.insert(levels, halve,
+                       [0.5 * (levels[i - 1] + levels[i]) for i in halve])
     edges = np.interp(levels, cum, xs)
     edges[0], edges[-1] = a, b
     edges = _drop_repeats(edges)
@@ -137,17 +156,49 @@ def _piece_breakpoints(p: PhaseProblem, a: float, b: float) -> np.ndarray:
     return edges
 
 
-def build_breakpoints(p: PhaseProblem) -> np.ndarray:
-    """Initial panel edges: split at f' sign changes, then by phase (see
+@functools.cache
+def _wide_certificate() -> float:
+    """kappa: the certificate (_panel_certificates) of one panel on [-1, 1]
+    with g = 1 and a phase that rises linearly by 2 * _PHASE_PER_PANEL
+    turns.  A panel's certificate scales with its half-width and with g."""
+    sums = _chunk_results(parse(f"{_PHASE_PER_PANEL!r}*x"), parse("1"), {},
+                          np.array([-1.0]), np.array([1.0]))
+    return float(sums.cert[0])
+
+
+def _start_turns(p: PhaseProblem, tol: float | None) -> float:
+    """Turns per start panel: 2 * _PHASE_PER_PANEL where
+    kappa * (beta - alpha)/2 * max|g| <= tol/4 (kappa: _wide_certificate,
+    max|g| on the scan grid), so that on a linear phase the wide panels'
+    certificates sum to a quarter of tol at most.  Else _PHASE_PER_PANEL,
+    as for tol None and for a g with a kink, pole or jump on the grid, one
+    whose grid walk raises and one not finite there."""
+    if tol is None:
+        return _PHASE_PER_PANEL
+    sample = p.sample()
+    try:
+        g_max = float(np.max(np.abs(sample.g[0])))
+    except ExprDomainError:  # as for sqrt(x - 1) at x = 1
+        return _PHASE_PER_PANEL
+    if sample.breaks["g"] or not (
+            _wide_certificate() * (p.beta - p.alpha) / 2 * g_max <= tol / 4):
+        return _PHASE_PER_PANEL  # also nan and inf
+    return 2 * _PHASE_PER_PANEL
+
+
+def build_breakpoints(p: PhaseProblem, tol: float | None = None) -> np.ndarray:
+    """Initial panel edges: split at f' sign changes, then by phase, on
+    panels of _start_turns(p, tol) turns: 0.9 unless tol allows 1.8 (see
     _piece_breakpoints for the phase changes it refuses)."""
     roots = [bisect_fprime(p, *bracket, steps=60)
              for bracket in p.sample().sign_changes()]
+    turns = _start_turns(p, tol)
     cuts = [p.alpha] + roots + [p.beta]
     parts = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b <= a:
             continue
-        edges = _piece_breakpoints(p, a, b)
+        edges = _piece_breakpoints(p, a, b, turns)
         parts.append(edges if not parts else edges[1:])
     return np.concatenate(parts)
 
@@ -571,7 +622,7 @@ def oscillatory_quadrature_detail(
         settings: QuadratureSettings | None = None) -> QuadratureResult:
     """Full-detail quadrature result (dd parts exposed for the studies).
 
-    Starts on the phase-split panels (build_breakpoints).  Each pass is
+    Starts on the phase-split panels (build_breakpoints at tol).  Each pass is
     certified without further integrand evaluations: diff = |sum of the
     panels' weighted embedded null values| + their coarse excess
     (_panel_certificates) + the bound on the float64 rounding of the
@@ -586,7 +637,7 @@ def oscillatory_quadrature_detail(
     only on its final panels.  Once diff < tol, Q is returned.
     """
     settings = settings or QuadratureSettings()
-    edges = build_breakpoints(p)
+    edges = build_breakpoints(p, settings.tol)
     new = None  # the panels the next pass evaluates; None for all of them
     refinements = nodes = 0
     best = None

@@ -302,6 +302,14 @@ class TestMakeProblem:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             make_problem("T*x^2", "1 + c*x", n=2, **args)
 
+    @pytest.mark.parametrize("name", ["x", "T", "M", "N", "U"])
+    def test_a_parameter_the_problem_binds_is_refused(self, name):
+        # params={"M": 100} with g = 1 + M*x used to give g = 1 + 2*x.
+        with pytest.raises(ValueError, match=f"^parameter {name} would be "
+                                             "ignored: the problem binds"):
+            make_problem("T*x^2", "1 + M*x", -1.0, 1.0, n=2, T=100.0,
+                         params={name: 100.0})
+
 
 class TestTaylorData:
     def test_cubic(self, cubic_problem):

@@ -170,7 +170,7 @@ class TestOscillatoryQuadrature:
                 assert abs(as_mp(whole[k]) - as_mp(halves)) < 1e-28
 
         r = oscillatory_quadrature_detail(p)
-        assert r.panels == len(build_breakpoints(p)) - 1
+        assert r.panels == len(build_breakpoints(p, QuadratureSettings().tol)) - 1
         assert within_seed_2_12(r, 1e-30)
 
     def test_transcendental_phase_falls_back(self):
@@ -245,7 +245,7 @@ class TestEmbeddedCertificate:
         settings = QuadratureSettings()
         r = oscillatory_quadrature_detail(p, settings)
         assert r.doublings == 0
-        assert r.panels == len(build_breakpoints(p)) - 1
+        assert r.panels == len(build_breakpoints(p, settings.tol)) - 1
         assert sum(elements) == r.nodes == r.panels * settings.nodes_per_panel
         assert 0 < r.diff < settings.tol
 
@@ -533,7 +533,8 @@ def as_hex(sums):
     return [float(v).hex() for column in sums for v in np.ravel(column)]
 
 
-# The transcendental pool problem trans[0]: 1,138 panels, two chunks.
+# The transcendental pool problem trans[0]: 1,138 panels on the 0.9-turn
+# split, two chunks.
 TRANS_0 = {"f": "T*(x + sin(x)/10)", "g": "1 + 0.434*x", "alpha": 0.618,
            "beta": 1.618, "n": 2, "T": 982.77}
 
@@ -678,9 +679,93 @@ def test_import_and_a_one_chunk_call_start_no_process():
 
 
 def test_a_two_chunk_call_starts_no_process():
-    panels, started, helpers = fresh_oracle_call(TRANS_0)
+    # At the default tol TRANS_0 starts on 1.8-turn panels (569, one chunk):
+    # twice its T gives two chunks again.
+    panels, started, helpers = fresh_oracle_call({**TRANS_0, "T": 2 * TRANS_0["T"]})
     assert _CHUNK_NODES // 24 < panels <= 2 * (_CHUNK_NODES // 24)
     assert (started, helpers) == (0, 0)
+
+
+def record_passes(monkeypatch):
+    """The edges of each oracle pass from now on."""
+    passes = []
+    panels_dd = oracle._panels_dd_numpy
+
+    def recording(p, edges, panels=None):
+        passes.append(edges)
+        return panels_dd(p, edges, panels)
+
+    monkeypatch.setattr(oracle, "_panels_dd_numpy", recording)
+    return passes
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+DEFAULT_TOL = QuadratureSettings().tol
+
+
+class TestStartWidth:
+    """The oracle starts on 1.8-turn panels where
+    kappa * (beta - alpha)/2 * max|g| <= tol/4, else on the 0.9-turn split."""
+
+    def test_kappa_is_the_certificate_of_a_wide_linear_panel(self):
+        # g = 1 and f = 0.9 x on [-1, 1], a panel of 1.8 turns: the dd node
+        # products by hand, then the certificate of their null sums.
+        (xh, xl), (wh, wl) = ddmath.gauss_legendre_dd(24)
+        phase = ddmath.mul((xh, xl), ddmath.from_float(oracle._PHASE_PER_PANEL))
+        e_re, e_im = ddmath.e_unit_dd(phase)
+        node = ddmath.mul((wh, wl), (np.stack((e_re[0], e_im[0])),
+                                     np.stack((e_re[1], e_im[1]))))
+        d = ddmath.sum_nodes(ddmath.mul(node, ddmath.embedded_null_weights(24)))
+        c = (node[0] * ddmath.coarse_null_weights(24)).sum(axis=-1)
+        kappa = float(oracle._panel_certificates(d, c)[2])
+        assert kappa == oracle._wide_certificate()
+        assert 1e-13 < kappa < 3e-13
+
+    def test_a_fine_tol_starts_on_the_phase_split(self, monkeypatch,
+                                                  canonical_family):
+        p = canonical_family(2.0 ** 12)
+        passes = record_passes(monkeypatch)
+        oscillatory_quadrature_detail(p, QuadratureSettings(tol=1e-20))
+        assert same_bits(passes[0], build_breakpoints(p))
+        assert same_bits(build_breakpoints(p, 1e-20), build_breakpoints(p))
+
+    def test_the_default_tol_starts_on_wide_panels(self, monkeypatch,
+                                                   canonical_family):
+        p = canonical_family(2.0 ** 12)
+        passes = record_passes(monkeypatch)
+        r = oscillatory_quadrature_detail(p)
+        start = passes[0]
+        turns = np.abs(np.diff([p.f_value(float(x)) for x in start]))
+        at_gamma = np.argmin(np.abs(start))  # gamma = 0 is an edge
+        assert np.all(turns <= 1.8 + 1e-9)
+        assert np.all(turns[[at_gamma - 1, at_gamma]] <= 0.9 + 1e-9)
+        assert r.doublings == 0 and r.panels == len(start) - 1
+        assert r.panels < 0.51 * (len(build_breakpoints(p)) - 1)
+
+    @pytest.mark.parametrize("f, g, alpha, beta, why", [
+        ("T*(x^2/2 + -0.287*x^3)", "abs(x - 0.269)", -0.473, 0.947, "breaks"),
+        ("T*(x + x^2/10)", "1/(x - 1.4144667855116144)", 1.0, 2.0, "breaks"),
+        ("T*(x + x^2/10)", "sqrt(x - 1)", 1.0, 2.0, "walk raises"),
+        ("T*x", "x^1100", 1.0, 2.0, "not finite"),
+    ])
+    def test_a_g_that_is_not_smooth_on_the_grid_keeps_the_phase_split(
+            self, f, g, alpha, beta, why):
+        p = make_problem(f, g, alpha, beta, n=2, T=16.0)
+        assert oracle._start_turns(p, DEFAULT_TOL) == oracle._PHASE_PER_PANEL
+        assert same_bits(build_breakpoints(p, DEFAULT_TOL), build_breakpoints(p))
+        if why == "walk raises":
+            with pytest.raises(ExprDomainError):
+                p.sample().g
+        elif why == "breaks":
+            assert p.sample().breaks["g"]
+        else:
+            assert not np.all(np.isfinite(p.sample().g[0]))
+        # The same f with g = 1 starts wide.
+        smooth = make_problem(f, "1", alpha, beta, n=2, T=16.0)
+        assert oracle._start_turns(smooth, DEFAULT_TOL) == 1.8
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
