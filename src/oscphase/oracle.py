@@ -19,18 +19,17 @@ Three oracles live here:
   next pass evaluates only their halves.
 
   A pass uses every CPU the process may run on.  The first pass with at
-  least two chunks of 2^14 nodes per CPU starts one helper interpreter per
-  spare CPU (a fresh "python -c" that imports this file; about 0.45 s to
-  ready, 35 MB idle and up to about 80 MB at T = 2^18), without waiting for
-  it.  Every later pass of at least 128 panels per CPU hands each ready
-  helper an equal contiguous block of panels and joins the per-panel
-  results here, in panel order.  A panel's numbers do not depend on its
-  block, so every bit is that of a serial pass.  The caller polls for a
-  reply without sleeping for up to as long as its own block took.  The
-  helpers live until the process exits.  They see only the expressions,
-  bindings and panel edges of each block: a function monkeypatched in this
-  process is not patched there.  Nothing starts at import, for passes of
-  fewer chunks, or on a machine with one CPU.
+  least two chunks of 2^14 nodes per CPU forks one helper process per spare
+  CPU from this one.  A forked helper already holds every module and table,
+  so that pass and every later one of at least 128 panels per CPU hand each
+  helper an equal contiguous block of panels and join the per-panel results
+  here, in panel order.  A panel's numbers do not depend on its block, so
+  every bit is that of a serial pass.  The caller polls for a reply without
+  sleeping for up to as long as its own block took.  The helpers live until
+  the process exits.  A helper runs this module as it was at fork time: a
+  function monkeypatched in this process before the fork is patched there
+  too, and one patched later is not.  Nothing starts at import, for passes
+  of fewer chunks, or on a machine with one CPU.
 * fd_derivatives -- central finite differences, the classic cross-check for
   the jet engine.
 * numeric_reversion_oracle -- brute-force recovery of the varpi coefficients
@@ -44,7 +43,7 @@ import atexit
 import functools
 import math
 import os
-import sys
+import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -274,7 +273,7 @@ def _chunk_results(phase: Expr, weight: Expr, bindings: dict, a: np.ndarray,
     """The _PanelSums of the panels [a[i], b[i]], computed in chunks of
     _CHUNK_NODES nodes.  Each panel's numbers depend on its two edges
     alone.  A non-finite phase raises QuadratureNonConvergence.  Runs in the
-    helper interpreters too.
+    helper processes too.
     """
     (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(_NODES_PER_PANEL)
     d_w = ddmath.embedded_null_weights(_NODES_PER_PANEL)
@@ -311,11 +310,11 @@ def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray,
     QuadratureNonConvergence.
 
     The panels are split into equal contiguous blocks: this process
-    computes the first, and each ready helper interpreter one of the later
-    ones (_Helpers).  A panel's numbers do not depend on its block, so every
-    bit is that of one serial pass.  A helper sees f, g, the bindings and
-    the block's panel edges, and nothing else: a function monkeypatched in
-    this process is not patched there.
+    computes the first, and each helper process one of the later ones
+    (_Helpers).  A panel's numbers do not depend on its block, so every bit
+    is that of one serial pass.  A helper sees f, g, the bindings and the
+    block's panel edges through its pipe, and runs this module as it was
+    when it was forked.
     """
     a, b = edges[:-1], edges[1:]
     if panels is not None:
@@ -349,13 +348,8 @@ def _refined(sums: _PanelSums, bisected: np.ndarray, children: np.ndarray,
     return _PanelSums(*map(column, sums, fresh))
 
 
-# --- helper interpreters ----------------------------------------------------
+# --- helper processes -------------------------------------------------------
 
-# Started by "python -c": the path that holds this oscphase package, then the
-# helper's end of the socket pair.  A fresh interpreter, so nothing of the
-# caller (its __main__, threads or patches) is inherited.
-_BOOT = ("import sys; sys.path.insert(0, sys.argv[1]); "
-         "from oscphase.oracle import _serve; _serve(int(sys.argv[2]))")
 # A reply may take this long plus _REPLY_WAIT_RATIO times this process's own
 # block (the blocks differ by at most one panel); later, the block is
 # computed here.
@@ -364,8 +358,9 @@ _REPLY_WAIT_RATIO = 4.0
 
 
 def _spare_cpus() -> int:
-    """CPUs this process may run on, less the one it runs on itself."""
-    if not sys.executable:
+    """CPUs this process may run on, less the one it runs on itself; none
+    where a process cannot fork."""
+    if not hasattr(os, "fork"):
         return 0
     try:
         return len(os.sched_getaffinity(0)) - 1
@@ -373,87 +368,51 @@ def _spare_cpus() -> int:
         return (os.cpu_count() or 1) - 1
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on (field 39 of Linux's
-    /proc/self/stat), or None where that cannot be read."""
+def _serve(conn, callers: list) -> None:
+    """A forked helper's life on its end of the pipe: with SIGINT ignored
+    (the caller stops helpers), fds 0-2 on /dev/null (no capture of the
+    caller's output waits for it) and callers, the caller's pipe ends,
+    closed, answer each job, the arguments of _chunk_results, with its
+    result, or with None when it raised (the caller then computes the block
+    and raises the serial error).  At end of file, os._exit: a helper never
+    returns into the caller's stack or runs its exit handlers."""
     try:
-        with open("/proc/self/stat", encoding="ascii") as fh:
-            return int(fh.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _serve(fd: int) -> None:
-    """A helper interpreter's loop on its end of the socket pair: report the
-    file of this module once the Gauss tables are built, then answer each
-    job, the arguments of _chunk_results, with its result, or with None
-    when it raised (the caller then computes the block itself and raises
-    the error of the serial loop).  Returns at end of file."""
-    import signal
-    from multiprocessing.connection import Connection
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops helpers
-    ddmath.gauss_legendre_dd(_NODES_PER_PANEL)
-    ddmath.embedded_null_weights(_NODES_PER_PANEL)
-    ddmath.coarse_null_weights(_NODES_PER_PANEL)
-    with Connection(fd) as conn:
-        conn.send(os.path.abspath(__file__))
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        null = os.open(os.devnull, os.O_RDWR)
+        for fd in (0, 1, 2):
+            os.dup2(null, fd)
+        for caller in callers:
+            caller.close()
         while True:
             try:
                 job = conn.recv()
             except EOFError:
-                return
+                break
             try:
                 result = _chunk_results(*job)
             except Exception:  # any failure is the caller's to raise
                 result = None
             conn.send(result)
+    finally:
+        os._exit(0)
 
 
 class _Helper:
-    """One helper interpreter (_serve) and the caller's end of its socket
-    pair.  failed is set once it died, timed out or sent what does not
-    unpickle; pending while a reply is owed."""
+    """One helper process, forked from this one (_serve), and this
+    process's end of its pipe.  others are the helpers already running,
+    whose pipe ends the new one closes.  failed is set once it died, timed
+    out or sent what does not unpickle; pending while a reply is owed."""
 
-    def __init__(self):
-        import subprocess
+    def __init__(self, others: list):
         from multiprocessing import Pipe
 
         self.conn, theirs = Pipe()
-        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with theirs:
-            self.proc = subprocess.Popen(
-                [sys.executable, "-c", _BOOT, src, str(theirs.fileno())],
-                pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL,
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        self.ready = False
+            self.pid = os.fork()
+            if self.pid == 0:
+                _serve(theirs, [self.conn] + [h.conn for h in others])
         self.failed = False
         self.pending = False
-        # A new process can stay on its parent's CPU for a good part of a
-        # second, slowing this process's passes: the helper starts up on
-        # the other CPUs and gets them all back (cpus) once ready.
-        self.cpus = None
-        here = _current_cpu()
-        if here is not None and here in os.sched_getaffinity(0):
-            try:
-                os.sched_setaffinity(self.proc.pid, os.sched_getaffinity(0) - {here})
-                self.cpus = os.sched_getaffinity(0)
-            except OSError:  # it already exited; poll_ready sees that
-                pass
-
-    def poll_ready(self) -> bool:
-        """True once the helper has reported that it runs this very file;
-        never waits."""
-        if not (self.ready or self.failed):
-            try:
-                if self.conn.poll():
-                    self.ready = self.conn.recv() == os.path.abspath(__file__)
-                    self.failed = not self.ready
-                    if self.cpus:
-                        os.sched_setaffinity(self.proc.pid, self.cpus)
-            except (EOFError, OSError):
-                self.failed = True
-        return self.ready
 
     def send(self, job: tuple) -> None:
         self.pending = True
@@ -485,22 +444,26 @@ class _Helper:
 
     def stop(self) -> None:
         self.conn.close()
-        self.proc.kill()
-        self.proc.wait()
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except OSError:  # already reaped elsewhere
+            pass
 
 
 class _Helpers:
-    """The helper interpreters of this process, one per spare CPU.
+    """The helper processes of this process, one per spare CPU.
 
-    They start on the first call with at least two chunks per process
-    (ready), without waiting for them.  A call with at least
-    _MIN_BLOCK_PANELS panels per process uses those that have reported
-    ready.  They live as long as the process: close runs at exit.
-    A helper that fails in a job is stopped and replaced on a later call;
-    one that fails before it is ready stops all helpers for good, so does
-    one that cannot be started.  One call at a time uses them: a call made
-    meanwhile from another thread runs serially.  A forked child starts its
-    own helpers and leaves its parent's alone.
+    They are forked from this process on the first call with at least two
+    chunks per process (ready), and take work at once: that call and every
+    later one with at least _MIN_BLOCK_PANELS panels per process use them.
+    A helper runs this module as it was at fork time: a patch made here
+    before the fork reaches it, and a later patch does not.  They live as
+    long as the process: close runs at exit.  A helper that fails in a job
+    is stopped and replaced on a later call; a fork that fails stops all
+    helpers for good.  One call at a time uses them: a call made meanwhile
+    from another thread runs serially.  A forked child starts its own
+    helpers and leaves its parent's alone.
     """
 
     def __init__(self):
@@ -510,9 +473,9 @@ class _Helpers:
         self.lock = threading.Lock()
 
     def ready(self, n_panels: int) -> list:
-        """The ready helpers a call with n_panels panels may use: none
-        below _MIN_BLOCK_PANELS per process.  A call with two chunks per
-        process first starts those that are missing."""
+        """The helpers a call with n_panels panels may use: none below
+        _MIN_BLOCK_PANELS per process.  A call with two chunks per process
+        first starts those that are missing."""
         if self.pid != os.getpid():
             self.pid, self.spare, self.helpers = os.getpid(), _spare_cpus(), []
         if self.spare < 1 or n_panels < (1 + self.spare) * _MIN_BLOCK_PANELS:
@@ -520,18 +483,14 @@ class _Helpers:
         chunks = -(-n_panels // _CHUNK_PANELS)
         try:
             while len(self.helpers) < self.spare and chunks >= 2 * (1 + self.spare):
-                self.helpers.append(_Helper())
+                self.helpers.append(_Helper(self.helpers))
         except OSError:
             self._give_up()
             return []
-        ready = [h for h in self.helpers if h.poll_ready()]
-        if any(h.failed for h in self.helpers):
-            self._give_up()
-            return []
-        return ready
+        return list(self.helpers)
 
     def run(self, n_panels: int, jobs) -> list:
-        """_chunk_results(*job) for each job of jobs(1 + the number of ready
+        """_chunk_results(*job) for each job of jobs(1 + the number of
         helpers), in order: the first here, each later one by its helper, or
         here if that helper returns None."""
         if not self.lock.acquire(blocking=False):

@@ -99,6 +99,26 @@ class TestParseConfig:
             parse_config("f = T*x^2\ng = 1\nalpha = -1\nbeta = 1\nn = 2\n").to_problem()
 
 
+@pytest.mark.parametrize("text, message", [
+    (FRESNEL_CFG + "[bounds]\n", "line 6: unknown section [bounds]"),
+    (FRESNEL_CFG + "T 4\n", "line 6: expected key = value"),
+    (FRESNEL_CFG + "[params]\nc = two\n", "line 7: parameter c is not a number"),
+    (FRESNEL_CFG.replace("alpha = -1", "alpha = minus one"),
+     "bad numeric value: could not convert string to float: 'minus one'"),
+])
+def test_config_refusal_exits_1(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["quad", "--config", cfg]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["quad", "--config", str(missing)]) == 1
+    assert capsys.readouterr().err == (
+        f"cannot read config: [Errno 2] No such file or directory: '{missing}'\n")
+
+
 class TestCmdQuad:
     def test_fresnel_output(self, tmp_path, capsys):
         cfg = write(tmp_path, "fresnel.cfg", FRESNEL_CFG)
@@ -224,6 +244,13 @@ class TestCmdExpand:
         res = stationary_phase_expand(pc(cfg_text).to_problem())
         assert float(re_s) == res.value.real
         assert float(im_s) == res.value.imag
+
+    def test_degenerate_gamma_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "quartic.cfg", "f = T*x^4\ng = 1\nalpha = -1\n"
+                                             "beta = 1\nn = 2\nT = 16\n")
+        assert main(["expand", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "f''(gamma) = 3.997e-33 within tolerance of zero\n")
 
     def test_monotone_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "mono.cfg", MONOTONE_CFG)
@@ -382,6 +409,16 @@ class TestCmdStudy:
         assert main(["study", "--config", cfg, "--n", "2"]) == 0
         err = capsys.readouterr().err
         assert "nan" in err.lower()
+
+    def test_failed_oracle_exits_4(self, tmp_path, capsys):
+        # 1e7 turns need more than max_panels at either start width.
+        cfg = write(tmp_path, "linear.cfg", "f = T*x\ng = 1\nalpha = 1\n"
+                                            "beta = 2\nn = 2\nT = 1e7\n")
+        assert main(["study", "--config", cfg, "--n", "1,2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [
+            f"10000000,{n},nan,nan,nan,nan,nan,nan" for n in (1, 2)]
+        assert captured.err.startswith("T=10000000: oracle failed: phase change")
 
     def test_failed_rows_exit_4(self, tmp_path, capsys):
         cfg = write(tmp_path, "multi.cfg", MULTI_STATIONARY_CFG)

@@ -11,7 +11,7 @@ import pytest
 from oscphase import exprs
 from oscphase.cli import parse_config
 from oscphase.coefficients import make_problem
-from oscphase.errors import (NonFinitePhaseError, SignChangeDetected,
+from oscphase.errors import (DegenerateStationaryPoint, NonFinitePhaseError, SignChangeDetected,
                              StationaryPointError,
                              StationaryTooCloseToEndpoint)
 from oscphase.expansion import (boundary_terms, double_factorial_odd,
@@ -149,6 +149,13 @@ class TestStationaryPhaseExpand:
         p = make_problem("(x - 1e-8)^2 + (x - 1e-8)^3", "1", -1e-7, 1.0,
                          n=1, T=3.0, M=2.0)
         with pytest.raises((StationaryTooCloseToEndpoint, StationaryPointError)):
+            stationary_phase_expand(p)
+
+    def test_degenerate_gamma_is_refused(self):
+        # f'' vanishes at the stationary point of x^4: no Gaussian main term.
+        p = make_problem("T*x^4", "1", -1.0, 1.0, n=2, T=16.0)
+        with pytest.raises(DegenerateStationaryPoint,
+                           match=r"f''\(gamma\) = 3.997e-33 within tolerance of zero"):
             stationary_phase_expand(p)
 
     def test_n1_flagged(self):

@@ -1,8 +1,11 @@
+import errno
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import threading
 import time
 
 import mpmath
@@ -314,7 +317,8 @@ class TestRoundingNoise:
             rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
             nodes = rule.calc_nodes(4, mpmath.mp.prec)
             ref = mpmath.mpc(0)
-            edges = build_breakpoints(p)
+            edges = build_breakpoints(p, QuadratureSettings().tol)
+            assert (r.panels, r.doublings) == (len(edges) - 1, 0)
             for a, b in zip(edges[:-1], edges[1:]):
                 mid = (mpmath.mpf(a) + mpmath.mpf(b)) / 2
                 half = (mpmath.mpf(b) - mpmath.mpf(a)) / 2
@@ -498,15 +502,31 @@ needs_two_cpus = pytest.mark.skipif(oracle._spare_cpus() < 1,
 
 
 def ready_helpers(edges):
-    """Start the helper interpreters if need be and wait for them to report
-    ready."""
-    deadline = time.monotonic() + HELPER_WAIT_S
-    while time.monotonic() < deadline:
-        helpers = oracle._HELPERS.ready(len(edges) - 1)
-        if helpers:
-            return helpers
-        time.sleep(0.02)
-    pytest.fail(f"no helper reported ready within {HELPER_WAIT_S} s")
+    """Start the helper processes if need be: they take work at once."""
+    helpers = oracle._HELPERS.ready(len(edges) - 1)
+    assert helpers
+    return helpers
+
+
+def running(pid):
+    """True while the child pid has not exited; never reaps it."""
+    return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+
+
+def reaped(pid):
+    """True once the child pid has exited and been waited for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def kill(pid):
+    """SIGKILL the child pid and wait until it has exited, leaving it for
+    the code under test to reap."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
 
 
 def record_blocks(monkeypatch):
@@ -539,13 +559,16 @@ TRANS_0 = {"f": "T*(x + sin(x)/10)", "g": "1 + 0.434*x", "alpha": 0.618,
            "beta": 1.618, "n": 2, "T": 982.77}
 
 
+SPLIT_PROBLEM = {"f": "T*(x^2 + x^3/3)", "g": "abs(sin(40*x))/(1+x^2)",
+                 "alpha": -0.5, "beta": 0.5, "n": 2, "T": 2.0 ** 12}
+
+
 @pytest.fixture
 def split_pass():
     """A pass of 14 chunks at T = 2^12, its chunk count and its serial bits.
     The weight's 13 kinks give a coarse null excess to panels on both sides
     of the split."""
-    p = make_problem("T*(x^2 + x^3/3)", "abs(sin(40*x))/(1+x^2)", -0.5, 0.5,
-                     n=2, T=2.0 ** 12)
+    p = make_problem(**SPLIT_PROBLEM)
     edges = _bisect_edges(_bisect_edges(build_breakpoints(p)))
     chunk = _CHUNK_NODES // 24
     n_chunks = -(-(len(edges) - 1) // chunk)
@@ -561,8 +584,8 @@ class TestHelperInterpreters:
     def test_split_pass_is_the_serial_pass_bit_for_bit(self, monkeypatch, split_pass):
         p, edges, n_chunks, serial = split_pass
         helpers = ready_helpers(edges)
-        # Started off this process's CPU; every CPU once ready.
-        assert all(os.sched_getaffinity(h.proc.pid) == os.sched_getaffinity(0)
+        # Forked with this process's CPUs.
+        assert all(os.sched_getaffinity(h.pid) == os.sched_getaffinity(0)
                    for h in helpers)
         blocks = record_blocks(monkeypatch)
         got = _panels_dd_numpy(p, edges)
@@ -609,15 +632,14 @@ class TestHelperInterpreters:
         assert str(split.value) == str(serial.value)
         assert len(blocks) == 2 and sum(blocks) == len(edges) - 1
         # An error in a job leaves the helper running.
-        assert all(h in oracle._HELPERS.helpers and h.proc.poll() is None
+        assert all(h in oracle._HELPERS.helpers and running(h.pid)
                    for h in helpers)
 
     def test_helper_killed_between_calls(self, split_pass):
         p, edges, n_chunks, serial = split_pass
         helpers = ready_helpers(edges)
         for helper in helpers:
-            helper.proc.kill()
-            helper.proc.wait(timeout=HELPER_WAIT_S)
+            kill(helper.pid)
         assert as_hex(_panels_dd_numpy(p, edges)) == serial
         assert not set(helpers) & set(oracle._HELPERS.helpers)
         assert as_hex(_panels_dd_numpy(p, edges)) == serial
@@ -638,7 +660,73 @@ class TestHelperInterpreters:
             _panels_dd_numpy(p, edges)
         for helper in helpers:
             assert helper not in oracle._HELPERS.helpers
-            assert helper.proc.returncode is not None
+            assert reaped(helper.pid)
+
+    def test_a_call_while_another_thread_holds_the_lock_runs_here(
+            self, monkeypatch, split_pass):
+        p, edges, n_chunks, serial = split_pass
+        ready_helpers(edges)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with oracle._HELPERS.lock:
+                held.set()
+                release.wait()
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            held.wait()
+            blocks = record_blocks(monkeypatch)
+            got = _panels_dd_numpy(p, edges)
+        finally:
+            release.set()
+            thread.join()
+        assert blocks == [len(edges) - 1]
+        assert as_hex(got) == serial
+
+    def test_a_failed_fork_turns_the_helpers_off(self, monkeypatch, split_pass):
+        p, edges, n_chunks, serial = split_pass
+        helpers = oracle._Helpers()
+        monkeypatch.setattr(oracle, "_HELPERS", helpers)
+        forks = []
+
+        def failing_fork():
+            forks.append(os.getpid())
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        blocks = record_blocks(monkeypatch)
+        assert as_hex(_panels_dd_numpy(p, edges)) == serial
+        assert as_hex(_panels_dd_numpy(p, edges)) == serial
+        assert len(forks) == 1 and blocks == [len(edges) - 1] * 2
+        assert (helpers.spare, helpers.helpers) == (0, [])
+
+    def test_a_forked_child_that_exits_leaves_the_helpers_running(self):
+        # The child's exit runs the exit handlers (this module's close, and
+        # multiprocessing's) in a copy of the caller that owns no helper.
+        out = fresh_python(
+            "import os, sys\n"
+            "from oscphase import oracle\n"
+            "from oscphase.coefficients import make_problem\n"
+            "from oscphase.oracle import _bisect_edges, build_breakpoints\n"
+            f"p = make_problem(**{SPLIT_PROBLEM!r})\n"
+            "edges = _bisect_edges(_bisect_edges(build_breakpoints(p)))\n"
+            "serial = oracle._chunk_results(p.f, p.g, p.bindings, edges[:-1],\n"
+            "                               edges[1:])\n"
+            "oracle._panels_dd_numpy(p, edges)\n"
+            "helpers = list(oracle._HELPERS.helpers)\n"
+            "child = os.fork()\n"
+            "if child == 0:\n"
+            "    sys.exit(0)\n"
+            "os.waitpid(child, 0)\n"
+            "running = [os.waitid(os.P_PID, h.pid, os.WEXITED | os.WNOHANG\n"
+            "                     | os.WNOWAIT) is None for h in helpers]\n"
+            "split = oracle._panels_dd_numpy(p, edges)\n"
+            "bits = [s.tobytes() for s in serial] == [s.tobytes() for s in split]\n"
+            "print(len(helpers), all(running), bits,\n"
+            "      oracle._HELPERS.helpers == helpers)\n")
+        assert out.split() == [str(oracle._spare_cpus()), "True", "True", "True"]
 
 
 def test_no_helper_without_a_spare_cpu(monkeypatch):
@@ -647,9 +735,25 @@ def test_no_helper_without_a_spare_cpu(monkeypatch):
     assert helpers.ready(10 ** 6) == [] and helpers.helpers == []
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this oscphase."""
+    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src}
+
+
+def fresh_python(code: str) -> str:
+    """The stdout of code run by a fresh interpreter on this oscphase, with
+    its output captured: it returns only once every process that holds
+    that output has exited."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=HELPER_WAIT_S,
+                          env=fresh_env()).stdout
+
+
 def fresh_oracle_call(problem: dict):
     """One oracle call on make_problem(**problem) in a fresh interpreter:
-    its panels, the processes it started and this module's helpers."""
+    its panels, the processes it started and the pids of this module's
+    helpers."""
     code = ("import os, subprocess\n"
             "started = []\n"
             "class Spy(subprocess.Popen):\n"
@@ -663,19 +767,17 @@ def fresh_oracle_call(problem: dict):
             "from oscphase.coefficients import make_problem\n"
             "r = oracle.oscillatory_quadrature_detail("
             f"make_problem(**{problem!r}))\n"
-            "print(r.panels, len(started), len(oracle._HELPERS.helpers))\n")
-    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=HELPER_WAIT_S,
-                         env={**os.environ, "PYTHONPATH": src})
-    return map(int, out.stdout.split())
+            "print(r.panels, len(started), "
+            "*(h.pid for h in oracle._HELPERS.helpers))\n")
+    panels, started, *pids = map(int, fresh_python(code).split())
+    return panels, started, pids
 
 
 def test_import_and_a_one_chunk_call_start_no_process():
     panels, started, helpers = fresh_oracle_call(
         {"f": "x^2", "g": "1", "alpha": -1.0, "beta": 1.0, "n": 2})
     assert panels <= _CHUNK_NODES // 24
-    assert (started, helpers) == (0, 0)
+    assert (started, helpers) == (0, [])
 
 
 def test_a_two_chunk_call_starts_no_process():
@@ -683,7 +785,52 @@ def test_a_two_chunk_call_starts_no_process():
     # twice its T gives two chunks again.
     panels, started, helpers = fresh_oracle_call({**TRANS_0, "T": 2 * TRANS_0["T"]})
     assert _CHUNK_NODES // 24 < panels <= 2 * (_CHUNK_NODES // 24)
-    assert (started, helpers) == (0, 0)
+    assert (started, helpers) == (0, [])
+
+
+# Criterion 2's family at T = 2^14: 4,554 panels, about 7 chunks.
+CRITERION_2_AT_2_14 = {**SPLIT_PROBLEM, "g": "1/(1+x^2)", "T": 2.0 ** 14}
+
+
+@needs_two_cpus
+def test_a_captured_call_returns_and_leaves_no_helper():
+    panels, started, pids = fresh_oracle_call(CRITERION_2_AT_2_14)
+    assert panels >= 4 * (_CHUNK_NODES // 24)
+    assert started == len(pids) == oracle._spare_cpus()
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def proc_running(pid):
+    """True while pid is a process that has not exited (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_killed_caller_leaves_no_helper_running():
+    # The helper sees the end of its pipe and exits, whoever reaps it.
+    code = ("import time\n"
+            "from oscphase import oracle\n"
+            "from oscphase.coefficients import make_problem\n"
+            "oracle.oscillatory_quadrature_detail(make_problem("
+            f"**{CRITERION_2_AT_2_14!r}))\n"
+            "print(*(h.pid for h in oracle._HELPERS.helpers), flush=True)\n"
+            f"time.sleep({HELPER_WAIT_S})\n")
+    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                          text=True, env=fresh_env()) as caller:
+        pids = [int(pid) for pid in caller.stdout.readline().split()]
+        caller.kill()
+    assert len(pids) == oracle._spare_cpus()
+    deadline = time.monotonic() + HELPER_WAIT_S
+    while any(map(proc_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(map(proc_running, pids))
 
 
 def record_passes(monkeypatch):

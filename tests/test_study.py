@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import pytest
 
 from oscphase import study
@@ -44,3 +47,15 @@ def test_a_tol_below_the_rounding_falls_back_to_the_default(recorded_tols):
     rows = run_study(p, [p.T], [2])
     assert recorded_tols[0] < 1e-13 and recorded_tols[1:] == [QuadratureSettings.tol]
     assert not rows[0].failed and rows[0].quad.diff < QuadratureSettings.tol
+
+
+def test_a_failed_oracle_fails_every_row_of_its_T():
+    # 1e7 turns need more than max_panels at either start width.
+    p = make_problem("T*x", "1", 1.0, 2.0, n=2, T=1e7)
+    rows = run_study(p, [p.T], [1, 2])
+    assert [r.n for r in rows] == [1, 2]
+    for r in rows:
+        assert r.failed and r.quad is None
+        assert r.theorem.startswith("oracle failed: phase change of 1e+07 turns")
+        assert math.isnan(r.abs_error) and cmath.isnan(r.oracle)
+    assert oracle_report(rows) == [f"T=10000000: {rows[0].theorem}"]
