@@ -89,11 +89,12 @@ def benchmark(checkout: pathlib.Path) -> dict:
 
 
 def run_once(checkout: pathlib.Path, bench: dict, workload: str, seed: int,
-             log) -> tuple:
-    """Append the stdout of one untraced run to log and return the
-    machine's cpu_times before and after it; exit 1 if it failed."""
+             log, trace: int = 0) -> tuple:
+    """Append the stdout of one run (traced with trace 1) to log and return
+    the machine's cpu_times before and after it; exit 1 if it failed."""
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
-                              "--seconds", str(bench["run_seconds"])]
+                              "--seconds", str(bench["run_seconds"]),
+                              "--trace", str(trace)]
     before = read_cpu_times()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=False)

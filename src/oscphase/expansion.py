@@ -27,7 +27,8 @@ from .coefficients import (CoefficientSet, PhaseProblem, compute_coefficients,
 from .errors import (DegenerateStationaryPoint, NonFinitePhaseError,
                      SignChangeDetected, StationaryPointError,
                      StationaryTooCloseToEndpoint)
-from .jets import jet_differentiate, jet_div, jet_truncate
+from .jets import (jet_const_arith, jet_differentiate, jet_div,
+                   jet_truncate)
 
 
 N1_WARNING = "n = 1: the expansion is certified for n >= 2 only"
@@ -134,7 +135,8 @@ def boundary_terms(p: PhaseProblem, x0: float, count: int) -> list:
         raise SignChangeDetected(f"f'({float(x0)}) = {fp0:.3e} vanishes; "
                                  "boundary terms are undefined")
     two_pi_i = 2j * (mpmath.pi if scalars.is_mp(x0) else math.pi)
-    fp_two_pi_i = fp * two_pi_i
+    fp_two_pi_i = jet_const_arith(fp, "*", two_pi_i,
+                                  scalars.zero_like(two_pi_i))
     h = jet_div(g_jet, fp_two_pi_i)
     values = [h.coeffs[0]]
     for _ in range(2, count + 1):

@@ -46,42 +46,8 @@ class Jet:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __repr__(self) -> str:  # compact float view for debugging
-        if isinstance(self.base_point, np.ndarray):
-            return f"Jet(grid of {self.base_point.size} points, degree {self.degree})"
-        cs = ", ".join(mpmath.nstr(c, 6) for c in self.coeffs)
-        return f"Jet(x0={self.base_point}, [{cs}])"
-
-    # Operator sugar; scalars lift to constant jets.
-    def __add__(self, other):
-        return jet_add(self, self._lift(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return jet_sub(self, self._lift(other))
-
-    def __rsub__(self, other):
-        return jet_sub(self._lift(other), self)
-
-    def __mul__(self, other):
-        return jet_mul(self, self._lift(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return jet_div(self, self._lift(other))
-
-    def __rtruediv__(self, other):
-        return jet_div(self._lift(other), self)
-
     def __neg__(self):
         return Jet(self.base_point, tuple(-c for c in self.coeffs))
-
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            return other
-        return jet_constant(other, self.base_point, self.degree)
 
 
 def jet_variable(x0: float, degree: int) -> Jet:

@@ -18,18 +18,18 @@ Three oracles live here:
   panels with the largest estimates are halved (QUADPACK's QAG), and the
   next pass evaluates only their halves.
 
-  A pass uses every CPU the process may run on.  The first pass with at
-  least two chunks of 2^14 nodes per CPU forks one helper process per spare
-  CPU from this one.  A forked helper already holds every module and table,
-  so that pass and every later one of at least 128 panels per CPU hand each
-  helper an equal contiguous block of panels and join the per-panel results
-  here, in panel order.  A panel's numbers do not depend on its block, so
-  every bit is that of a serial pass.  The caller polls for a reply without
-  sleeping for up to as long as its own block took.  The helpers live until
-  the process exits.  A helper runs this module as it was at fork time: a
-  function monkeypatched in this process before the fork is patched there
-  too, and one patched later is not.  Nothing starts at import, for passes
-  of fewer chunks, or on a machine with one CPU.
+  A pass uses every CPU the process may run on.  The first pass of at
+  least 128 panels per CPU forks one helper process per spare CPU from this
+  one.  A forked helper already holds every module and table, so that pass
+  and every later one of that size hand each helper an equal contiguous
+  block of panels and join the per-panel results here, in panel order.  A
+  panel's numbers do not depend on its block, so every bit is that of a
+  serial pass.  The caller polls for a reply without sleeping for up to as
+  long as its own block took.  The helpers live until the process exits.
+  A helper runs this module as it was at fork time: a function
+  monkeypatched in this process before the fork is patched there too, and
+  one patched later is not.  Nothing starts at import, for smaller passes,
+  or on a machine with one CPU.
 * fd_derivatives -- central finite differences, the classic cross-check for
   the jet engine.
 * numeric_reversion_oracle -- brute-force recovery of the varpi coefficients
@@ -306,27 +306,14 @@ def _chunk_results(phase: Expr, weight: Expr, bindings: dict, a: np.ndarray,
 def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray,
                      panels: np.ndarray | None = None) -> _PanelSums:
     """The _PanelSums of the panels between edges, or of only those that the
-    boolean mask panels selects, in dd.  A non-finite phase raises
+    boolean mask panels selects, in dd, split among this process and its
+    helpers (_Helpers.run).  A non-finite phase raises
     QuadratureNonConvergence.
-
-    The panels are split into equal contiguous blocks: this process
-    computes the first, and each helper process one of the later ones
-    (_Helpers).  A panel's numbers do not depend on its block, so every bit
-    is that of one serial pass.  A helper sees f, g, the bindings and the
-    block's panel edges through its pipe, and runs this module as it was
-    when it was forked.
     """
     a, b = edges[:-1], edges[1:]
     if panels is not None:
         a, b = a[panels], b[panels]
-    n_panels = len(a)
-
-    def jobs(blocks: int) -> list:
-        cuts = [n_panels * k // blocks for k in range(blocks)]
-        return [(p.f, p.g, p.bindings, a[lo:hi], b[lo:hi])
-                for lo, hi in zip(cuts, cuts[1:] + [n_panels])]
-
-    return _PanelSums.join(_HELPERS.run(n_panels, jobs))
+    return _HELPERS.run((p.f, p.g, p.bindings), a, b)
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -454,16 +441,16 @@ class _Helper:
 class _Helpers:
     """The helper processes of this process, one per spare CPU.
 
-    They are forked from this process on the first call with at least two
-    chunks per process (ready), and take work at once: that call and every
-    later one with at least _MIN_BLOCK_PANELS panels per process use them.
-    A helper runs this module as it was at fork time: a patch made here
-    before the fork reaches it, and a later patch does not.  They live as
-    long as the process: close runs at exit.  A helper that fails in a job
-    is stopped and replaced on a later call; a fork that fails stops all
-    helpers for good.  One call at a time uses them: a call made meanwhile
-    from another thread runs serially.  A forked child starts its own
-    helpers and leaves its parent's alone.
+    They are forked from this process on the first pass with at least
+    _MIN_BLOCK_PANELS panels per process (ready), and take work at once:
+    that pass and every later one of that size use them.  A helper runs
+    this module as it was at fork time: a patch made here before the fork
+    reaches it, and a later patch does not.  They live as long as the
+    process: close runs at exit.  A helper that fails in a job is stopped
+    and replaced on a later pass; a fork that fails stops all helpers for
+    good.  One pass at a time uses them: a pass made meanwhile from another
+    thread runs serially.  A forked child starts its own helpers and leaves
+    its parent's alone.
     """
 
     def __init__(self):
@@ -473,32 +460,38 @@ class _Helpers:
         self.lock = threading.Lock()
 
     def ready(self, n_panels: int) -> list:
-        """The helpers a call with n_panels panels may use: none below
-        _MIN_BLOCK_PANELS per process.  A call with two chunks per process
-        first starts those that are missing."""
+        """The helpers a pass of n_panels panels uses: none below
+        _MIN_BLOCK_PANELS per process, else all of them, after starting
+        those that are missing."""
         if self.pid != os.getpid():
             self.pid, self.spare, self.helpers = os.getpid(), _spare_cpus(), []
-        if self.spare < 1 or n_panels < (1 + self.spare) * _MIN_BLOCK_PANELS:
+        if n_panels < (1 + self.spare) * _MIN_BLOCK_PANELS:
             return []
-        chunks = -(-n_panels // _CHUNK_PANELS)
         try:
-            while len(self.helpers) < self.spare and chunks >= 2 * (1 + self.spare):
+            while len(self.helpers) < self.spare:
                 self.helpers.append(_Helper(self.helpers))
-        except OSError:
-            self._give_up()
+        except OSError:  # stop all helpers for good
+            self.close()
+            self.spare = 0
             return []
         return list(self.helpers)
 
-    def run(self, n_panels: int, jobs) -> list:
-        """_chunk_results(*job) for each job of jobs(1 + the number of
-        helpers), in order: the first here, each later one by its helper, or
-        here if that helper returns None."""
+    def run(self, args: tuple, a: np.ndarray, b: np.ndarray) -> _PanelSums:
+        """_chunk_results(*args, a, b) in 1 + len(ready(len(a))) equal
+        contiguous blocks of panels: the first here, each later one by its
+        helper, or here if that helper returns None.  A panel's numbers do
+        not depend on its block, so every bit is that of one serial pass.  A
+        helper sees args (f, g and the bindings) and its block's panel edges
+        through its pipe."""
         if not self.lock.acquire(blocking=False):
-            return [_chunk_results(*jobs(1)[0])]
+            return _chunk_results(*args, a, b)
         helpers = []
         try:
-            helpers = self.ready(n_panels)
-            mine, *theirs = jobs(1 + len(helpers))
+            helpers = self.ready(len(a))
+            cuts = [len(a) * k // (1 + len(helpers))
+                    for k in range(2 + len(helpers))]
+            mine, *theirs = [(*args, a[lo:hi], b[lo:hi])
+                             for lo, hi in zip(cuts, cuts[1:])]
             for helper, job in zip(helpers, theirs):
                 helper.send(job)
             t0 = time.perf_counter()
@@ -517,11 +510,7 @@ class _Helpers:
                     helper.stop()
                     self.helpers.remove(helper)
             self.lock.release()
-        return results
-
-    def _give_up(self) -> None:
-        self.close()
-        self.spare = 0
+        return _PanelSums.join(results)
 
     def close(self) -> None:
         if self.pid == os.getpid():

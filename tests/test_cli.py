@@ -50,6 +50,18 @@ T = 64
 """
 
 
+# gamma = 1e-12 sits within 1e-9*(beta-alpha) of alpha = 0.
+STATIONARY_AT_AN_END_CFG = """\
+f = T*(x - 1e-12)^2
+g = 1
+alpha = 0
+beta = 1
+n = 2
+T = 1000
+"""
+END_REFUSAL = "stationary point 1e-12 within 1e-9*(beta-alpha) of an endpoint"
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -206,6 +218,23 @@ def test_non_finite_grid_exits_1(tmp_path, capsys, grid):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, text, option, message", [
+    ("study", CUBIC_CFG, ["--grid", "1:2"], "grid spec must be Tmin:Tmax:factor"),
+    ("study", CUBIC_CFG, ["--grid", "2:1:2"],
+     "grid spec requires 0 < Tmin <= Tmax and factor > 1"),
+    ("expand", "f = x^2\ng = 1\nalpha = 1\nbeta = 0\nn = 2\n", [],
+     "alpha must be less than beta"),
+    ("expand", FRESNEL_CFG + "M = 1\n", [], "M must be at least beta - alpha"),
+    ("expand", FRESNEL_CFG.replace("n = 2", "n = 0"), [], "n must be at least 1"),
+    ("expand", FRESNEL_CFG.replace("f = x^2", "f = x"), [],
+     "cannot infer T: f'' vanishes on the grid"),
+])
+def test_problem_refusal_exits_1(tmp_path, capsys, command, text, option, message):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main([command, "--config", cfg, *option]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 @pytest.mark.parametrize("command, option", [
     ("study", ["--scan-points", "64"]), ("expand", ["--tol", "1e-8"]),
     ("audit", ["--tol", "1e-8"]), ("expand", ["--grid", "256:1024:4"]),
@@ -256,6 +285,11 @@ class TestCmdExpand:
         cfg = write(tmp_path, "mono.cfg", MONOTONE_CFG)
         assert main(["expand", "--config", cfg]) == 2
         assert "no stationary point; use quad or fdt" in capsys.readouterr().err
+
+    def test_stationary_point_at_an_end_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "end.cfg", STATIONARY_AT_AN_END_CFG)
+        assert main(["expand", "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", END_REFUSAL + "\n")
 
     def test_phase_overflowing_at_an_end_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "overflow.cfg",
@@ -420,6 +454,13 @@ class TestCmdStudy:
             f"10000000,{n},nan,nan,nan,nan,nan,nan" for n in (1, 2)]
         assert captured.err.startswith("T=10000000: oracle failed: phase change")
 
+    def test_fpp_sign_change_fails_the_rows_and_exits_4(self, tmp_path, capsys):
+        cfg = write(tmp_path, "fdt.cfg", "f = T*(x + x^3/3)\ng = 1\nalpha = -1\n"
+                                         "beta = 1\nn = 2\nT = 1000\n")
+        assert main(["study", "--config", cfg]) == 4
+        (row,) = capsys.readouterr().out.splitlines()[1:]
+        assert row.startswith("1000,2,nan,nan,") and row.endswith(",nan,nan")
+
     def test_failed_rows_exit_4(self, tmp_path, capsys):
         cfg = write(tmp_path, "multi.cfg", MULTI_STATIONARY_CFG)
         code = main(["study", "--config", cfg, "--grid", "64:256:4", "--n", "1"])
@@ -446,3 +487,17 @@ class TestCmdAudit:
         assert main(["audit", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "violated" in out
+
+    def test_refinement_that_fails_ends_the_sign_profile(self, tmp_path, capsys):
+        cfg = write(tmp_path, "end.cfg", STATIONARY_AT_AN_END_CFG)
+        assert main(["audit", "--config", cfg]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("sign profile: f' changes sign once (- to +) near x = ")
+        assert last.endswith(" but refinement failed: " + END_REFUSAL)
+
+    def test_two_sign_changes_are_counted(self, tmp_path, capsys):
+        cfg = write(tmp_path, "two.cfg", "f = T*(x^3/3 - x/4)\ng = 1\nalpha = -1\n"
+                                         "beta = 1\nn = 2\nT = 1000\n")
+        assert main(["audit", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "sign profile: f' changes sign 2 times on the grid"

@@ -38,6 +38,10 @@ class TestParse:
             parse("sin(")
         assert err.value.offset == 4
 
+    def test_unclosed_call_names_the_missing_parenthesis(self):
+        with pytest.raises(ExprSyntaxError, match=r"^expected '\)' \(offset 5\)$"):
+            parse("sin(x")
+
     def test_unknown_function(self):
         with pytest.raises(UnknownFunctionError):
             parse("foo(x)")
@@ -372,6 +376,19 @@ def _mp_value(e, x, params):
         return getattr(mpmath, e.fn)(_mp_value(e.arg, x, params))
     a, b = _mp_value(e.left, x, params), _mp_value(e.right, x, params)
     return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a ** b}[e.op]
+
+
+@pytest.mark.parametrize("text", ["pi*x", "x^-3"])
+def test_eval_dd_pi_and_negative_powers_against_50_digits(text):
+    # pi is the dd constant _DD_PI, and x^-3 runs ddmath.powi with n < 0.
+    expr = parse(text)
+    xs = [0.3, 1.7, -2.5]
+    got = eval_dd(expr, ddmath.from_float(np.array(xs)), {})
+    with mpmath.workdps(50):
+        for i, x in enumerate(xs):
+            want = _mp_value(expr, mpmath.mpf(x), {"pi": mpmath.pi})
+            value = mpmath.mpf(float(got[0][i])) + mpmath.mpf(float(got[1][i]))
+            assert abs(value - want) <= 1e-31 * abs(want)
 
 
 class TestEvalDdError:

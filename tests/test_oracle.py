@@ -186,6 +186,16 @@ class TestOscillatoryQuadrature:
             got = oscillatory_quadrature(p)
             assert abs(got - complex(ref)) < 1e-9
 
+    def test_negative_power_weight_is_the_quotient(self, canonical_family):
+        # (1+x^2)^-1 runs ddmath.powi with n < 0 at every node.
+        quotient = canonical_family(4096.0)
+        power = make_problem("T*(x^2 + x^3/3)", "(1+x^2)^-1", -0.5, 0.5, n=2,
+                             T=4096.0)
+        want = oscillatory_quadrature_detail(quotient)
+        got = oscillatory_quadrature_detail(power)
+        assert ((got.re_dd, got.im_dd, got.diff, got.panels)
+                == (want.re_dd, want.im_dd, want.diff, want.panels))
+
     def test_weight_undefined_at_an_end(self):
         # The panel split reads only f'; the Gauss nodes never touch x = 1.
         p = make_problem("T*x", "sqrt(x-1)", 1.0, 2.0, n=2, T=16.0)
@@ -594,7 +604,7 @@ class TestHelperInterpreters:
 
     def test_a_two_chunk_pass_is_split_inside_a_chunk(self, monkeypatch,
                                                       split_pass):
-        # Too few chunks to start the helpers, enough panels to use them.
+        # Two chunks: the helper's block starts inside the first one.
         p = make_problem(**TRANS_0)
         edges = build_breakpoints(p)
         serial = as_hex(serial_pass(p, edges))
@@ -780,12 +790,33 @@ def test_import_and_a_one_chunk_call_start_no_process():
     assert (started, helpers) == (0, [])
 
 
-def test_a_two_chunk_call_starts_no_process():
+def test_a_two_chunk_call_starts_the_helpers():
     # At the default tol TRANS_0 starts on 1.8-turn panels (569, one chunk):
-    # twice its T gives two chunks again.
+    # twice its T gives two chunks, at least _MIN_BLOCK_PANELS per process.
     panels, started, helpers = fresh_oracle_call({**TRANS_0, "T": 2 * TRANS_0["T"]})
     assert _CHUNK_NODES // 24 < panels <= 2 * (_CHUNK_NODES // 24)
-    assert (started, helpers) == (0, [])
+    assert panels >= (1 + oracle._spare_cpus()) * oracle._MIN_BLOCK_PANELS
+    assert started == len(helpers) == oracle._spare_cpus()
+
+
+def test_helpers_start_at_min_block_panels_per_process(monkeypatch):
+    helpers = oracle._Helpers()
+    try:
+        n_panels = (1 + oracle._spare_cpus()) * oracle._MIN_BLOCK_PANELS
+        assert helpers.ready(n_panels - 1) == [] and helpers.helpers == []
+        started = helpers.ready(n_panels)
+        assert len(started) == helpers.spare == oracle._spare_cpus()
+        # Such a pass is split, and keeps the bits of the serial pass.
+        p = make_problem(**TRANS_0)
+        edges = build_breakpoints(p)[:n_panels + 1]
+        serial = as_hex(serial_pass(p, edges))
+        blocks = record_blocks(monkeypatch)
+        got = helpers.run((p.f, p.g, p.bindings), edges[:-1], edges[1:])
+        assert blocks == [n_panels // (1 + helpers.spare)]
+        assert as_hex(got) == serial
+    finally:
+        helpers.close()
+    assert all(reaped(helper.pid) for helper in started)
 
 
 # Criterion 2's family at T = 2^14: 4,554 panels, about 7 chunks.

@@ -59,3 +59,13 @@ def test_a_failed_oracle_fails_every_row_of_its_T():
         assert r.theorem.startswith("oracle failed: phase change of 1e+07 turns")
         assert math.isnan(r.abs_error) and cmath.isnan(r.oracle)
     assert oracle_report(rows) == [f"T=10000000: {rows[0].theorem}"]
+
+
+def test_an_fpp_sign_change_fails_the_row_with_the_oracle_value():
+    # f' = T*(1 + x^2) keeps its sign, so the first-derivative test runs, and
+    # f'' = 2*T*x changes sign at 0.
+    p = make_problem("T*(x + x^3/3)", "1", -1.0, 1.0, n=2, T=1000.0)
+    (row,) = run_study(p, [p.T], [2])
+    assert row.failed and row.quad is not None
+    assert row.theorem == "expansion failed: f'' changes sign on the grid"
+    assert row.oracle == row.quad.value and math.isnan(row.abs_error)
