@@ -23,6 +23,9 @@ one instead of printing it: it prints the number of changed lines per
 (group, mode, field) and exits 1 if any line changed.  The mode is float,
 mp or oracle for a problem and the subcommand for a CLI run; the field is
 a top-level field of the result (an error counts as the field "outcome").
+For the oracle lines whose result changed it also prints the largest
+|change of the value|, from the dd parts, and how many of them moved by
+more than their new certificate diff.
 """
 
 from __future__ import annotations
@@ -107,6 +110,24 @@ def changed_fields(before: dict, after: dict):
     return out
 
 
+def oracle_shift(before: dict, after: dict):
+    """(|change of the value|, the new diff) of an oracle line whose result
+    changed, from the exact sums of the dd parts; None for any other line."""
+    old = before.get("oracle", {}).get("result")
+    new = after.get("oracle", {}).get("result")
+    if old is None or new is None or old == new:
+        return None
+
+    def value(result):
+        re, im = (mpmath.fsum(mpmath.mpf(float.fromhex(h)) for h in result[k])
+                  for k in ("re_dd", "im_dd"))
+        return mpmath.mpc(re, im)
+
+    with mpmath.workdps(40):
+        shift = float(abs(value(new) - value(old)))
+    return shift, float.fromhex(new["diff"])
+
+
 def compare(lines, path: pathlib.Path) -> int:
     """Print the changed-line counts of `lines` against the saved file."""
     def key(line):
@@ -117,15 +138,22 @@ def compare(lines, path: pathlib.Path) -> int:
     for text in path.read_text().splitlines():
         line = json.loads(text)
         saved[key(line)] = line
-    counts, total = collections.Counter(), 0
+    counts, total, shifts = collections.Counter(), 0, []
     for line in lines:
         total += 1
         before = saved.pop(key(line), None)
         counts.update([("new", "-", "line")] if before is None
                       else changed_fields(before, line))
+        shift = None if before is None else oracle_shift(before, line)
+        if shift is not None:
+            shifts.append(shift)
     counts.update(("gone", "-", "line") for _ in saved)
     for (group, mode, field), count in sorted(counts.items()):
         print(f"{group} {mode} {field}: {count} changed")
+    if shifts:
+        print(f"oracle values: {len(shifts)} moved, largest |change| "
+              f"{max(s for s, _ in shifts):.3e}, "
+              f"{sum(s > diff for s, diff in shifts)} by more than their diff")
     print(f"{total} lines compared, {sum(counts.values())} changes")
     return 1 if counts else 0
 

@@ -288,7 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     except StationaryPointError as exc:
         from .errors import NoSignChange
         if isinstance(exc, NoSignChange):
-            print("no stationary point; use quad or fdt", file=sys.stderr)
+            print("no stationary point; use quad, or study for the "
+                  "first-derivative test", file=sys.stderr)
         else:
             print(str(exc), file=sys.stderr)
         return 2

@@ -354,21 +354,27 @@ def find_stationary_point(p: PhaseProblem) -> float:
     return gamma
 
 
+def require_nondegenerate(p: PhaseProblem, fpp) -> None:
+    """Refuse a stationary point whose f''(gamma) = fpp (float or mpf) lies
+    within 1e-12 * T / M^2 of zero: the expansion does not apply there."""
+    if abs(fpp) <= 1e-12 * p.T / (p.M * p.M):
+        raise DegenerateStationaryPoint(
+            f"f''(gamma) = {float(fpp):.3e} within tolerance of zero")
+
+
 def taylor_data(p: PhaseProblem, gamma: float):
     """Taylor coefficients of f (to degree 2n+2) and g (to 2n) at gamma.
 
     Returns (lam, eta) with lam[k] = f^(k)(gamma)/k! for k = 0..2n+2 and
     eta[k] = g^(k)(gamma)/k! for k = 0..2n.  lam[2] < 0 signals the
     maximum orientation, which compute_coefficients orients.  The problem
-    holds both jets at gamma, for the phase factor there.
+    holds both jets at gamma, for the phase factor there.  A degenerate
+    gamma raises as in stationary_phase_expand (require_nondegenerate).
     """
     p.hold_jets((gamma,), 2 * p.n + 2, 2 * p.n)
     lam = p.f_jet(gamma, 2 * p.n + 2).coeffs
     eta = p.g_jet(gamma, 2 * p.n).coeffs
-    tol = 1e-12 * p.T / (p.M * p.M)
-    if abs(lam[2]) <= tol:
-        raise DegenerateStationaryPoint(
-            f"lambda_2 = {float(lam[2]):.3e} within tolerance {tol:.3e} of zero")
+    require_nondegenerate(p, 2 * lam[2])
     return lam, eta
 
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import ddmath, scalars
 from .coefficients import (CoefficientSet, PhaseProblem, compute_coefficients,
-                           find_stationary_point, grid_sup, mp_coefficients)
-from .errors import (DegenerateStationaryPoint, NonFinitePhaseError,
-                     SignChangeDetected, StationaryPointError,
+                           find_stationary_point, grid_sup, mp_coefficients,
+                           require_nondegenerate)
+from .errors import (NonFinitePhaseError, SignChangeDetected, StationaryPointError,
                      StationaryTooCloseToEndpoint)
 from .jets import (jet_const_arith, jet_differentiate, jet_div,
                    jet_truncate)
@@ -271,10 +271,7 @@ def stationary_phase_expand(p: PhaseProblem, *,
             "gamma within 1e-6*(beta-alpha) of an endpoint; the error terms "
             "diverge like (gamma-alpha)^-(2n+3)")
     _, d2 = p.fprime2(gamma)
-    tol = 1e-12 * p.T / (p.M * p.M)
-    if abs(d2) <= tol:
-        raise DegenerateStationaryPoint(
-            f"f''(gamma) = {d2:.3e} within tolerance of zero")
+    require_nondegenerate(p, d2)
     sigma = 1 if d2 > 0 else -1
     audit = hypothesis_audit(p)
     warnings = [N1_WARNING] if p.n == 1 else []

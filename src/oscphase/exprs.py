@@ -16,9 +16,10 @@ division can: the hypothesis audit flags a kink inside the interval, and a
 divisor that changes sign there, a pole or a jump).
 
 Each tree is compiled once into a tape, an instruction list with one slot
-per distinct subtree, and one interpreter runs it in four arithmetics:
+per distinct subtree, and one interpreter runs it in five arithmetics:
 Python floats and float64 arrays (one step over a math or a numpy table),
-jets, and double-double (used for phase-accurate e(f) at large T).
+jets, double-double (used for phase-accurate e(f) at large T), and disks
+that enclose the values on a complex disk (the oracle's error bound).
 """
 
 from __future__ import annotations
@@ -633,3 +634,98 @@ def eval_dd_error(e: Expr, x: ddmath.DD, params: dict | None = None):
     if not any(_falls_back(op, b) for op, _, b, *_ in code):
         return None
     return _run(code, _error_step, (_flt(x), params or {}))[1]
+
+
+# --- disk enclosures ----------------------------------------------------------
+#
+# A disk (c, r) has a real center c and stands for every complex value
+# within r of it.  Each step widens r by a few ulps of |c| and r, which
+# covers the float64 rounding of both, and makes it inf (with c = 0) where
+# either is not finite: the disk then holds everything.
+
+_WIDEN = 2.0 ** -50
+_ONE = (np.float64(1.0), 0.0)
+
+
+def _disk(c, r):
+    r = r + _WIDEN * (np.abs(c) + r)
+    finite = np.isfinite(c) & (r < np.inf)  # also NaN
+    return np.where(finite, c, 0.0), np.where(finite, r, np.inf)
+
+
+def _disk_mul(a, b):
+    (ca, ra), (cb, rb) = a, b
+    return _disk(ca * cb, np.abs(ca) * rb + np.abs(cb) * ra + ra * rb)
+
+
+def _disk_div(a, b):
+    """a times the reciprocal of b, a disk that must exclude 0:
+    |1/z - 1/c| <= r / (|c| (|c| - r))."""
+    cb, rb = b
+    return _disk_mul(a, _disk(1.0 / cb, _over(rb, np.abs(cb) * (np.abs(cb) - rb))))
+
+
+def _disk_powi(a, n: int):
+    if n == 0:
+        return _ONE
+    if n < 0:
+        return _disk_div(_ONE, scalars.powi(a, -n, _disk_mul))
+    return scalars.powi(a, n, _disk_mul)
+
+
+def _disk_step(env, op, a, b, offset):
+    center, radius, params = env
+    if op == "num":
+        return np.float64(a), 0.0
+    if op == "sym":
+        if a == "x":
+            return center, radius
+        value = np.float64(_resolve(a, params, offset))
+        return _disk(value, 0.0) if a == "pi" and a not in params else (value, 0.0)
+    if op == "neg":
+        return -a[0], a[1]
+    if op in "+-":
+        (ca, ra), (cb, rb) = a, b
+        return _disk(ca + cb if op == "+" else ca - cb, ra + rb)
+    if op == "*":
+        return _disk_mul(a, b)
+    if op == "/":
+        return _disk_div(a, b)
+    if op == "^" and np.ndim(b[0]) == 0 and b[1] == 0:
+        op, b = "^k", b[0]  # a constant exponent
+    if op == "^k" and float(b).is_integer():
+        return _disk_powi(a, int(b))
+    if op == "^k" or op == "^":  # exp(b log a)
+        exponent = (np.float64(b), 0.0) if op == "^k" else b
+        return _disk_step(env, "exp", _disk_mul(
+            exponent, _disk_step(env, "log", a, None, offset)), None, offset)
+    c, r = a
+    if op == "exp":
+        v = np.exp(c)
+        return _disk(v, v * np.expm1(r))
+    if op in ("sin", "cos"):
+        # |sin' (t)| = |cos t| <= cosh(Im t) <= cosh r on the disk.
+        return _disk(_NUMPY[op](c), r * np.cosh(r))
+    if op == "log":
+        return _disk(np.log(c), np.where(c > r, -np.log1p(-r / c), np.inf))
+    if op == "sqrt":
+        return _disk(np.sqrt(c), np.where(c > r, r / np.sqrt(c), np.inf))
+    if op == "atan":
+        # atan' = 1/((t - i)(t + i)), and +-i lie sqrt(c^2 + 1) from c:
+        # |atan'| <= 1/gap^2 on the disk.
+        gap = np.hypot(c, 1.0) - r
+        return _disk(np.arctan(c), _over(r, gap * gap * (gap > 0)))
+    # abs: +-z on a disk that excludes 0, and a kink on any other.
+    return _disk(np.abs(c), np.where(np.abs(c) > r, r, np.inf))
+
+
+@np.errstate(all="ignore")
+def eval_disk(e: Expr, center, radius, params: dict | None = None) -> tuple:
+    """A disk (c, r) that holds e(z) for every complex z within radius of
+    the real center (arrays broadcast): |e(z) - c| <= r.  r is inf wherever
+    the disk may hold a pole, a branch point or a kink of e (log and sqrt
+    need c > r, atan r < sqrt(c^2 + 1), abs |c| > r, a divisor |c| > r).
+    Integer powers multiply disks in scalars.powi's order, and a negative
+    one divides 1 by the positive power, as 1/u^k does; other powers are
+    exp(b log a)."""
+    return _run(_tape(e), _disk_step, (center, radius, params or {}))

@@ -3,33 +3,24 @@
 Three oracles live here:
 
 * oscillatory_quadrature -- direct adaptive Gauss-Legendre integration of
-  g(x) e(f(x)), starting on panels that each carry at most 0.9 units of
-  phase variation, or 1.8 where an a-priori bound on their certificates
-  stays within a quarter of tol (a smooth g and a coarse tol, such as the
-  default 1e-12).  Deliberately free of any asymptotic machinery.  The
-  integrand is evaluated in double-double so the result stays trustworthy
-  at phase scales (T ~ 2^18) where plain float64 drowns in phase jitter.
-  The first pass runs on the phase split itself.  Each pass certifies
-  itself from the nodes it already evaluated: a rule embedded in the 24
-  Gauss nodes (20 of them) gives the error estimate, in the manner of
-  Gauss-Kronrod pairs, sharpened on each smooth panel by how fast the null
-  values fall, plus a bound on the float64 rounding of any transcendental
-  function in f or g.  When the estimate misses the tolerance, only the
-  panels with the largest estimates are halved (QUADPACK's QAG), and the
-  next pass evaluates only their halves.
-
-  A pass uses every CPU the process may run on.  The first pass of at
-  least 128 panels per CPU forks one helper process per spare CPU from this
-  one.  A forked helper already holds every module and table, so that pass
-  and every later one of that size hand each helper an equal contiguous
-  block of panels and join the per-panel results here, in panel order.  A
-  panel's numbers do not depend on its block, so every bit is that of a
-  serial pass.  The caller polls for a reply without sleeping for up to as
-  long as its own block took.  The helpers live until the process exits.
-  A helper runs this module as it was at fork time: a function
-  monkeypatched in this process before the fork is patched there too, and
-  one patched later is not.  Nothing starts at import, for smaller passes,
-  or on a machine with one CPU.
+  g(x) e(f(x)), starting on panels of equal phase increments: the widest
+  of a fixed ladder of widths, 0.9 to 6.3 turns, whose predicted
+  certificate fits tol (the default 1e-12 starts the criterion families on
+  3.6 turns, 1e-26 on 1.8).  Deliberately free of any asymptotic
+  machinery.  The integrand is evaluated in double-double so the result
+  stays trustworthy at phase scales (T ~ 2^18) where plain float64 drowns
+  in phase jitter.  Each pass certifies each panel without evaluating
+  anything more in dd: where f and g are analytic on a disk about the
+  panel, by the Bernstein-ellipse bound on the 24-node rule's error
+  (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3)
+  from disk enclosures of f and g (exprs.eval_disk); on a panel next to a
+  kink, a pole or a branch point, by a rule embedded in the 24 Gauss nodes
+  (20 of them), in the manner of Gauss-Kronrod pairs, sharpened by how
+  fast the null values fall.  A bound on the float64 rounding of any
+  transcendental function in f or g is added.  When the certificate misses
+  the tolerance, only the panels with the largest certificates are halved
+  (QUADPACK's QAG), and the next pass evaluates only their halves.  Every
+  pass runs in the calling process.
 * fd_derivatives -- central finite differences, the classic cross-check for
   the jet engine.
 * numeric_reversion_oracle -- brute-force recovery of the varpi coefficients
@@ -39,13 +30,7 @@ Three oracles live here:
 
 from __future__ import annotations
 
-import atexit
-import functools
 import math
-import os
-import signal
-import threading
-import time
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
@@ -56,15 +41,16 @@ from . import ddmath
 from .coefficients import (PhaseProblem, bisect_fprime, mp_refine_gamma,
                            solve_x_of_y)
 from .errors import ExprDomainError, OracleFitError, QuadratureNonConvergence
-from .exprs import (Expr, eval_array, eval_dd, eval_dd_error, eval_real,
-                    parse)
+from .exprs import (Expr, eval_array, eval_dd, eval_dd_error, eval_disk,
+                    eval_real)
 from .expansion import hypothesis_audit
 
-# Units of f (turns) per starting panel: on 0.9 turns the 24-node rule
-# stays at the dd floor, and only the panels at a stationary point or a
-# kink need halving.  A tol that allows it starts on twice as many turns
-# (_start_turns), with the panels next to a stationary point kept at 0.9.
+# Units of f (turns) per panel of the narrowest start: on 0.9 turns the
+# 24-node rule stays at the dd floor.  A wider start (_START_TURNS) halves
+# the phase of the panel next to a stationary point, where f is quadratic.
 _PHASE_PER_PANEL = 0.9
+# The start widths tried, in turns; _start_turns takes the widest that fits.
+_START_TURNS = (0.9, 1.8, 2.4, 3.0, 3.6, 4.5, 5.4, 6.3)
 _MAX_WIDTH_FRACTION = 1 / 16  # panels also stay narrow so g is resolved
 _CHUNK_NODES = 1 << 14  # one chunk's dd temporaries stay resident in a 2 MB L2
 _SMOOTH_DECAY = 1e-3  # null-value ratio that marks a panel resolved
@@ -72,11 +58,15 @@ _SMOOTH_DECAY = 1e-3  # null-value ratio that marks a panel resolved
 # _SMOOTH_DECAY are calibrated for this rule, and bound its error only.
 _NODES_PER_PANEL = 24
 _CHUNK_PANELS = _CHUNK_NODES // _NODES_PER_PANEL
-# The fewest panels a pass hands each process: a block costs a helper's
-# round trip, about 0.3 ms beyond the block itself, and saves about 15 us a
-# panel (2-core VM), so 128 panels save several round trips.
-_MIN_BLOCK_PANELS = 128
 _MAX_PANELS = 4_000_000
+# The Bernstein ellipses E_rho tried on each panel, and the factor
+# 64 / (15 (rho^2 - 1) rho^(2n)) of Trefethen's Thm 19.3 for n + 1 = 24
+# nodes.  E_rho of [-1, 1] lies in the disk of radius (rho + 1/rho)/2.
+_RHOS = np.geomspace(1.5, 20.0, 9)[:, None]
+_GAUSS_FACTOR = 64 / (15 * (_RHOS ** 2 - 1) * _RHOS ** (2 * _NODES_PER_PANEL - 2))
+_SEMI_AXIS = (_RHOS + 1 / _RHOS) / 2
+# A panel's floor for the dd rounding of its nodes, times half * max|g|.
+_DD_FLOOR = 2.0 ** -96
 
 
 @dataclass(frozen=True)
@@ -88,10 +78,10 @@ class QuadratureSettings:
     it can go down to about 1e-26; a tol below 1e-28 * |value|, or not above
     the float64 rounding of a transcendental f or g (about 3e-13 for
     T*(x + sin(x)/10) at T = 1000), ends in QuadratureNonConvergence.  tol
-    also sets the start: 1.8-turn panels where
-    1.95e-13 * (beta - alpha)/2 * max|g| <= tol/4 and g is smooth on the
-    scan grid (the default tol, on the criterion families), else 0.9-turn
-    panels (see build_breakpoints).
+    also sets the start: the widest panels of _START_TURNS whose
+    linear-phase ellipse bound fits tol/40 where g is smooth on the scan
+    grid (3.6 turns at the default tol on the criterion families, 1.8 at
+    1e-26), else 0.9-turn panels (see build_breakpoints).
     """
 
     tol: float = 1e-12
@@ -155,23 +145,20 @@ def _piece_breakpoints(p: PhaseProblem, a: float, b: float,
     return edges
 
 
-@functools.cache
-def _wide_certificate() -> float:
-    """kappa: the certificate (_panel_certificates) of one panel on [-1, 1]
-    with g = 1 and a phase that rises linearly by 2 * _PHASE_PER_PANEL
-    turns.  A panel's certificate scales with its half-width and with g."""
-    sums = _chunk_results(parse(f"{_PHASE_PER_PANEL!r}*x"), parse("1"), {},
-                          np.array([-1.0]), np.array([1.0]))
-    return float(sums.cert[0])
+def _linear_bound(turns: np.ndarray) -> np.ndarray:
+    """The ellipse bound (_ellipse_bound) of a panel on [-1, 1] with g = 1
+    and a phase that rises linearly by turns: on the disk of radius s,
+    |Im f| <= turns * s / 2."""
+    return np.min(_GAUSS_FACTOR * np.exp(np.pi * _SEMI_AXIS * turns), axis=0)
 
 
 def _start_turns(p: PhaseProblem, tol: float | None) -> float:
-    """Turns per start panel: 2 * _PHASE_PER_PANEL where
-    kappa * (beta - alpha)/2 * max|g| <= tol/4 (kappa: _wide_certificate,
-    max|g| on the scan grid), so that on a linear phase the wide panels'
-    certificates sum to a quarter of tol at most.  Else _PHASE_PER_PANEL,
-    as for tol None and for a g with a kink, pole or jump on the grid, one
-    whose grid walk raises and one not finite there."""
+    """Turns per start panel: the widest of _START_TURNS where
+    (beta - alpha)/2 * max|g| * _linear_bound(1.3 * turns) <= tol/40 (max|g|
+    on the scan grid; the disk enclosures lose the cancellation between
+    terms, hence the 1.3).  Else _PHASE_PER_PANEL, as for tol None and for a
+    g with a kink, pole or jump on the grid, one whose grid walk raises and
+    one not finite there."""
     if tol is None:
         return _PHASE_PER_PANEL
     sample = p.sample()
@@ -179,15 +166,16 @@ def _start_turns(p: PhaseProblem, tol: float | None) -> float:
         g_max = float(np.max(np.abs(sample.g[0])))
     except ExprDomainError:  # as for sqrt(x - 1) at x = 1
         return _PHASE_PER_PANEL
-    if sample.breaks["g"] or not (
-            _wide_certificate() * (p.beta - p.alpha) / 2 * g_max <= tol / 4):
-        return _PHASE_PER_PANEL  # also nan and inf
-    return 2 * _PHASE_PER_PANEL
+    if sample.breaks["g"] or not math.isfinite(g_max):
+        return _PHASE_PER_PANEL
+    turns = np.array(_START_TURNS)
+    fits = (p.beta - p.alpha) / 2 * g_max * _linear_bound(1.3 * turns) <= tol / 40
+    return float(turns[fits].max(initial=_PHASE_PER_PANEL))
 
 
 def build_breakpoints(p: PhaseProblem, tol: float | None = None) -> np.ndarray:
     """Initial panel edges: split at f' sign changes, then by phase, on
-    panels of _start_turns(p, tol) turns: 0.9 unless tol allows 1.8 (see
+    panels of _start_turns(p, tol) turns: 0.9 for tol None (see
     _piece_breakpoints for the phase changes it refuses)."""
     roots = [bisect_fprime(p, *bracket, steps=60)
              for bracket in p.sample().sign_changes()]
@@ -208,19 +196,39 @@ def _require_finite(*values) -> None:
             "integrand produced non-finite values (domain violation?)")
 
 
-def _panel_certificates(d: ddmath.DD, c: np.ndarray) -> tuple:
+def _ellipse_bound(p: PhaseProblem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per panel [a, b], a bound on the error of its 24-node Gauss sum: the
+    least over _RHOS of half * _GAUSS_FACTOR * max|g e(f)| on the disk of
+    radius _SEMI_AXIS * half about the midpoint, which holds the panel's
+    Bernstein ellipse E_rho.  With the disks (c_f, r_f) and (c_g, r_g) of
+    eval_disk, |g e(f)| <= (|c_g| + r_g) exp(2 pi r_f) there, since c_f is
+    real.  Not finite where a disk may hold a singular point of f or g."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    radius = _SEMI_AXIS * half
+    radius = radius + 2.0 ** -50 * (np.abs(mid) + radius)  # mid and half round
+    _, r_f = eval_disk(p.f, mid, radius, p.bindings)
+    c_g, r_g = eval_disk(p.g, mid, radius, p.bindings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = _GAUSS_FACTOR * half * (np.abs(c_g) + r_g) * np.exp(2 * np.pi * r_f)
+    return np.min(bounds, axis=0)
+
+
+def _panel_certificates(d: ddmath.DD, c: np.ndarray, bound: np.ndarray) -> tuple:
     """Each panel's weighted null value, coarse null excess and certificate.
 
-    d (dd) and c (float64) hold per-panel null sums, real and imaginary
-    parts on a leading axis of length 2: d = q - q~ against the embedded
-    rule (degree 19), c = q - q^ against the coarse rule (degree 11).  On a
-    smooth panel the null values fall by orders of magnitude from degree 11
-    to degree 19, and the Gauss sum q (degree 47) is closer still: d is
-    weighted by r / _SMOOTH_DECAY, where r = |d| / |c| is that fall.  Where
-    |d| is not below _SMOOTH_DECAY * |c| (a kink or an endpoint singularity
-    inside the panel), the Gauss and embedded rules share most nodes and |d|
-    can sit far below the error of q: d keeps its weight 1 and the excess
-    is |c| (0 elsewhere).  The certificate is |weighted d| + excess.
+    Where the panel's ellipse bound (plus its dd floor) is finite, the null
+    value is 0 and the excess and certificate are that bound.  Elsewhere,
+    near a kink, a pole or a branch point, the null rules certify: d (dd)
+    and c (float64) hold per-panel null sums, real and imaginary parts on a
+    leading axis of length 2: d = q - q~ against the embedded rule (degree
+    19), c = q - q^ against the coarse rule (degree 11).  On a smooth panel
+    the null values fall by orders of magnitude from degree 11 to degree 19,
+    and the Gauss sum q (degree 47) is closer still: d is weighted by
+    r / _SMOOTH_DECAY, where r = |d| / |c| is that fall.  Where |d| is not
+    below _SMOOTH_DECAY * |c| (a kink or an endpoint singularity inside the
+    panel), the Gauss and embedded rules share most nodes and |d| can sit
+    far below the error of q: d keeps its weight 1 and the excess is |c| (0
+    elsewhere).  The certificate is |weighted d| + excess.
     """
     d = ddmath.to_float(d)
     n1 = np.hypot(*d)
@@ -229,7 +237,10 @@ def _panel_certificates(d: ddmath.DD, c: np.ndarray) -> tuple:
     weight = np.divide(n1, _SMOOTH_DECAY * n2, out=np.ones_like(n1),
                        where=resolved & (n2 > 0))
     excess = np.where(resolved, 0.0, n2)
-    return d * weight, excess, n1 * weight + excess
+    analytic = np.isfinite(bound)
+    excess = np.where(analytic, bound, excess)
+    return (np.where(analytic, 0.0, d * weight), excess,
+            np.where(analytic, bound, n1 * weight + excess))
 
 
 def _rounding_noise(g: ddmath.DD, f_err, g_err, w: np.ndarray,
@@ -268,52 +279,48 @@ class _PanelSums(NamedTuple):
 
 
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _chunk_results(phase: Expr, weight: Expr, bindings: dict, a: np.ndarray,
-                   b: np.ndarray) -> _PanelSums:
-    """The _PanelSums of the panels [a[i], b[i]], computed in chunks of
-    _CHUNK_NODES nodes.  Each panel's numbers depend on its two edges
-    alone.  A non-finite phase raises QuadratureNonConvergence.  Runs in the
-    helper processes too.
-    """
+def _chunk_results(p: PhaseProblem, a: np.ndarray, b: np.ndarray) -> _PanelSums:
+    """The _PanelSums of the panels [a[i], b[i]] of one chunk.  A non-finite
+    phase raises QuadratureNonConvergence."""
     (xi_hi, xi_lo), (w_hi, w_lo) = ddmath.gauss_legendre_dd(_NODES_PER_PANEL)
-    d_w = ddmath.embedded_null_weights(_NODES_PER_PANEL)
-    c_w = ddmath.coarse_null_weights(_NODES_PER_PANEL)
-    parts = []
-    for start in range(0, len(a), _CHUNK_PANELS):
-        left = ddmath.from_float(a[start:start + _CHUNK_PANELS])
-        right = ddmath.from_float(b[start:start + _CHUNK_PANELS])
-        mid = ddmath.mul(ddmath.add(left, right), ddmath.from_float(0.5))
-        half = ddmath.mul(ddmath.sub(right, left), ddmath.from_float(0.5))
-        mid2 = (mid[0][:, None], mid[1][:, None])
-        half2 = (half[0][:, None], half[1][:, None])
-        x = ddmath.add(mid2, ddmath.mul(half2, (xi_hi, xi_lo)))
-        f = eval_dd(phase, x, bindings)
-        _require_finite(f[0])
-        e_re, e_im = ddmath.e_unit_dd(f)
-        e = (np.stack((e_re[0], e_im[0])), np.stack((e_re[1], e_im[1])))
-        g = eval_dd(weight, x, bindings)
-        node = ddmath.mul(ddmath.mul(g, (w_hi, w_lo)), e)
-        q = ddmath.mul(ddmath.sum_nodes(node), half)
-        d = ddmath.mul(ddmath.sum_nodes(ddmath.mul(node, d_w)), half)
-        null, excess, cert = _panel_certificates(
-            d, (node[0] * c_w).sum(axis=-1) * half[0])
-        noise = _rounding_noise(g, eval_dd_error(phase, x, bindings),
-                                eval_dd_error(weight, x, bindings), w_hi, half[0])
-        parts.append((*q, null, excess, cert, noise))
-    return _PanelSums.join(parts)
+    left = ddmath.from_float(a)
+    right = ddmath.from_float(b)
+    mid = ddmath.mul(ddmath.add(left, right), ddmath.from_float(0.5))
+    half = ddmath.mul(ddmath.sub(right, left), ddmath.from_float(0.5))
+    mid2 = (mid[0][:, None], mid[1][:, None])
+    half2 = (half[0][:, None], half[1][:, None])
+    x = ddmath.add(mid2, ddmath.mul(half2, (xi_hi, xi_lo)))
+    f = eval_dd(p.f, x, p.bindings)
+    _require_finite(f[0])
+    e_re, e_im = ddmath.e_unit_dd(f)
+    e = (np.stack((e_re[0], e_im[0])), np.stack((e_re[1], e_im[1])))
+    g = eval_dd(p.g, x, p.bindings)
+    node = ddmath.mul(ddmath.mul(g, (w_hi, w_lo)), e)
+    q = ddmath.mul(ddmath.sum_nodes(node), half)
+    d = ddmath.mul(ddmath.sum_nodes(ddmath.mul(
+        node, ddmath.embedded_null_weights(_NODES_PER_PANEL))), half)
+    c = (node[0] * ddmath.coarse_null_weights(_NODES_PER_PANEL)).sum(axis=-1)
+    g_max = np.broadcast_to(np.abs(g[0]), x[0].shape).max(axis=-1)
+    bound = _ellipse_bound(p, a, b) + _DD_FLOOR * half[0] * g_max
+    null, excess, cert = _panel_certificates(d, c * half[0], bound)
+    noise = _rounding_noise(g, eval_dd_error(p.f, x, p.bindings),
+                            eval_dd_error(p.g, x, p.bindings), w_hi, half[0])
+    return _PanelSums(*q, null, excess, cert, noise)
 
 
 def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray,
                      panels: np.ndarray | None = None) -> _PanelSums:
     """The _PanelSums of the panels between edges, or of only those that the
-    boolean mask panels selects, in dd, split among this process and its
-    helpers (_Helpers.run).  A non-finite phase raises
-    QuadratureNonConvergence.
+    boolean mask panels selects, in dd and in chunks of _CHUNK_NODES nodes
+    (_chunk_results).  Each panel's numbers depend on its two edges alone.
+    A non-finite phase raises QuadratureNonConvergence.
     """
     a, b = edges[:-1], edges[1:]
     if panels is not None:
         a, b = a[panels], b[panels]
-    return _HELPERS.run((p.f, p.g, p.bindings), a, b)
+    return _PanelSums.join(
+        _chunk_results(p, a[lo:lo + _CHUNK_PANELS], b[lo:lo + _CHUNK_PANELS])
+        for lo in range(0, len(a), _CHUNK_PANELS))
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -333,194 +340,6 @@ def _refined(sums: _PanelSums, bisected: np.ndarray, children: np.ndarray,
         out[..., children] = new
         return out
     return _PanelSums(*map(column, sums, fresh))
-
-
-# --- helper processes -------------------------------------------------------
-
-# A reply may take this long plus _REPLY_WAIT_RATIO times this process's own
-# block (the blocks differ by at most one panel); later, the block is
-# computed here.
-_REPLY_WAIT_S = 10.0
-_REPLY_WAIT_RATIO = 4.0
-
-
-def _spare_cpus() -> int:
-    """CPUs this process may run on, less the one it runs on itself; none
-    where a process cannot fork."""
-    if not hasattr(os, "fork"):
-        return 0
-    try:
-        return len(os.sched_getaffinity(0)) - 1
-    except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) - 1
-
-
-def _serve(conn, callers: list) -> None:
-    """A forked helper's life on its end of the pipe: with SIGINT ignored
-    (the caller stops helpers), fds 0-2 on /dev/null (no capture of the
-    caller's output waits for it) and callers, the caller's pipe ends,
-    closed, answer each job, the arguments of _chunk_results, with its
-    result, or with None when it raised (the caller then computes the block
-    and raises the serial error).  At end of file, os._exit: a helper never
-    returns into the caller's stack or runs its exit handlers."""
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        null = os.open(os.devnull, os.O_RDWR)
-        for fd in (0, 1, 2):
-            os.dup2(null, fd)
-        for caller in callers:
-            caller.close()
-        while True:
-            try:
-                job = conn.recv()
-            except EOFError:
-                break
-            try:
-                result = _chunk_results(*job)
-            except Exception:  # any failure is the caller's to raise
-                result = None
-            conn.send(result)
-    finally:
-        os._exit(0)
-
-
-class _Helper:
-    """One helper process, forked from this one (_serve), and this
-    process's end of its pipe.  others are the helpers already running,
-    whose pipe ends the new one closes.  failed is set once it died, timed
-    out or sent what does not unpickle; pending while a reply is owed."""
-
-    def __init__(self, others: list):
-        from multiprocessing import Pipe
-
-        self.conn, theirs = Pipe()
-        with theirs:
-            self.pid = os.fork()
-            if self.pid == 0:
-                _serve(theirs, [self.conn] + [h.conn for h in others])
-        self.failed = False
-        self.pending = False
-
-    def send(self, job: tuple) -> None:
-        self.pending = True
-        try:
-            self.conn.send(job)
-        except OSError:
-            self.failed = True
-
-    def reply(self, spin: float, timeout: float):
-        """The result of the job sent last, or None if it raised there or
-        the helper failed.  Polls without sleeping for up to spin seconds,
-        then waits up to timeout seconds."""
-        if self.failed:
-            return None
-        try:
-            until = time.perf_counter() + spin
-            while not self.conn.poll() and time.perf_counter() < until:
-                pass
-            if self.conn.poll(timeout):
-                result = self.conn.recv()
-                self.pending = False
-                return result
-        # End of file, a broken socket, bytes that do not unpickle: all mean
-        # that this process computes the block.
-        except Exception:
-            pass
-        self.failed = True
-        return None
-
-    def stop(self) -> None:
-        self.conn.close()
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        except OSError:  # already reaped elsewhere
-            pass
-
-
-class _Helpers:
-    """The helper processes of this process, one per spare CPU.
-
-    They are forked from this process on the first pass with at least
-    _MIN_BLOCK_PANELS panels per process (ready), and take work at once:
-    that pass and every later one of that size use them.  A helper runs
-    this module as it was at fork time: a patch made here before the fork
-    reaches it, and a later patch does not.  They live as long as the
-    process: close runs at exit.  A helper that fails in a job is stopped
-    and replaced on a later pass; a fork that fails stops all helpers for
-    good.  One pass at a time uses them: a pass made meanwhile from another
-    thread runs serially.  A forked child starts its own helpers and leaves
-    its parent's alone.
-    """
-
-    def __init__(self):
-        self.pid = None
-        self.spare = 0
-        self.helpers = []
-        self.lock = threading.Lock()
-
-    def ready(self, n_panels: int) -> list:
-        """The helpers a pass of n_panels panels uses: none below
-        _MIN_BLOCK_PANELS per process, else all of them, after starting
-        those that are missing."""
-        if self.pid != os.getpid():
-            self.pid, self.spare, self.helpers = os.getpid(), _spare_cpus(), []
-        if n_panels < (1 + self.spare) * _MIN_BLOCK_PANELS:
-            return []
-        try:
-            while len(self.helpers) < self.spare:
-                self.helpers.append(_Helper(self.helpers))
-        except OSError:  # stop all helpers for good
-            self.close()
-            self.spare = 0
-            return []
-        return list(self.helpers)
-
-    def run(self, args: tuple, a: np.ndarray, b: np.ndarray) -> _PanelSums:
-        """_chunk_results(*args, a, b) in 1 + len(ready(len(a))) equal
-        contiguous blocks of panels: the first here, each later one by its
-        helper, or here if that helper returns None.  A panel's numbers do
-        not depend on its block, so every bit is that of one serial pass.  A
-        helper sees args (f, g and the bindings) and its block's panel edges
-        through its pipe."""
-        if not self.lock.acquire(blocking=False):
-            return _chunk_results(*args, a, b)
-        helpers = []
-        try:
-            helpers = self.ready(len(a))
-            cuts = [len(a) * k // (1 + len(helpers))
-                    for k in range(2 + len(helpers))]
-            mine, *theirs = [(*args, a[lo:hi], b[lo:hi])
-                             for lo, hi in zip(cuts, cuts[1:])]
-            for helper, job in zip(helpers, theirs):
-                helper.send(job)
-            t0 = time.perf_counter()
-            results = [_chunk_results(*mine)]
-            own = time.perf_counter() - t0
-            for helper, job in zip(helpers, theirs):
-                # Spin before sleeping, as OpenMP runtimes do: on a virtual
-                # machine a process that sleeps can wake to cold caches, and
-                # the expansions run after each pass were 10-30% slower.
-                result = helper.reply(own, _REPLY_WAIT_S + _REPLY_WAIT_RATIO * own)
-                results.append(_chunk_results(*job) if result is None else result)
-        finally:
-            # A reply not read now must never be read later.
-            for helper in helpers:
-                if helper.failed or helper.pending:
-                    helper.stop()
-                    self.helpers.remove(helper)
-            self.lock.release()
-        return _PanelSums.join(results)
-
-    def close(self) -> None:
-        if self.pid == os.getpid():
-            for helper in self.helpers:
-                helper.stop()
-        self.helpers = []
-
-
-_HELPERS = _Helpers()
-atexit.register(_HELPERS.close)
 
 
 def _worst_panels(sums: _PanelSums, budget: float) -> np.ndarray:
@@ -571,18 +390,20 @@ def oscillatory_quadrature_detail(
     """Full-detail quadrature result (dd parts exposed for the studies).
 
     Starts on the phase-split panels (build_breakpoints at tol).  Each pass is
-    certified without further integrand evaluations: diff = |sum of the
-    panels' weighted embedded null values| + their coarse excess
-    (_panel_certificates) + the bound on the float64 rounding of the
-    transcendental functions in f and g (_rounding_noise).  No refinement
-    lowers the rounding, so a tol not above it raises.  While diff >= tol,
-    the panels with the largest certificates are halved, as in QUADPACK's
-    QAG: the fewest without which the rest of the null sum and excess is
-    within half of what the rounding leaves of tol (_worst_panels).  The
-    next pass evaluates only the two halves of each, and keeps the sums of
-    every other panel.  Q, the null sum, the excess and the rounding bound
-    are summed over all panels in edge order, so the result's bits depend
-    only on its final panels.  Once diff < tol, Q is returned.
+    certified without further dd evaluations: diff = |sum of the panels'
+    weighted embedded null values| + their excess, which is the ellipse
+    bound of each panel where f and g are analytic about it and the coarse
+    excess elsewhere (_panel_certificates), + the bound on the float64
+    rounding of the transcendental functions in f and g (_rounding_noise).
+    No refinement lowers the rounding, so a tol not above it raises.  While
+    diff >= tol, the panels with the largest certificates are halved, as in
+    QUADPACK's QAG: the fewest without which the rest of the null sum and
+    excess is within half of what the rounding leaves of tol
+    (_worst_panels).  The next pass evaluates only the two halves of each,
+    and keeps the sums of every other panel.  Q, the null sum, the excess
+    and the rounding bound are summed over all panels in edge order, so the
+    result's bits depend only on its final panels.  Once diff < tol, Q is
+    returned.
     """
     settings = settings or QuadratureSettings()
     edges = build_breakpoints(p, settings.tol)

@@ -12,6 +12,7 @@ only with a zero imaginary part.
 from __future__ import annotations
 
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -70,11 +71,12 @@ def one_like(z):
     return np.ones_like(z) if isinstance(z, np.ndarray) else 1.0
 
 
-def powi(z, n: int):
+def powi(z, n: int, mul=operator.mul):
     """Integer power by repeated multiplication (binary exponentiation).
 
-    The float and float64-array evaluation of an integer power; the jet path
-    uses jets.jet_powi, which multiplies in the same order.
+    The float and float64-array evaluation of an integer power, and with
+    the product mul that of any other carrier (exprs.eval_disk's disks);
+    the jet path uses jets.jet_powi, which multiplies in the same order.
     """
     if n < 0:
         raise ValueError("powi expects a nonnegative exponent")
@@ -82,8 +84,8 @@ def powi(z, n: int):
     base = z
     while n:
         if n & 1:
-            result = base if result is None else result * base
+            result = base if result is None else mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return one_like(z) if result is None else result

@@ -284,7 +284,8 @@ class TestCmdExpand:
     def test_monotone_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "mono.cfg", MONOTONE_CFG)
         assert main(["expand", "--config", cfg]) == 2
-        assert "no stationary point; use quad or fdt" in capsys.readouterr().err
+        assert ("no stationary point; use quad, or study for the "
+                "first-derivative test") in capsys.readouterr().err
 
     def test_stationary_point_at_an_end_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "end.cfg", STATIONARY_AT_AN_END_CFG)
@@ -445,14 +446,14 @@ class TestCmdStudy:
         assert "nan" in err.lower()
 
     def test_failed_oracle_exits_4(self, tmp_path, capsys):
-        # 1e7 turns need more than max_panels at either start width.
+        # 1e8 turns need more than max_panels at every start width.
         cfg = write(tmp_path, "linear.cfg", "f = T*x\ng = 1\nalpha = 1\n"
-                                            "beta = 2\nn = 2\nT = 1e7\n")
+                                            "beta = 2\nn = 2\nT = 1e8\n")
         assert main(["study", "--config", cfg, "--n", "1,2"]) == 4
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == [
-            f"10000000,{n},nan,nan,nan,nan,nan,nan" for n in (1, 2)]
-        assert captured.err.startswith("T=10000000: oracle failed: phase change")
+            f"100000000,{n},nan,nan,nan,nan,nan,nan" for n in (1, 2)]
+        assert captured.err.startswith("T=100000000: oracle failed: phase change")
 
     def test_fpp_sign_change_fails_the_rows_and_exits_4(self, tmp_path, capsys):
         cfg = write(tmp_path, "fdt.cfg", "f = T*(x + x^3/3)\ng = 1\nalpha = -1\n"

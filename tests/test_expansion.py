@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pathlib
+import re
 import sys
 import warnings
 
@@ -10,8 +11,9 @@ import pytest
 
 from oscphase import exprs
 from oscphase.cli import parse_config
-from oscphase.coefficients import make_problem
-from oscphase.errors import (DegenerateStationaryPoint, NonFinitePhaseError, SignChangeDetected,
+from oscphase.coefficients import find_stationary_point, make_problem, taylor_data
+from oscphase.errors import (DegenerateStationaryPoint, NonFinitePhaseError, OscPhaseError,
+                             SignChangeDetected,
                              StationaryPointError,
                              StationaryTooCloseToEndpoint)
 from oscphase.expansion import (boundary_terms, double_factorial_odd,
@@ -157,6 +159,33 @@ class TestStationaryPhaseExpand:
         with pytest.raises(DegenerateStationaryPoint,
                            match=r"f''\(gamma\) = 3.997e-33 within tolerance of zero"):
             stationary_phase_expand(p)
+
+    @pytest.mark.parametrize("f, T, degenerate", [
+        ("2e-13*x^2", 1.0, False),  # f'' = 4e-13 against tol 2.5e-13
+        ("T*x^4", 16.0, True),
+    ])
+    def test_taylor_data_and_the_expansion_share_one_degeneracy_rule(
+            self, f, T, degenerate):
+        p = make_problem(f, "1", -1.0, 1.0, n=2, T=T)
+        gamma = find_stationary_point(p)
+
+        def refused(fn):
+            try:
+                fn()
+            except DegenerateStationaryPoint as exc:
+                assert re.fullmatch(r"f''\(gamma\) = \S+ within tolerance of zero",
+                                    str(exc))
+                return True
+            except OscPhaseError:  # 2e-13*x^2: f'(beta) is within tolerance
+                pass
+            return False
+
+        with mpmath.workdps(30):
+            verdicts = [refused(lambda: taylor_data(p, gamma)),
+                        refused(lambda: taylor_data(p, mpmath.mpf(gamma))),
+                        refused(lambda: stationary_phase_expand(p)),
+                        refused(lambda: stationary_phase_expand(p, mp_dps=30))]
+        assert verdicts == [degenerate] * 4
 
     def test_n1_flagged(self):
         p = make_problem("T*(x^2 + x^3/3)", "1", -0.5, 0.5, n=1, T=512.0)

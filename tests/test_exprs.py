@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from oscphase.errors import (ExprDomainError, ExprSyntaxError,
                              UnboundSymbolError, UnknownFunctionError)
-from oscphase import ddmath
+from oscphase import ddmath, exprs
 from oscphase.coefficients import grid_jet
 from oscphase.exprs import (Bin, Call, Neg, Num, Sym, eval_array, eval_dd,
-                            eval_dd_error, eval_jet, eval_real, format_expr,
-                            parse, symbols)
+                            eval_dd_error, eval_disk, eval_jet, eval_real,
+                            format_expr, parse, symbols)
 from oscphase.jets import (jet_add, jet_constant, jet_div, jet_map, jet_mul,
                            jet_powi, jet_sub, jet_variable)
 
@@ -479,3 +479,93 @@ def test_eval_jet_constant_and_variable_operands_give_the_lifted_bits(
             return
         got = eval_jet(tree, x_jet, params)
     assert _bits(got) == _bits(want)
+
+
+# --- disk enclosures ----------------------------------------------------------
+
+_disk_fns = st.sampled_from(["exp", "log", "sin", "cos", "sqrt", "abs", "atan"])
+
+
+def _literal(v: float):
+    return Num(v) if v >= 0 else Neg(Num(-v))
+
+
+def _disk_exprs(depth):
+    """Trees over every operator: + - * / and ^ of two trees, literal
+    powers (negative, zero, positive, non-integer) and every function."""
+    if depth == 0:
+        return st.one_of(
+            st.floats(min_value=-3.0, max_value=3.0).map(lambda v: _literal(round(v, 2))),
+            st.sampled_from(["x", "x", "x", "a", "pi"]).map(Sym))
+    sub = _disk_exprs(depth - 1)
+    return st.one_of(
+        sub,
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: Bin(*t)),
+        st.tuples(sub, st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0,
+                                        0.5, -1.5])).map(
+            lambda t: Bin("^", t[0], _literal(t[1]))),
+        st.tuples(_disk_fns, sub).map(lambda t: Call(*t)),
+        sub.map(Neg))
+
+
+def _analytic_abs(z):
+    """abs continued off the axis: +-z on each side of 0."""
+    return np.where(z.real >= 0, z, -z)
+
+
+@given(_disk_exprs(3), st.floats(min_value=-2.0, max_value=2.0),
+       st.floats(min_value=1e-3, max_value=1.5))
+@settings(max_examples=400, deadline=None)
+def test_eval_disk_encloses_the_complex_values(tree, center, radius):
+    # eval_array at complex points of the disk, its rim included, with abs
+    # continued analytically (numpy's abs of a complex is the modulus).
+    rng = np.random.default_rng(13)
+    rim = np.exp(2j * np.pi * np.arange(16) / 16)
+    inner = np.sqrt(rng.uniform(0, 1, 48)) * np.exp(2j * np.pi * rng.uniform(0, 1, 48))
+    z = center + radius * np.concatenate((rim, inner))
+    params = {"a": -1.3}
+    c, r = eval_disk(tree, np.float64(center), np.float64(radius), params)
+    assert np.ndim(c) == 0 and np.isreal(c) and r >= 0
+    if r == np.inf:
+        return
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setitem(exprs._NUMPY, "abs", _analytic_abs)
+        try:
+            values = np.broadcast_to(eval_array(tree, z, params), z.shape)
+        except ExprDomainError:  # as for (0^-3)^0, which the disk reads as 1
+            return
+    assert np.all(np.isfinite(values))
+    assert np.all(np.abs(values - c) <= r + 1e-13 * (abs(c) + r))
+
+
+@pytest.mark.parametrize("text, center", [
+    ("1/(x - 0.3)", 0.32), ("(x - 0.3)^-2", 0.32), ("abs(x - 0.3)", 0.32),
+    ("sqrt(x - 0.3)", 0.32), ("log(x - 0.3)", 0.32), ("(x - 0.3)^0.5", 0.32),
+    ("(x - 0.3)^x", 0.32), ("1/(x^2 + 0.0001)", 0.005), ("atan(x/0.05)", 0.0)])
+def test_eval_disk_is_unbounded_on_a_singular_point(text, center):
+    # Each singular point (0.3, +-0.01i, +-0.05i) lies 0.02 or less from
+    # the center: a disk of radius 0.05 holds it, one of radius 0.004 not.
+    e = parse(text)
+    assert eval_disk(e, center, 0.05)[1] == np.inf
+    c, r = eval_disk(e, center, 0.004)
+    assert np.isfinite(r) and abs(eval_real(e, center) - c) <= r
+
+
+def test_eval_disk_negative_power_is_the_quotient():
+    center, radius = np.linspace(-0.5, 0.5, 7), np.full((3, 7), 0.2)
+    power = eval_disk(parse("(1+x^2)^-3"), center, radius)
+    quotient = eval_disk(parse("1/(1+x^2)^3"), center, radius)
+    assert all(np.array_equal(p, q) for p, q in zip(power, quotient))
+
+
+@pytest.mark.parametrize("text", ["pi", "x^2", "x^-3", "1/x", "exp(x)",
+                                  "log(x)", "sin(x)", "cos(x)", "sqrt(x)",
+                                  "atan(x)", "x^0.7", "x^x", "2 - x"])
+@pytest.mark.parametrize("x", [0.1, 1.7])
+def test_eval_disk_of_a_point_holds_its_exact_value(text, x):
+    # Radius 0: r covers only the float64 rounding of c.
+    c, r = eval_disk(parse(text), x, 0.0)
+    with mpmath.workdps(40):
+        exact = (+mpmath.pi if text == "pi"
+                 else _mp_value(parse(text), mpmath.mpf(x), {}))
+        assert abs(exact - mpmath.mpf(float(c))) <= r

@@ -1,11 +1,8 @@
-import errno
 import math
 import os
 import pathlib
-import signal
 import subprocess
 import sys
-import threading
 import time
 
 import mpmath
@@ -15,7 +12,7 @@ import pytest
 from oscphase.cli import main, parse_config
 from oscphase.coefficients import compute_coefficients, make_problem
 from oscphase.errors import ExprDomainError, QuadratureNonConvergence
-from oscphase.exprs import parse
+from oscphase.exprs import Call, Neg, Num, Sym, parse
 from oscphase import ddmath, oracle
 from oscphase.oracle import (_CHUNK_NODES, QuadratureSettings, _bisect_edges,
                              _pairwise, _panels_dd_numpy, build_breakpoints,
@@ -156,8 +153,9 @@ class TestOscillatoryQuadrature:
     def test_numpy_path_is_chunk_invariant(self, canonical_family):
         # 9,108 panels (the phase split halved twice) at T = 2^12 span many
         # chunks; a split that is not on a chunk boundary must not change
-        # the dd sum, and the converged value, which the phase split itself
-        # certifies, must match the one the 2^21-node chunking gave.
+        # the dd sum, and the converged value, which the start split itself
+        # certifies, must match the one the 2^21-node chunking gave within
+        # its certificate.
         p = canonical_family(2.0 ** 12)
         edges = _bisect_edges(_bisect_edges(build_breakpoints(p)))
         chunk = _CHUNK_NODES // 24
@@ -174,7 +172,7 @@ class TestOscillatoryQuadrature:
 
         r = oscillatory_quadrature_detail(p)
         assert r.panels == len(build_breakpoints(p, QuadratureSettings().tol)) - 1
-        assert within_seed_2_12(r, 1e-30)
+        assert within_seed_2_12(r, r.diff)
 
     def test_transcendental_phase_falls_back(self):
         # sin in the phase exercises the float64 fallback inside eval_dd
@@ -377,13 +375,15 @@ class TestLocalRefinement:
         assert abs(r.value - ref) <= tol
 
     def test_fine_tolerance_halves_only_the_panels_that_miss(self, canonical_family):
-        # Halving every panel of the 0.45-turn split took 9,104 panels to
+        # 1e-18 starts on 3.0-turn panels (686), whose bounds sum to 2.6e-18;
+        # halving every panel of the 0.45-turn split took 9,104 panels to
         # certify 1e-20.
         p = canonical_family(2.0 ** 12)
-        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=1e-20))
-        assert r.diff < 1e-20
-        assert len(build_breakpoints(p)) - 1 < r.panels <= 4600
-        assert within_seed_2_12(r, 1e-30)
+        start = len(build_breakpoints(p, 1e-18)) - 1
+        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=1e-18))
+        assert r.diff < 1e-18 and r.doublings == 1
+        assert start < r.panels <= start + start // 10
+        assert within_seed_2_12(r, r.diff)
 
     def test_each_pass_evaluates_each_of_its_nodes_once(self, monkeypatch):
         # The first pass evaluates its panels; each later one only the two
@@ -452,14 +452,17 @@ class TestLocalRefinement:
     def test_wide_panels_keep_the_value_of_the_finer_split(
             self, monkeypatch, f, g, alpha, beta, n, T):
         # The criterion families at the default tol, against one pass over
-        # the 0.45-turn phase split halved (0.225 turns per panel).
+        # the 0.45-turn phase split halved (0.225 turns per panel): the two
+        # values agree within the sum of their certificates.
         p = make_problem(f, g, alpha, beta, n=n, T=T)
         r = oscillatory_quadrature_detail(p)
         monkeypatch.setattr(oracle, "_PHASE_PER_PANEL", 0.45)
-        fine = totals(_panels_dd_numpy(p, _bisect_edges(build_breakpoints(p))))
+        sums = _panels_dd_numpy(p, _bisect_edges(build_breakpoints(p)))
+        fine_diff = (np.hypot(*sums.null.sum(axis=-1)) + sums.excess.sum()
+                     + sums.noise.sum())
         with mpmath.workdps(40):
-            for got, want in zip((r.re_dd, r.im_dd), fine):
-                assert abs(as_mp(got) - as_mp(want)) < 1e-30
+            for got, want in zip((r.re_dd, r.im_dd), totals(sums)):
+                assert abs(as_mp(got) - as_mp(want)) <= r.diff + fine_diff
 
     def test_default_tol_certifies_the_phase_split(self, canonical_family):
         # The 0.45-turn start took 4,552 panels and 109,248 nodes.
@@ -468,26 +471,24 @@ class TestLocalRefinement:
         assert r.doublings == 0 and r.panels <= 2300
         assert r.nodes == r.panels * 24 <= 56_000
 
-    def test_fine_tol_halves_only_the_panels_at_gamma(self, monkeypatch,
-                                                       canonical_family):
-        # gamma = 0, and the panels next to it end within 0.04 of it; every
-        # other panel's null values fall fast enough.
+    def test_fine_tol_halves_only_the_panels_with_the_largest_bounds(
+            self, monkeypatch, canonical_family):
+        # 1e-24 starts on 2.4-turn panels; the bounds that miss are those
+        # next to gamma = 0 and those near beta, where f'' is largest.
         p = canonical_family(2.0 ** 12)
-        start = build_breakpoints(p)
-        passes = []
-        panels_dd = oracle._panels_dd_numpy
-
-        def recording(p, edges, panels=None):
-            passes.append(edges)
-            return panels_dd(p, edges, panels)
-
-        monkeypatch.setattr(oracle, "_panels_dd_numpy", recording)
-        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=1e-20))
-        assert r.diff < 1e-20 and r.doublings >= 1
+        start = build_breakpoints(p, 1e-24)
+        passes = record_passes(monkeypatch)
+        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=1e-24))
+        assert r.diff < 1e-24 and r.doublings >= 1
+        assert same_bits(passes[0], start)
         added = np.setdiff1d(passes[-1], start)
-        assert 0 < len(added) <= 16 and np.all(np.abs(added) < 0.04)
+        bisected = np.zeros(len(start) - 1, dtype=bool)
+        bisected[np.searchsorted(start, added) - 1] = True
+        cert = _panels_dd_numpy(p, start).cert
+        assert 0 < bisected.sum() < 0.2 * len(bisected)
+        assert cert[bisected].min() >= cert[~bisected].max()
         assert r.nodes == (2 * r.panels - len(start) + 1) * 24
-        assert within_seed_2_12(r, 1e-30)
+        assert within_seed_2_12(r, r.diff)
 
     def test_jump_in_g_stagnates_quickly(self):
         # Each halving of the jump's panel only halves the certificate.
@@ -506,362 +507,43 @@ class TestLocalRefinement:
         assert "stagnated" in capsys.readouterr().err
 
 
-HELPER_WAIT_S = 60.0
-needs_two_cpus = pytest.mark.skipif(oracle._spare_cpus() < 1,
-                                    reason="helpers start only with a spare CPU")
-
-
-def ready_helpers(edges):
-    """Start the helper processes if need be: they take work at once."""
-    helpers = oracle._HELPERS.ready(len(edges) - 1)
-    assert helpers
-    return helpers
-
-
-def running(pid):
-    """True while the child pid has not exited; never reaps it."""
-    return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
-
-
-def reaped(pid):
-    """True once the child pid has exited and been waited for."""
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-def kill(pid):
-    """SIGKILL the child pid and wait until it has exited, leaving it for
-    the code under test to reap."""
-    os.kill(pid, signal.SIGKILL)
-    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-
-
-def record_blocks(monkeypatch):
-    """Panel counts of the blocks this process computes from now on; the
-    patch does not reach the helpers."""
-    blocks = []
-    chunk_results = oracle._chunk_results
-
-    def recording(*job):
-        blocks.append(len(job[3]))
-        return chunk_results(*job)
-
-    monkeypatch.setattr(oracle, "_chunk_results", recording)
-    return blocks
-
-
-def serial_pass(p, edges):
-    """The pass as one serial loop: every chunk here."""
-    return oracle._chunk_results(p.f, p.g, p.bindings, edges[:-1], edges[1:])
-
-
 def as_hex(sums):
     """Every bit of every per-panel number of a pass."""
     return [float(v).hex() for column in sums for v in np.ravel(column)]
 
 
-# The transcendental pool problem trans[0]: 1,138 panels on the 0.9-turn
-# split, two chunks.
-TRANS_0 = {"f": "T*(x + sin(x)/10)", "g": "1 + 0.434*x", "alpha": 0.618,
-           "beta": 1.618, "n": 2, "T": 982.77}
+# Criterion 2's family at T = 2^14: 2,279 panels at the default tol, 4 chunks.
+CRITERION_2_AT_2_14 = {"f": "T*(x^2 + x^3/3)", "g": "1/(1+x^2)",
+                       "alpha": -0.5, "beta": 0.5, "n": 2, "T": 2.0 ** 14}
 
 
-SPLIT_PROBLEM = {"f": "T*(x^2 + x^3/3)", "g": "abs(sin(40*x))/(1+x^2)",
-                 "alpha": -0.5, "beta": 0.5, "n": 2, "T": 2.0 ** 12}
-
-
-@pytest.fixture
-def split_pass():
-    """A pass of 14 chunks at T = 2^12, its chunk count and its serial bits.
-    The weight's 13 kinks give a coarse null excess to panels on both sides
-    of the split."""
-    p = make_problem(**SPLIT_PROBLEM)
-    edges = _bisect_edges(_bisect_edges(build_breakpoints(p)))
-    chunk = _CHUNK_NODES // 24
-    n_chunks = -(-(len(edges) - 1) // chunk)
-    assert n_chunks >= 10
-    serial = serial_pass(p, edges)
-    split = (len(edges) - 1) // 2
-    assert serial.excess[:split].any() and serial.excess[split:].any()
-    return p, edges, n_chunks, as_hex(serial)
-
-
-@needs_two_cpus
-class TestHelperInterpreters:
-    def test_split_pass_is_the_serial_pass_bit_for_bit(self, monkeypatch, split_pass):
-        p, edges, n_chunks, serial = split_pass
-        helpers = ready_helpers(edges)
-        # Forked with this process's CPUs.
-        assert all(os.sched_getaffinity(h.pid) == os.sched_getaffinity(0)
-                   for h in helpers)
-        blocks = record_blocks(monkeypatch)
-        got = _panels_dd_numpy(p, edges)
-        assert len(blocks) == 1 and 0 < blocks[0] < len(edges) - 1
-        assert as_hex(got) == serial
-
-    def test_a_two_chunk_pass_is_split_inside_a_chunk(self, monkeypatch,
-                                                      split_pass):
-        # Two chunks: the helper's block starts inside the first one.
-        p = make_problem(**TRANS_0)
-        edges = build_breakpoints(p)
-        serial = as_hex(serial_pass(p, edges))
-        helpers = ready_helpers(split_pass[1])
-        blocks = record_blocks(monkeypatch)
-        got = _panels_dd_numpy(p, edges)
-        assert blocks == [(len(edges) - 1) // (1 + len(helpers))]
-        assert blocks[0] < oracle._CHUNK_PANELS
-        assert as_hex(got) == serial
-
-    def test_a_pass_of_a_few_panels_stays_here(self, monkeypatch, split_pass):
-        p = make_problem("x^2", "1", -1.0, 1.0, n=2)
-        edges = build_breakpoints(p)
-        serial = as_hex(serial_pass(p, edges))
-        ready_helpers(split_pass[1])
-        blocks = record_blocks(monkeypatch)
-        got = _panels_dd_numpy(p, edges)
-        assert blocks == [len(edges) - 1] == [22]
-        assert as_hex(got) == serial
-
-    def test_non_finite_phase_in_a_helper_block_raises_the_serial_error(
-            self, monkeypatch, split_pass):
-        # log(0.45 - x) is not finite on the last panels only, which lie in
-        # the helper's block; the helper returns None and this process
-        # computes that block to raise.
-        _, edges, n_chunks, _ = split_pass
-        p = make_problem("T*(x^2 + x^3/3) + log(0.45 - x)", "1/(1+x^2)",
-                         -0.5, 0.5, n=2, T=2.0 ** 12)
-        with pytest.raises(QuadratureNonConvergence) as serial:
-            serial_pass(p, edges)
-        helpers = ready_helpers(edges)
-        blocks = record_blocks(monkeypatch)
-        with pytest.raises(QuadratureNonConvergence) as split:
-            _panels_dd_numpy(p, edges)
-        assert str(split.value) == str(serial.value)
-        assert len(blocks) == 2 and sum(blocks) == len(edges) - 1
-        # An error in a job leaves the helper running.
-        assert all(h in oracle._HELPERS.helpers and running(h.pid)
-                   for h in helpers)
-
-    def test_helper_killed_between_calls(self, split_pass):
-        p, edges, n_chunks, serial = split_pass
-        helpers = ready_helpers(edges)
-        for helper in helpers:
-            kill(helper.pid)
-        assert as_hex(_panels_dd_numpy(p, edges)) == serial
-        assert not set(helpers) & set(oracle._HELPERS.helpers)
-        assert as_hex(_panels_dd_numpy(p, edges)) == serial
-        # A replacement starts, and its split pass keeps the bits.
-        ready_helpers(edges)
-        assert as_hex(_panels_dd_numpy(p, edges)) == serial
-
-    def test_interrupt_with_a_job_outstanding_stops_the_helper(
-            self, monkeypatch, split_pass):
-        p, edges, n_chunks, _ = split_pass
-        helpers = ready_helpers(edges)
-
-        def interrupted(*job):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(oracle, "_chunk_results", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            _panels_dd_numpy(p, edges)
-        for helper in helpers:
-            assert helper not in oracle._HELPERS.helpers
-            assert reaped(helper.pid)
-
-    def test_a_call_while_another_thread_holds_the_lock_runs_here(
-            self, monkeypatch, split_pass):
-        p, edges, n_chunks, serial = split_pass
-        ready_helpers(edges)
-        held, release = threading.Event(), threading.Event()
-
-        def hold():
-            with oracle._HELPERS.lock:
-                held.set()
-                release.wait()
-
-        thread = threading.Thread(target=hold)
-        thread.start()
-        try:
-            held.wait()
-            blocks = record_blocks(monkeypatch)
-            got = _panels_dd_numpy(p, edges)
-        finally:
-            release.set()
-            thread.join()
-        assert blocks == [len(edges) - 1]
-        assert as_hex(got) == serial
-
-    def test_a_failed_fork_turns_the_helpers_off(self, monkeypatch, split_pass):
-        p, edges, n_chunks, serial = split_pass
-        helpers = oracle._Helpers()
-        monkeypatch.setattr(oracle, "_HELPERS", helpers)
-        forks = []
-
-        def failing_fork():
-            forks.append(os.getpid())
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", failing_fork)
-        blocks = record_blocks(monkeypatch)
-        assert as_hex(_panels_dd_numpy(p, edges)) == serial
-        assert as_hex(_panels_dd_numpy(p, edges)) == serial
-        assert len(forks) == 1 and blocks == [len(edges) - 1] * 2
-        assert (helpers.spare, helpers.helpers) == (0, [])
-
-    def test_a_forked_child_that_exits_leaves_the_helpers_running(self):
-        # The child's exit runs the exit handlers (this module's close, and
-        # multiprocessing's) in a copy of the caller that owns no helper.
-        out = fresh_python(
-            "import os, sys\n"
-            "from oscphase import oracle\n"
-            "from oscphase.coefficients import make_problem\n"
-            "from oscphase.oracle import _bisect_edges, build_breakpoints\n"
-            f"p = make_problem(**{SPLIT_PROBLEM!r})\n"
-            "edges = _bisect_edges(_bisect_edges(build_breakpoints(p)))\n"
-            "serial = oracle._chunk_results(p.f, p.g, p.bindings, edges[:-1],\n"
-            "                               edges[1:])\n"
-            "oracle._panels_dd_numpy(p, edges)\n"
-            "helpers = list(oracle._HELPERS.helpers)\n"
-            "child = os.fork()\n"
-            "if child == 0:\n"
-            "    sys.exit(0)\n"
-            "os.waitpid(child, 0)\n"
-            "running = [os.waitid(os.P_PID, h.pid, os.WEXITED | os.WNOHANG\n"
-            "                     | os.WNOWAIT) is None for h in helpers]\n"
-            "split = oracle._panels_dd_numpy(p, edges)\n"
-            "bits = [s.tobytes() for s in serial] == [s.tobytes() for s in split]\n"
-            "print(len(helpers), all(running), bits,\n"
-            "      oracle._HELPERS.helpers == helpers)\n")
-        assert out.split() == [str(oracle._spare_cpus()), "True", "True", "True"]
-
-
-def test_no_helper_without_a_spare_cpu(monkeypatch):
-    monkeypatch.setattr(oracle, "_spare_cpus", lambda: 0)
-    helpers = oracle._Helpers()
-    assert helpers.ready(10 ** 6) == [] and helpers.helpers == []
-
-
-def fresh_env() -> dict:
-    """The environment of a fresh interpreter that imports this oscphase."""
-    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": src}
-
-
-def fresh_python(code: str) -> str:
-    """The stdout of code run by a fresh interpreter on this oscphase, with
-    its output captured: it returns only once every process that holds
-    that output has exited."""
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=HELPER_WAIT_S,
-                          env=fresh_env()).stdout
-
-
-def fresh_oracle_call(problem: dict):
-    """One oracle call on make_problem(**problem) in a fresh interpreter:
-    its panels, the processes it started and the pids of this module's
-    helpers."""
-    code = ("import os, subprocess\n"
+def test_no_oracle_call_starts_a_process():
+    # In a fresh interpreter, so that the import counts too; every way that
+    # a process starts goes through os.fork, os.posix_spawn or
+    # _posixsubprocess.fork_exec (subprocess and multiprocessing alike).
+    code = ("import os, _posixsubprocess\n"
             "started = []\n"
-            "class Spy(subprocess.Popen):\n"
-            "    def __init__(self, *args, **kwargs):\n"
-            "        started.append(args)\n"
-            "        super().__init__(*args, **kwargs)\n"
-            "subprocess.Popen = Spy\n"
-            "fork = os.fork\n"
-            "os.fork = lambda: started.append('fork') or fork()\n"
+            "def spy(module, name):\n"
+            "    real = getattr(module, name)\n"
+            "    def call(*args, **kwargs):\n"
+            "        started.append(name)\n"
+            "        return real(*args, **kwargs)\n"
+            "    setattr(module, name, call)\n"
+            "for name in ('fork', 'forkpty', 'posix_spawn', 'posix_spawnp'):\n"
+            "    spy(os, name)\n"
+            "spy(_posixsubprocess, 'fork_exec')\n"
             "from oscphase import oracle\n"
             "from oscphase.coefficients import make_problem\n"
             "r = oracle.oscillatory_quadrature_detail("
-            f"make_problem(**{problem!r}))\n"
-            "print(r.panels, len(started), "
-            "*(h.pid for h in oracle._HELPERS.helpers))\n")
-    panels, started, *pids = map(int, fresh_python(code).split())
-    return panels, started, pids
-
-
-def test_import_and_a_one_chunk_call_start_no_process():
-    panels, started, helpers = fresh_oracle_call(
-        {"f": "x^2", "g": "1", "alpha": -1.0, "beta": 1.0, "n": 2})
-    assert panels <= _CHUNK_NODES // 24
-    assert (started, helpers) == (0, [])
-
-
-def test_a_two_chunk_call_starts_the_helpers():
-    # At the default tol TRANS_0 starts on 1.8-turn panels (569, one chunk):
-    # twice its T gives two chunks, at least _MIN_BLOCK_PANELS per process.
-    panels, started, helpers = fresh_oracle_call({**TRANS_0, "T": 2 * TRANS_0["T"]})
-    assert _CHUNK_NODES // 24 < panels <= 2 * (_CHUNK_NODES // 24)
-    assert panels >= (1 + oracle._spare_cpus()) * oracle._MIN_BLOCK_PANELS
-    assert started == len(helpers) == oracle._spare_cpus()
-
-
-def test_helpers_start_at_min_block_panels_per_process(monkeypatch):
-    helpers = oracle._Helpers()
-    try:
-        n_panels = (1 + oracle._spare_cpus()) * oracle._MIN_BLOCK_PANELS
-        assert helpers.ready(n_panels - 1) == [] and helpers.helpers == []
-        started = helpers.ready(n_panels)
-        assert len(started) == helpers.spare == oracle._spare_cpus()
-        # Such a pass is split, and keeps the bits of the serial pass.
-        p = make_problem(**TRANS_0)
-        edges = build_breakpoints(p)[:n_panels + 1]
-        serial = as_hex(serial_pass(p, edges))
-        blocks = record_blocks(monkeypatch)
-        got = helpers.run((p.f, p.g, p.bindings), edges[:-1], edges[1:])
-        assert blocks == [n_panels // (1 + helpers.spare)]
-        assert as_hex(got) == serial
-    finally:
-        helpers.close()
-    assert all(reaped(helper.pid) for helper in started)
-
-
-# Criterion 2's family at T = 2^14: 4,554 panels, about 7 chunks.
-CRITERION_2_AT_2_14 = {**SPLIT_PROBLEM, "g": "1/(1+x^2)", "T": 2.0 ** 14}
-
-
-@needs_two_cpus
-def test_a_captured_call_returns_and_leaves_no_helper():
-    panels, started, pids = fresh_oracle_call(CRITERION_2_AT_2_14)
-    assert panels >= 4 * (_CHUNK_NODES // 24)
-    assert started == len(pids) == oracle._spare_cpus()
-    for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-
-
-def proc_running(pid):
-    """True while pid is a process that has not exited (Linux /proc)."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-@needs_two_cpus
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_a_killed_caller_leaves_no_helper_running():
-    # The helper sees the end of its pipe and exits, whoever reaps it.
-    code = ("import time\n"
-            "from oscphase import oracle\n"
-            "from oscphase.coefficients import make_problem\n"
-            "oracle.oscillatory_quadrature_detail(make_problem("
-            f"**{CRITERION_2_AT_2_14!r}))\n"
-            "print(*(h.pid for h in oracle._HELPERS.helpers), flush=True)\n"
-            f"time.sleep({HELPER_WAIT_S})\n")
-    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                          text=True, env=fresh_env()) as caller:
-        pids = [int(pid) for pid in caller.stdout.readline().split()]
-        caller.kill()
-    assert len(pids) == oracle._spare_cpus()
-    deadline = time.monotonic() + HELPER_WAIT_S
-    while any(map(proc_running, pids)) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not any(map(proc_running, pids))
+            f"make_problem(**{CRITERION_2_AT_2_14!r}))\n"
+            "print(r.panels, len(started))\n")
+    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    panels, started = map(int, out.split())
+    assert panels > 3 * oracle._CHUNK_PANELS
+    assert started == 0
 
 
 def record_passes(monkeypatch):
@@ -885,30 +567,49 @@ DEFAULT_TOL = QuadratureSettings().tol
 
 
 class TestStartWidth:
-    """The oracle starts on 1.8-turn panels where
-    kappa * (beta - alpha)/2 * max|g| <= tol/4, else on the 0.9-turn split."""
+    """The oracle starts on the widest width of _START_TURNS whose ellipse
+    bound on a linear phase, at 1.3 times the turns, times
+    (beta - alpha)/2 * max|g| fits tol/40, else on the 0.9-turn split."""
 
-    def test_kappa_is_the_certificate_of_a_wide_linear_panel(self):
-        # g = 1 and f = 0.9 x on [-1, 1], a panel of 1.8 turns: the dd node
-        # products by hand, then the certificate of their null sums.
-        (xh, xl), (wh, wl) = ddmath.gauss_legendre_dd(24)
-        phase = ddmath.mul((xh, xl), ddmath.from_float(oracle._PHASE_PER_PANEL))
-        e_re, e_im = ddmath.e_unit_dd(phase)
-        node = ddmath.mul((wh, wl), (np.stack((e_re[0], e_im[0])),
-                                     np.stack((e_re[1], e_im[1]))))
-        d = ddmath.sum_nodes(ddmath.mul(node, ddmath.embedded_null_weights(24)))
-        c = (node[0] * ddmath.coarse_null_weights(24)).sum(axis=-1)
-        kappa = float(oracle._panel_certificates(d, c)[2])
-        assert kappa == oracle._wide_certificate()
-        assert 1e-13 < kappa < 3e-13
+    @pytest.mark.parametrize("turns", [1.8, 2.4, 3.0, 3.6, 4.5, 5.4, 6.3])
+    def test_linear_bound_is_the_ellipse_bound_of_a_linear_panel(self, turns):
+        # f = turns/2 * x and g = 1 on [-1, 1], one panel of that many
+        # turns; the 24-node rule's error at 40 digits lies below the bound.
+        p = make_problem(f"{turns / 2!r}*x", "1", -1.0, 1.0, n=1, T=1.0)
+        bound = oracle._ellipse_bound(p, np.array([-1.0]), np.array([1.0]))[0]
+        assert bound == pytest.approx(oracle._linear_bound(turns)[0], rel=1e-12)
+        with mpmath.workdps(40):
+            rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
+            q = sum(w * mpmath.expjpi(turns * x)
+                    for x, w in rule.calc_nodes(4, mpmath.mp.prec))
+            exact = 2 * mpmath.sin(mpmath.pi * turns) / (mpmath.pi * turns)
+            assert abs(q - exact) <= bound
 
-    def test_a_fine_tol_starts_on_the_phase_split(self, monkeypatch,
-                                                  canonical_family):
+    @pytest.mark.parametrize("tol, turns", [
+        (1e-8, 4.5), (1e-12, 3.6), (1e-18, 3.0), (1e-20, 2.4), (1e-26, 1.8),
+        (1e-33, 0.9)])
+    def test_the_ladder(self, canonical_family, tol, turns):
+        # (beta - alpha)/2 * max|g| = 1/2: the widest width whose bound fits.
         p = canonical_family(2.0 ** 12)
+        assert oracle._start_turns(p, tol) == turns
+        fits = 0.5 * oracle._linear_bound(1.3 * np.array(oracle._START_TURNS)) <= tol / 40
+        assert turns == max([0.9] + [w for w, ok in zip(oracle._START_TURNS, fits) if ok])
+
+    @pytest.mark.parametrize("tol, nodes", [(DEFAULT_TOL, 54_696),
+                                            (1e-26, 109_296)])
+    def test_the_start_certifies_criterion_2_at_2_14(self, monkeypatch, tol,
+                                                     nodes):
+        # Half the nodes of the parent start (1.8 and 0.9 turns), and no
+        # refinement.
+        p = make_problem(**CRITERION_2_AT_2_14)
         passes = record_passes(monkeypatch)
-        oscillatory_quadrature_detail(p, QuadratureSettings(tol=1e-20))
-        assert same_bits(passes[0], build_breakpoints(p))
-        assert same_bits(build_breakpoints(p, 1e-20), build_breakpoints(p))
+        r = oscillatory_quadrature_detail(p, QuadratureSettings(tol=tol))
+        assert r.diff < tol and r.doublings == 0 and r.nodes == nodes
+        assert same_bits(passes[0], build_breakpoints(p, tol))
+
+    def test_a_fine_tol_starts_on_the_phase_split(self, canonical_family):
+        p = canonical_family(2.0 ** 12)
+        assert same_bits(build_breakpoints(p, 1e-33), build_breakpoints(p))
 
     def test_the_default_tol_starts_on_wide_panels(self, monkeypatch,
                                                    canonical_family):
@@ -918,10 +619,10 @@ class TestStartWidth:
         start = passes[0]
         turns = np.abs(np.diff([p.f_value(float(x)) for x in start]))
         at_gamma = np.argmin(np.abs(start))  # gamma = 0 is an edge
-        assert np.all(turns <= 1.8 + 1e-9)
-        assert np.all(turns[[at_gamma - 1, at_gamma]] <= 0.9 + 1e-9)
+        assert np.all(turns <= 3.6 + 1e-9)
+        assert np.all(turns[[at_gamma - 1, at_gamma]] <= 1.8 + 1e-9)
         assert r.doublings == 0 and r.panels == len(start) - 1
-        assert r.panels < 0.51 * (len(build_breakpoints(p)) - 1)
+        assert r.panels < 0.26 * (len(build_breakpoints(p)) - 1)
 
     @pytest.mark.parametrize("f, g, alpha, beta, why", [
         ("T*(x^2/2 + -0.287*x^3)", "abs(x - 0.269)", -0.473, 0.947, "breaks"),
@@ -943,7 +644,7 @@ class TestStartWidth:
             assert not np.all(np.isfinite(p.sample().g[0]))
         # The same f with g = 1 starts wide.
         smooth = make_problem(f, "1", alpha, beta, n=2, T=16.0)
-        assert oracle._start_turns(smooth, DEFAULT_TOL) == 1.8
+        assert oracle._start_turns(smooth, DEFAULT_TOL) == 3.6
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -1077,3 +778,77 @@ class TestNumericReversionOracle:
             w_hat = numeric_reversion_oracle(p, cs.gamma, 2 * n)
             for got, want in zip(w_hat, cs.varpi):
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+
+# --- the ellipse certificate against mpmath ------------------------------------
+
+def _load_pool():
+    """perfbench/pool.py's problem pool (the benchmark's oracle sets)."""
+    import importlib.util
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "pool.py"
+    spec = importlib.util.spec_from_file_location("oscphase_bench_pool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_pool()
+
+
+def _mp_tree(e, x, bindings):
+    """The tree's value at the mpf x, in mpmath."""
+    if isinstance(e, Num):
+        return mpmath.mpf(e.value)
+    if isinstance(e, Sym):
+        if e.name == "x":
+            return x
+        return mpmath.pi if e.name == "pi" else mpmath.mpf(bindings[e.name])
+    if isinstance(e, Neg):
+        return -_mp_tree(e.child, x, bindings)
+    if isinstance(e, Call):
+        return getattr(mpmath, "fabs" if e.fn == "abs" else e.fn)(
+            _mp_tree(e.arg, x, bindings))
+    a, b = _mp_tree(e.left, x, bindings), _mp_tree(e.right, x, bindings)
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a ** b}[e.op]
+
+
+def _soundness_problems():
+    pool = _load_pool()
+    yield from pool["trans"]
+    yield from (spec for variants in pool["large"] for spec in variants)
+    yield from pool["txx"]
+    yield {"f": "T*(x^2 + x^3/3)", "g": "1/(1+x^2)", "alpha": -0.5,
+           "beta": 0.5, "n": 2, "T": 2.0 ** 12}
+    yield {"f": "T*(x + x^2/10)", "g": "1/x", "alpha": 1.0, "beta": 2.0,
+           "n": 3, "T": 2.0 ** 12}
+    yield {"f": "T*x^2", "g": "1/(x^2 + 0.0001)", "alpha": -1.0, "beta": 1.0,
+           "n": 2, "T": 64.0}
+    yield {"f": "T*(x^2 + x^3/3)", "g": "exp(-x)*cos(3*x) + atan(2*x)*sqrt(x + 1)",
+           "alpha": -0.5, "beta": 0.5, "n": 2, "T": 2.0 ** 10}
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-20])
+def test_each_certificate_bounds_its_panels_error(tol):
+    # On the start panels of each problem, the 3 largest certificates and 3
+    # panels spread over the rest: |24-node dd sum - 36-digit mpmath| is
+    # within the certificate plus the rounding bound wherever it exceeds the
+    # dd floor.
+    checked = 0
+    for spec in _soundness_problems():
+        p = make_problem(spec["f"], spec["g"], spec["alpha"], spec["beta"],
+                         n=spec["n"], T=spec["T"])
+        edges = build_breakpoints(p, tol)
+        sums = _panels_dd_numpy(p, edges)
+        n = len(edges) - 1
+        picks = set(np.argsort(-sums.cert, kind="stable")[:3])
+        picks |= set(np.linspace(0, n - 1, 3).astype(int))
+        with mpmath.workdps(36):
+            for i in sorted(picks):
+                a, b = mpmath.mpf(edges[i]), mpmath.mpf(edges[i + 1])
+                exact = mpmath.quad(
+                    lambda x: _mp_tree(p.g, x, p.bindings)
+                    * mpmath.expjpi(2 * _mp_tree(p.f, x, p.bindings)), [a, b])
+                q = mpmath.mpc(as_mp((sums.q_hi[0, i], sums.q_lo[0, i])),
+                               as_mp((sums.q_hi[1, i], sums.q_lo[1, i])))
+                err = abs(q - exact)
+                if err > 1e-30:
+                    checked += 1
+                    assert err <= sums.cert[i] + sums.noise[i], (spec, i)
+    assert checked > 0

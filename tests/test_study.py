@@ -50,15 +50,15 @@ def test_a_tol_below_the_rounding_falls_back_to_the_default(recorded_tols):
 
 
 def test_a_failed_oracle_fails_every_row_of_its_T():
-    # 1e7 turns need more than max_panels at either start width.
-    p = make_problem("T*x", "1", 1.0, 2.0, n=2, T=1e7)
+    # 1e8 turns need more than max_panels at every start width.
+    p = make_problem("T*x", "1", 1.0, 2.0, n=2, T=1e8)
     rows = run_study(p, [p.T], [1, 2])
     assert [r.n for r in rows] == [1, 2]
     for r in rows:
         assert r.failed and r.quad is None
-        assert r.theorem.startswith("oracle failed: phase change of 1e+07 turns")
+        assert r.theorem.startswith("oracle failed: phase change of 1e+08 turns")
         assert math.isnan(r.abs_error) and cmath.isnan(r.oracle)
-    assert oracle_report(rows) == [f"T=10000000: {rows[0].theorem}"]
+    assert oracle_report(rows) == [f"T=100000000: {rows[0].theorem}"]
 
 
 def test_an_fpp_sign_change_fails_the_row_with_the_oracle_value():
