@@ -6,8 +6,9 @@ Expansion problems (perfbench/pool.py: stationary, monotone, reject and
 probe) run in float and in mpmath at the study precision.  Their line holds
 every field of the ExpansionResult, of its CoefficientSet and of its
 AuditReport, or the class and message of the error raised.  Oracle problems
-(small-T, large-T, transcendental, T*x^2 and Fresnel) hold the quadrature's
-dd parts, panels, doublings and certificate.  CLI runs (expand, audit and
+(small-T, large-T, transcendental, T*x^2 and Fresnel, and the singular set
+below) hold the quadrature's dd parts, panels, doublings and certificate,
+or the error.  CLI runs (expand, audit and
 quad on the three configs in configs/, and one study) hold the stdout, stderr
 and exit code of oscphase.cli.main run in process.  Floats are written as
 float.hex and mpmath numbers as their exact binary mantissa and exponent, so
@@ -47,6 +48,27 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ("fresnel.cfg", "monotone.cfg", "stationary_cubic.cfg")
 STUDY_ARGS = ("--config", "configs/stationary_cubic.cfg",
               "--grid", "1024:65536:4", "--n", "1,2,3")
+# g's that are not analytic on [alpha, beta], where a panel's certificate
+# comes from its mass bound, as (f, g, alpha, beta, T, tol): kinks and
+# bounded endpoint singularities that certify, then a kink at a tol below
+# what its panels can reach, midpoint poles, a jump and unbounded ends.
+SINGULAR = (
+    ("T*(x^2/2 + -0.287*x^3)", "abs(x - 0.269)", -0.473, 0.947, 16.0, 1e-8),
+    ("T*(x^2/2 + 0.095*x^3)", "abs(x - 0.511)", -0.403, 0.811, 64.0, 1e-12),
+    ("T*(x^2 + x^3/3)", "1 + abs(x - 0.123)", -0.5, 0.5, 16.0, 1e-12),
+    ("T*(x^2 + x^3/3)", "abs(x - 0.123)", -0.5, 0.5, 16.0, 1e-20),
+    ("T*x", "sqrt(x - 1)", 1.0, 2.0, 16.0, 1e-8),
+    ("T*x", "x^1.5", 0.0, 1.0, 16.0, 1e-8),
+    ("T*x", "(x - 1)^0.5", 1.0, 2.0, 16.0, 1e-8),
+    ("T*x", "sqrt(abs(x - 1.3))", 1.0, 2.0, 16.0, 1e-8),
+    ("T*(x^2 + x^3/3)", "1 + abs(x - 0.123)", -0.5, 0.5, 16.0, 1e-16),
+    ("T*(x + x^2/10)", "1/(x - 1.4144667855116144)", 1.0, 2.0, 16.0, 1e-12),
+    ("T*(x + x^2/10)", "1/(x - 1.4328602310696963)", 1.0, 2.0, 64.0, 1e-12),
+    ("T*(x + x^2/10)", "1/(x - 1.430002512367798)", 1.0, 2.0, 1024.0, 1e-12),
+    ("T*(x + x^2/10)", "(abs(x-1.3)/(x-1.3)+1)/2", 1.0, 2.0, 1024.0, 1e-12),
+    ("T*x", "log(x + 0.5)", -0.5, 0.5, 16.0, 1e-12),
+    ("T*x", "1/sqrt(x - 1)", 1.0, 2.0, 16.0, 1e-12),
+)
 
 
 def encode(v):
@@ -158,6 +180,15 @@ def compare(lines, path: pathlib.Path) -> int:
     return 1 if counts else 0
 
 
+def singular_lines(problem, quadrature):
+    """The oracle lines of SINGULAR (group "singular"): problem(spec) makes
+    a problem and quadrature(p, tol) runs the oracle on it."""
+    for index, (f, g, alpha, beta, T, tol) in enumerate(SINGULAR):
+        spec = {"f": f, "g": g, "alpha": alpha, "beta": beta, "n": 2, "T": T}
+        yield {"group": "singular", "index": [index, 0], "f": f, "g": g,
+               "oracle": outcome(lambda: quadrature(problem(spec), tol))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=pathlib.Path, default=ROOT)
@@ -210,6 +241,8 @@ def lines(checkout: pathlib.Path):
     for group, index, spec in specs(("small", "large", "trans", "txx", "fresnel")):
         yield line(group, index, spec, oracle=outcome(
             lambda: oscillatory_quadrature_detail(problem(spec), settings)))
+    yield from singular_lines(problem, lambda p, tol: oscillatory_quadrature_detail(
+        p, QuadratureSettings(tol=tol)))
     runs = [[command, "--config", f"configs/{config}"]
             for config in CONFIGS for command in ("expand", "audit", "quad")]
     for argv in runs + [["study", *STUDY_ARGS]]:

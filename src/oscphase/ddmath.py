@@ -20,7 +20,6 @@ cost of a fresh interpreter's set-up.
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import mpmath
@@ -339,65 +338,3 @@ def gauss_legendre_dd(order: int) -> tuple[DD, DD]:
     _GL_CACHE[order] = result
     return result
 
-
-def _subset_ratios(x: list, w: list, keep: list[int]) -> list:
-    """w~_j / w_j of the interpolatory rule on a subset of the Gauss-Legendre
-    nodes x (weights w), zero off the subset; in the arithmetic of x and w
-    (float or mpf).
-
-    The weights follow from the Gauss rule's own exactness: the subset's
-    Lagrange polynomial l_j has degree below len(x), so
-
-        w~_j = sum_i w_i l_j(x_i) = w_j + sum_{i dropped} w_i l_j(x_i).
-    """
-    drop = [i for i in range(len(x)) if i not in keep]
-    # prod_k (x_i - x_k) over the kept nodes, for each dropped node i
-    node_poly = {i: math.prod(x[i] - x[k] for k in keep) for i in drop}
-    ratios = [0.0] * len(x)
-    for j in keep:
-        den = math.prod(x[j] - x[k] for k in keep if k != j)
-        extra = sum(w[i] * node_poly[i] / (x[i] - x[j]) for i in drop)
-        ratios[j] = 1 + extra / (den * w[j])
-    return ratios
-
-
-_EMBEDDED_CACHE: dict[int, DD] = {}
-_COARSE_CACHE: dict[int, np.ndarray] = {}
-
-
-def embedded_null_weights(order: int) -> DD:
-    """Null-rule weights d_j = 1 - w~_j / w_j of the rule embedded in the
-    order-point Gauss-Legendre nodes, as dd: sum_j d_j g_j w_j e_j is the
-    Gauss sum minus the embedded sum, from the node products the Gauss sum
-    already computes.
-
-    The embedded rule is interpolatory on the symmetric subset left after
-    dropping nodes 1, 3, order-4 and order-2 (0-based, ascending; d_j = 1
-    there), so it is exact for polynomials of degree below order-4.  Its
-    weights w~_j are positive for orders 8 to 22 and the even orders up to
-    30 (order 24: smallest 0.021).
-    """
-    if order not in _EMBEDDED_CACHE:
-        (xs_hi, xs_lo), (ws_hi, ws_lo) = gauss_legendre_dd(order)
-        drop = (1, 3, order - 4, order - 2)
-        keep = [j for j in range(order) if j not in drop]
-        with mpmath.workdps(40):  # from the dd nodes and weights, exactly
-            x = [mpmath.mpf(h) + l for h, l in zip(xs_hi.tolist(), xs_lo.tolist())]
-            w = [mpmath.mpf(h) + l for h, l in zip(ws_hi.tolist(), ws_lo.tolist())]
-            parts = [_dd_of_mp(1 - r) for r in _subset_ratios(x, w, keep)]
-        _EMBEDDED_CACHE[order] = (np.array([h for h, _ in parts]),
-                                  np.array([l for _, l in parts]))
-    return _EMBEDDED_CACHE[order]
-
-
-def coarse_null_weights(order: int) -> np.ndarray:
-    """Null-rule weights 1 - w^_j / w_j (float64) of the coarse rule on
-    every other node counted from each end (order 24: 12 nodes, degree 11):
-    sum_j c_j g_j w_j e_j is the Gauss sum minus the coarse sum.
-    """
-    if order not in _COARSE_CACHE:
-        (xs, _), (ws, _) = gauss_legendre_dd(order)
-        keep = [j for j in range(order) if min(j, order - 1 - j) % 2 == 0]
-        ratios = _subset_ratios(xs.tolist(), ws.tolist(), keep)
-        _COARSE_CACHE[order] = 1.0 - np.array(ratios)
-    return _COARSE_CACHE[order]

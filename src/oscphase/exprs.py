@@ -665,16 +665,29 @@ def _disk_div(a, b):
     return _disk_mul(a, _disk(1.0 / cb, _over(rb, np.abs(cb) * (np.abs(cb) - rb))))
 
 
-def _disk_powi(a, n: int):
+def _disk_powi(a, n: int, real: bool):
     if n == 0:
         return _ONE
     if n < 0:
-        return _disk_div(_ONE, scalars.powi(a, -n, _disk_mul))
-    return scalars.powi(a, n, _disk_mul)
+        return _disk_div(_ONE, _disk_powi(a, -n, real))
+    c, r = scalars.powi(a, n, _disk_mul)
+    if real and n % 2 == 0:  # an even power is not negative on a segment
+        low = np.maximum(c - r, 0.0)
+        return _disk((low + c + r) / 2, (c + r - low) / 2)
+    return c, r
+
+
+def _from_zero(a, disk, b):
+    """disk, but where the base a may reach 0 on a real segment (c <= r),
+    the segment [0, (c + r)^b] that holds a^b for b > 0 there."""
+    c, r = a
+    top = np.power(c + r + _WIDEN * (np.abs(c) + r), b)
+    low, high = _disk(top / 2, top / 2)
+    return np.where(c > r, disk[0], low), np.where(c > r, disk[1], high)
 
 
 def _disk_step(env, op, a, b, offset):
-    center, radius, params = env
+    center, radius, params, real = env
     if op == "num":
         return np.float64(a), 0.0
     if op == "sym":
@@ -687,18 +700,19 @@ def _disk_step(env, op, a, b, offset):
     if op in "+-":
         (ca, ra), (cb, rb) = a, b
         return _disk(ca + cb if op == "+" else ca - cb, ra + rb)
-    if op == "*":
-        return _disk_mul(a, b)
+    if op == "*":  # u*u reads one slot twice: a square
+        return _disk_powi(a, 2, real) if a is b else _disk_mul(a, b)
     if op == "/":
         return _disk_div(a, b)
     if op == "^" and np.ndim(b[0]) == 0 and b[1] == 0:
         op, b = "^k", b[0]  # a constant exponent
     if op == "^k" and float(b).is_integer():
-        return _disk_powi(a, int(b))
+        return _disk_powi(a, int(b), real)
     if op == "^k" or op == "^":  # exp(b log a)
         exponent = (np.float64(b), 0.0) if op == "^k" else b
-        return _disk_step(env, "exp", _disk_mul(
+        disk = _disk_step(env, "exp", _disk_mul(
             exponent, _disk_step(env, "log", a, None, offset)), None, offset)
+        return _from_zero(a, disk, b) if real and op == "^k" and b > 0 else disk
     c, r = a
     if op == "exp":
         v = np.exp(c)
@@ -709,23 +723,33 @@ def _disk_step(env, op, a, b, offset):
     if op == "log":
         return _disk(np.log(c), np.where(c > r, -np.log1p(-r / c), np.inf))
     if op == "sqrt":
-        return _disk(np.sqrt(c), np.where(c > r, r / np.sqrt(c), np.inf))
+        disk = _disk(np.sqrt(c), np.where(c > r, r / np.sqrt(c), np.inf))
+        return _from_zero(a, disk, 0.5) if real else disk
     if op == "atan":
         # atan' = 1/((t - i)(t + i)), and +-i lie sqrt(c^2 + 1) from c:
         # |atan'| <= 1/gap^2 on the disk.
         gap = np.hypot(c, 1.0) - r
         return _disk(np.arctan(c), _over(r, gap * gap * (gap > 0)))
-    # abs: +-z on a disk that excludes 0, and a kink on any other.
-    return _disk(np.abs(c), np.where(np.abs(c) > r, r, np.inf))
+    # abs: +-z on a disk that excludes 0, and a kink on any other; on a real
+    # segment it moves by at most as much as its argument.
+    return _disk(np.abs(c), np.where(real | (np.abs(c) > r), r, np.inf))
 
 
 @np.errstate(all="ignore")
-def eval_disk(e: Expr, center, radius, params: dict | None = None) -> tuple:
+def eval_disk(e: Expr, center, radius, params: dict | None = None, *,
+              real: bool = False) -> tuple:
     """A disk (c, r) that holds e(z) for every complex z within radius of
     the real center (arrays broadcast): |e(z) - c| <= r.  r is inf wherever
     the disk may hold a pole, a branch point or a kink of e (log and sqrt
     need c > r, atan r < sqrt(c^2 + 1), abs |c| > r, a divisor |c| > r).
     Integer powers multiply disks in scalars.powi's order, and a negative
     one divides 1 by the positive power, as 1/u^k does; other powers are
-    exp(b log a)."""
-    return _run(_tape(e), _disk_step, (center, radius, params or {}))
+    exp(b log a).
+
+    With real=True, (c, r) holds e only on the real segment [center -
+    radius, center + radius], where e is defined: abs needs no gap to 0,
+    an even power (u*u included) is not negative, and sqrt, or a constant
+    power b > 0, of a base that may reach 0 lies in [0, (c + r)^b].  A
+    divisor that may vanish, log at 0 and negative powers at 0 stay
+    unbounded."""
+    return _run(_tape(e), _disk_step, (center, radius, params or {}, real))

@@ -10,17 +10,17 @@ Three oracles live here:
   machinery.  The integrand is evaluated in double-double so the result
   stays trustworthy at phase scales (T ~ 2^18) where plain float64 drowns
   in phase jitter.  Each pass certifies each panel without evaluating
-  anything more in dd: where f and g are analytic on a disk about the
-  panel, by the Bernstein-ellipse bound on the 24-node rule's error
-  (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3)
-  from disk enclosures of f and g (exprs.eval_disk); on a panel next to a
-  kink, a pole or a branch point, by a rule embedded in the 24 Gauss nodes
-  (20 of them), in the manner of Gauss-Kronrod pairs, sharpened by how
-  fast the null values fall.  A bound on the float64 rounding of any
-  transcendental function in f or g is added.  When the certificate misses
-  the tolerance, only the panels with the largest certificates are halved
-  (QUADPACK's QAG), and the next pass evaluates only their halves.  Every
-  pass runs in the calling process.
+  anything more in dd, by one formula from disk enclosures of f and g
+  (exprs.eval_disk): the lesser of the Bernstein-ellipse bound on the
+  24-node rule's error (Trefethen, Approximation Theory and Approximation
+  Practice, Thm 19.3), finite where f and g are analytic on a disk about
+  the panel, and the mass bound 4 * half * sup|g| on the real panel, which
+  holds whatever the smoothness: it shrinks with the panel at a kink or a
+  bounded endpoint singularity, and is inf at a pole or a jump.  A bound on
+  the float64 rounding of any transcendental function in f or g is added.
+  When the certificates miss the tolerance, only the panels with the
+  largest ones are halved (QUADPACK's QAG), and the next pass evaluates
+  only their halves.  Every pass runs in the calling process.
 * fd_derivatives -- central finite differences, the classic cross-check for
   the jet engine.
 * numeric_reversion_oracle -- brute-force recovery of the varpi coefficients
@@ -53,9 +53,7 @@ _PHASE_PER_PANEL = 0.9
 _START_TURNS = (0.9, 1.8, 2.4, 3.0, 3.6, 4.5, 5.4, 6.3)
 _MAX_WIDTH_FRACTION = 1 / 16  # panels also stay narrow so g is resolved
 _CHUNK_NODES = 1 << 14  # one chunk's dd temporaries stay resident in a 2 MB L2
-_SMOOTH_DECAY = 1e-3  # null-value ratio that marks a panel resolved
-# Gauss-Legendre nodes per panel: the null rules (degrees 11 and 19) and
-# _SMOOTH_DECAY are calibrated for this rule, and bound its error only.
+# Gauss-Legendre nodes per panel; _GAUSS_FACTOR below is for this rule.
 _NODES_PER_PANEL = 24
 _CHUNK_PANELS = _CHUNK_NODES // _NODES_PER_PANEL
 _MAX_PANELS = 4_000_000
@@ -213,42 +211,24 @@ def _ellipse_bound(p: PhaseProblem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.min(bounds, axis=0)
 
 
-def _panel_certificates(d: ddmath.DD, c: np.ndarray, bound: np.ndarray) -> tuple:
-    """Each panel's weighted null value, coarse null excess and certificate.
-
-    Where the panel's ellipse bound (plus its dd floor) is finite, the null
-    value is 0 and the excess and certificate are that bound.  Elsewhere,
-    near a kink, a pole or a branch point, the null rules certify: d (dd)
-    and c (float64) hold per-panel null sums, real and imaginary parts on a
-    leading axis of length 2: d = q - q~ against the embedded rule (degree
-    19), c = q - q^ against the coarse rule (degree 11).  On a smooth panel
-    the null values fall by orders of magnitude from degree 11 to degree 19,
-    and the Gauss sum q (degree 47) is closer still: d is weighted by
-    r / _SMOOTH_DECAY, where r = |d| / |c| is that fall.  Where |d| is not
-    below _SMOOTH_DECAY * |c| (a kink or an endpoint singularity inside the
-    panel), the Gauss and embedded rules share most nodes and |d| can sit
-    far below the error of q: d keeps its weight 1 and the excess is |c| (0
-    elsewhere).  The certificate is |weighted d| + excess.
-    """
-    d = ddmath.to_float(d)
-    n1 = np.hypot(*d)
-    n2 = np.hypot(*c)
-    resolved = n1 <= _SMOOTH_DECAY * n2
-    weight = np.divide(n1, _SMOOTH_DECAY * n2, out=np.ones_like(n1),
-                       where=resolved & (n2 > 0))
-    excess = np.where(resolved, 0.0, n2)
-    analytic = np.isfinite(bound)
-    excess = np.where(analytic, bound, excess)
-    return (np.where(analytic, 0.0, d * weight), excess,
-            np.where(analytic, bound, n1 * weight + excess))
+def _mass_bound(p: PhaseProblem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per panel [a, b], a bound on the error of its 24-node Gauss sum,
+    whatever the smoothness: the integral and the sum (weights adding up to
+    2) are each at most 2 * half * S in size, where S = |c_g| + r_g bounds
+    |g| on the real panel (eval_disk with real=True); inf at a pole."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    radius = half + 2.0 ** -50 * (np.abs(mid) + half)  # mid and half round
+    c_g, r_g = eval_disk(p.g, mid, radius, p.bindings, real=True)
+    return 4 * half * (np.abs(c_g) + r_g)
 
 
 def _rounding_noise(g: ddmath.DD, f_err, g_err, w: np.ndarray,
                     half: np.ndarray) -> np.ndarray:
     """Per panel, a bound on how far the float64 fallbacks of eval_dd move
     the Gauss sum: |e(f + df) - e(f)| <= 2 pi |df| at each node, so the sum
-    moves by at most half * sum_j w_j (2 pi |g_j| df_j + dg_j).  The Gauss
-    and null sums share these node values, so no null rule sees this."""
+    moves by at most half * sum_j w_j (2 pi |g_j| df_j + dg_j).  The panel
+    certificates bound the error of the sum of exact node values, so
+    neither of them sees this."""
     if f_err is None and g_err is None:
         return np.zeros(len(half))
     spread = 0.0 if f_err is None else 2 * math.pi * np.abs(g[0]) * f_err
@@ -260,15 +240,14 @@ def _rounding_noise(g: ddmath.DD, f_err, g_err, w: np.ndarray,
 class _PanelSums(NamedTuple):
     """Per-panel results of a pass, one column per panel in edge order (real
     and imaginary parts on a leading axis of length 2 where present): the
-    dd Gauss-Legendre sums q, the weighted embedded null values, the coarse
-    null excess and each panel's own certificate (_panel_certificates), and
-    the bound on the float64 rounding of the transcendental functions in f
-    and g (_rounding_noise)."""
+    dd Gauss-Legendre sums q, each panel's certificate (the lesser of
+    _ellipse_bound and _mass_bound, plus its dd floor), and the bound on the
+    float64 rounding of the transcendental functions in f and g
+    (_rounding_noise).  The certificates and the rounding bounds add up over
+    panels."""
 
     q_hi: np.ndarray
     q_lo: np.ndarray
-    null: np.ndarray
-    excess: np.ndarray
     cert: np.ndarray
     noise: np.ndarray
 
@@ -297,15 +276,13 @@ def _chunk_results(p: PhaseProblem, a: np.ndarray, b: np.ndarray) -> _PanelSums:
     g = eval_dd(p.g, x, p.bindings)
     node = ddmath.mul(ddmath.mul(g, (w_hi, w_lo)), e)
     q = ddmath.mul(ddmath.sum_nodes(node), half)
-    d = ddmath.mul(ddmath.sum_nodes(ddmath.mul(
-        node, ddmath.embedded_null_weights(_NODES_PER_PANEL))), half)
-    c = (node[0] * ddmath.coarse_null_weights(_NODES_PER_PANEL)).sum(axis=-1)
     g_max = np.broadcast_to(np.abs(g[0]), x[0].shape).max(axis=-1)
-    bound = _ellipse_bound(p, a, b) + _DD_FLOOR * half[0] * g_max
-    null, excess, cert = _panel_certificates(d, c * half[0], bound)
+    # fmin: the ellipse bound is nan where g = 0 and f's disks are unbounded.
+    cert = (np.fmin(_ellipse_bound(p, a, b), _mass_bound(p, a, b))
+            + _DD_FLOOR * half[0] * g_max)
     noise = _rounding_noise(g, eval_dd_error(p.f, x, p.bindings),
                             eval_dd_error(p.g, x, p.bindings), w_hi, half[0])
-    return _PanelSums(*q, null, excess, cert, noise)
+    return _PanelSums(*q, cert, noise)
 
 
 def _panels_dd_numpy(p: PhaseProblem, edges: np.ndarray,
@@ -344,12 +321,11 @@ def _refined(sums: _PanelSums, bisected: np.ndarray, children: np.ndarray,
 
 def _worst_panels(sums: _PanelSums, budget: float) -> np.ndarray:
     """Mask of the fewest panels, taken by decreasing certificate, without
-    which the rest of the pass's rule certificate (the weighted null sum
-    and the excess of the other panels) is within budget: at least one."""
+    which the other panels' certificates sum to within budget: at least
+    one."""
     order = np.argsort(-sums.cert, kind="stable")
-    tail = np.cumsum(sums.null[:, order[::-1]], axis=-1)[:, ::-1]
-    tail_excess = np.cumsum(sums.excess[order[::-1]])[::-1]
-    rest = np.append(np.hypot(*tail[:, 1:]) + tail_excess[1:], 0.0)
+    tail = np.cumsum(sums.cert[order[::-1]])[::-1]
+    rest = np.append(tail[1:], 0.0)
     missing = np.zeros(len(order), dtype=bool)
     missing[order[:np.argmax(rest <= budget) + 1]] = True
     return missing
@@ -357,9 +333,16 @@ def _worst_panels(sums: _PanelSums, budget: float) -> np.ndarray:
 
 def _bisect_edges(edges: np.ndarray, panels: np.ndarray | None = None) -> np.ndarray:
     """The edges with the midpoint 0.5*(a+b) added inside each panel that
-    the boolean mask panels selects, or inside every panel if it is None."""
+    the boolean mask panels selects, or inside every panel if it is None.
+    A selected panel with no float strictly inside it raises
+    QuadratureNonConvergence."""
     mids = 0.5 * (edges[:-1] + edges[1:])
     at = np.arange(len(mids)) if panels is None else np.flatnonzero(panels)
+    inside = (edges[at] < mids[at]) & (mids[at] < edges[at + 1])
+    if not inside.all():
+        x = edges[at[~inside][0]].item()
+        raise QuadratureNonConvergence(
+            f"the panel at x = {x!r} is too narrow to halve")
     return np.insert(edges, at + 1, mids[at])
 
 
@@ -390,27 +373,27 @@ def oscillatory_quadrature_detail(
     """Full-detail quadrature result (dd parts exposed for the studies).
 
     Starts on the phase-split panels (build_breakpoints at tol).  Each pass is
-    certified without further dd evaluations: diff = |sum of the panels'
-    weighted embedded null values| + their excess, which is the ellipse
-    bound of each panel where f and g are analytic about it and the coarse
-    excess elsewhere (_panel_certificates), + the bound on the float64
+    certified without further dd evaluations: diff = the sum of the panels'
+    certificates, each the lesser of its ellipse bound (finite where f and
+    g are analytic about the panel) and its mass bound (finite where g is
+    bounded on it), plus a dd floor (_PanelSums), + the bound on the float64
     rounding of the transcendental functions in f and g (_rounding_noise).
     No refinement lowers the rounding, so a tol not above it raises.  While
     diff >= tol, the panels with the largest certificates are halved, as in
-    QUADPACK's QAG: the fewest without which the rest of the null sum and
-    excess is within half of what the rounding leaves of tol
-    (_worst_panels).  The next pass evaluates only the two halves of each,
-    and keeps the sums of every other panel.  Q, the null sum, the excess
-    and the rounding bound are summed over all panels in edge order, so the
-    result's bits depend only on its final panels.  Once diff < tol, Q is
-    returned.
+    QUADPACK's QAG: the fewest without which the other certificates sum to
+    within half of what the rounding leaves of tol (_worst_panels).  The
+    next pass evaluates only the two halves of each, and keeps the sums of
+    every other panel.  Q, the certificates and the rounding bound are
+    summed over all panels in edge order, so the result's bits depend only
+    on its final panels.  Once diff < tol, Q is returned.  Three passes in
+    a row with no new least sum of certificates (inf at a pole or a jump),
+    or a panel too narrow to halve, raise QuadratureNonConvergence.
     """
     settings = settings or QuadratureSettings()
     edges = build_breakpoints(p, settings.tol)
     new = None  # the panels the next pass evaluates; None for all of them
-    refinements = nodes = 0
+    refinements = nodes = stagnant = 0
     best = None
-    stagnant = 0
     while True:
         n_panels = len(edges) - 1
         if n_panels > _MAX_PANELS:
@@ -423,7 +406,7 @@ def oscillatory_quadrature_detail(
         re_dd, im_dd = _pairwise(sums.q_hi, sums.q_lo)
         _require_finite(re_dd[0], im_dd[0])
         value = complex(ddmath.to_float(re_dd), ddmath.to_float(im_dd))
-        rule = float(np.hypot(*sums.null.sum(axis=-1)) + sums.excess.sum())
+        rule = float(sums.cert.sum())
         noise = float(sums.noise.sum())
         diff = rule + noise
         floor = 1e-28 * max(1.0, abs(value))
@@ -440,18 +423,17 @@ def oscillatory_quadrature_detail(
             return QuadratureResult(value=value, re_dd=re_dd, im_dd=im_dd,
                                     panels=n_panels, doublings=refinements,
                                     nodes=nodes, diff=diff)
-        # Against the smallest rule certificate so far: one that alternates
-        # (a pole inside the interval) must not reset the count.  A kink's
-        # certificate need not halve at each bisection, hence 3 passes.
-        if best is not None and rule >= 0.5 * best:
+        # Against the least sum so far: one that alternates or stays inf (a
+        # pole or a jump) must not reset the count.  Any fall resets it: the
+        # mass bound of a kink's panel only halves per pass.
+        if best is None or rule < best:
+            best, stagnant = rule, 0
+        else:
             stagnant += 1
-            if stagnant >= 3:
+            if stagnant == 3:
                 raise QuadratureNonConvergence(
                     f"panel doubling stagnated at diff = {diff:.3e} "
                     f"(tol = {settings.tol:g} unattainable)")
-        else:
-            stagnant = 0
-        best = rule if best is None else min(best, rule)
         missing = _worst_panels(sums, 0.5 * (settings.tol - noise))
         edges = _bisect_edges(edges, missing)
         new = np.repeat(missing, missing + 1)

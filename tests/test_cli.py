@@ -152,22 +152,25 @@ class TestCmdQuad:
         cfg = write(tmp_path, "fresnel.cfg", FRESNEL_CFG)
         assert main(["quad", "--config", cfg, "--tol", "1e-30"]) == 3
 
-    @pytest.mark.parametrize("g, warnings", [
-        ("1/(x - 1.4144667855116144)",
-         ["warning: a divisor in g changes sign inside [alpha, beta], a pole "
-          "or a jump (offset 1); smoothness hypotheses fail"]),
-        ("1/x", []),
+    @pytest.mark.parametrize("g, code", [
+        ("1/(x - 1.4144667855116144)", 3),
+        ("1/x", 0),
     ])
-    def test_divisor_that_changes_sign_is_warned(self, tmp_path, capsys, g,
-                                                  warnings):
-        # The oracle still returns a certified number for the pole, which
-        # sits at a panel midpoint; only the warning marks it.
+    def test_divisor_that_changes_sign_is_refused(self, tmp_path, capsys, g,
+                                                  code):
+        # The pole sits at a panel midpoint, where the symmetric nodes cancel
+        # it, but its panel's certificate is inf, so quad exits 3; 1/x has
+        # no pole in [1, 2], and no warning.
         cfg = write(tmp_path, "pole.cfg", f"f = T*(x + x^2/10)\ng = {g}\n"
                     "alpha = 1\nbeta = 2\nn = 2\nT = 16\n")
-        assert main(["quad", "--config", cfg]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        assert main(["quad", "--config", cfg]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "stagnated" in captured.err and captured.out == ""
+            return
+        lines = captured.out.splitlines()
         assert lines[1].startswith("panels: ") and lines[2].startswith("nodes: ")
-        assert lines[3:] == warnings
+        assert lines[3:] == []
 
     @pytest.mark.parametrize("g, scan", [
         ("sqrt(x - 1)", []),                       # g's jet is undefined at alpha

@@ -502,7 +502,7 @@ def _disk_exprs(depth):
         sub,
         st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: Bin(*t)),
         st.tuples(sub, st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0,
-                                        0.5, -1.5])).map(
+                                        0.5, 1.5, -1.5])).map(
             lambda t: Bin("^", t[0], _literal(t[1]))),
         st.tuples(_disk_fns, sub).map(lambda t: Call(*t)),
         sub.map(Neg))
@@ -513,21 +513,43 @@ def _analytic_abs(z):
     return np.where(z.real >= 0, z, -z)
 
 
+def _defined_values(tree, ts, params):
+    """The tree's float values at the points of ts where it is defined."""
+    values = []
+    for t in ts:
+        try:
+            values.append(eval_real(tree, float(t), params))
+        except ExprDomainError:
+            pass
+    return np.array(values)
+
+
+@pytest.mark.parametrize("real", [False, True])
 @given(_disk_exprs(3), st.floats(min_value=-2.0, max_value=2.0),
        st.floats(min_value=1e-3, max_value=1.5))
 @settings(max_examples=400, deadline=None)
-def test_eval_disk_encloses_the_complex_values(tree, center, radius):
+def test_eval_disk_encloses_the_complex_values(real, tree, center, radius):
     # eval_array at complex points of the disk, its rim included, with abs
     # continued analytically (numpy's abs of a complex is the modulus).
+    # With real=True, at points of the real segment, its ends included,
+    # where the tree is defined: kinks of abs inside it, and sqrt and
+    # powers of a base that reaches 0 on it, are bounded there.
     rng = np.random.default_rng(13)
-    rim = np.exp(2j * np.pi * np.arange(16) / 16)
-    inner = np.sqrt(rng.uniform(0, 1, 48)) * np.exp(2j * np.pi * rng.uniform(0, 1, 48))
-    z = center + radius * np.concatenate((rim, inner))
     params = {"a": -1.3}
-    c, r = eval_disk(tree, np.float64(center), np.float64(radius), params)
+    c, r = eval_disk(tree, np.float64(center), np.float64(radius), params,
+                     real=real)
     assert np.ndim(c) == 0 and np.isreal(c) and r >= 0
     if r == np.inf:
         return
+    if real:
+        ts = center + radius * np.concatenate(([-1.0, 1.0], rng.uniform(-1, 1, 62)))
+        values = _defined_values(tree, ts, params)
+        assert np.all(np.isfinite(values))
+        assert np.all(np.abs(values - c) <= r + 1e-13 * (abs(c) + r))
+        return
+    rim = np.exp(2j * np.pi * np.arange(16) / 16)
+    inner = np.sqrt(rng.uniform(0, 1, 48)) * np.exp(2j * np.pi * rng.uniform(0, 1, 48))
+    z = center + radius * np.concatenate((rim, inner))
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setitem(exprs._NUMPY, "abs", _analytic_abs)
         try:
@@ -549,6 +571,32 @@ def test_eval_disk_is_unbounded_on_a_singular_point(text, center):
     assert eval_disk(e, center, 0.05)[1] == np.inf
     c, r = eval_disk(e, center, 0.004)
     assert np.isfinite(r) and abs(eval_real(e, center) - c) <= r
+
+
+@pytest.mark.parametrize("text, center, radius", [
+    ("abs(x - 0.3)", 0.32, 0.05), ("1 + abs(x - 0.123)/(1 + x^2)", 0.1, 0.1),
+    ("sqrt(x)", 0.25, 0.25), ("sqrt(x - 1)", 1.1, 0.3), ("x^1.5", 0.5, 0.5),
+    ("(x - 1)^0.5", 1.2, 0.3), ("sqrt(abs(x - 1.3))", 1.3, 0.2),
+    ("1/(x^2 + 0.0001)", 0.0, 0.1), ("1/(x*x + 0.0001)", 0.05, 0.1)])
+def test_eval_disk_on_a_real_segment_is_bounded_at_a_kink_and_at_0(
+        text, center, radius):
+    # A kink of abs, sqrt or x^1.5 at 0, or a square at 0, inside the
+    # segment: unbounded on the complex disk, bounded on the segment, and
+    # holding every value.
+    e = parse(text)
+    assert eval_disk(e, center, radius)[1] == np.inf
+    c, r = eval_disk(e, center, radius, real=True)
+    values = _defined_values(e, np.linspace(center - radius, center + radius, 201), {})
+    assert np.isfinite(r) and len(values) > 100
+    assert np.all(np.abs(values - c) <= r)
+
+
+@pytest.mark.parametrize("text, center", [
+    ("1/(x - 0.3)", 0.32), ("log(x - 0.3)", 0.32), ("(x - 0.3)^-0.5", 0.32),
+    ("(x - 0.3)^-2", 0.32), ("(abs(x - 0.3)/(x - 0.3) + 1)/2", 0.32)])
+def test_eval_disk_on_a_real_segment_is_unbounded_at_a_pole(text, center):
+    # A divisor that may vanish, log at 0 and negative powers at 0.
+    assert eval_disk(parse(text), center, 0.05, real=True)[1] == np.inf
 
 
 def test_eval_disk_negative_power_is_the_quotient():

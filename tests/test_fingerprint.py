@@ -55,3 +55,19 @@ class TestOracleShift:
         assert "small oracle re_dd: 2 changed" in out
         assert ("oracle values: 2 moved, largest |change| "
                 f"{2.0 ** -60:.3e}, 1 by more than their diff") in out
+
+
+def test_singular_lines_certify_the_kinks_and_refuse_the_poles():
+    from oscphase.coefficients import make_problem
+    from oscphase.oracle import QuadratureSettings, oscillatory_quadrature_detail
+
+    lines = list(fingerprint.singular_lines(
+        lambda s: make_problem(s["f"], s["g"], s["alpha"], s["beta"], s["n"],
+                               T=s["T"]),
+        lambda p, tol: oscillatory_quadrature_detail(p, QuadratureSettings(tol=tol))))
+    # The first 8 certify; the kink at tol 1e-16 runs out of floats, and the
+    # poles, the jump and the unbounded ends stagnate.
+    outcomes = [line["oracle"].get("message", "certified") for line in lines]
+    assert outcomes[:8] == ["certified"] * 8 and len(outcomes) == 15
+    assert "too narrow to halve" in outcomes[8]
+    assert all("stagnated" in message for message in outcomes[9:])
